@@ -198,22 +198,19 @@ let ablate_block_vs_paths () =
          let ctx = Hb_sta.Context.make ~design ~system () in
          let block_time = measure (fun () -> Hb_sta.Slacks.compute ctx) in
          let enum_time =
-           measure (fun () ->
-               Hb_sta.Baseline.path_enumeration ctx ~max_paths:5_000_000 ())
+           measure (fun () -> Hb_sta.Reference.evaluate ctx ~max_paths:5_000_000)
          in
          let block = Hb_sta.Slacks.compute ctx in
-         let enum =
-           Hb_sta.Baseline.path_enumeration ctx ~max_paths:5_000_000 ()
-         in
+         let enum = Hb_sta.Reference.evaluate ctx ~max_paths:5_000_000 in
          let agree =
-           List.for_all
-             (fun (e, s) ->
-                Float.abs (s -. block.Hb_sta.Slacks.element_input_slack.(e))
-                < 1e-6)
-             enum.Hb_sta.Baseline.endpoint_slacks
+           Array.for_all2
+             (fun s b ->
+                (not (Hb_util.Time.is_finite s)) || Float.abs (s -. b) < 1e-6)
+             enum.Hb_sta.Reference.element_input_slack
+             block.Hb_sta.Slacks.element_input_slack
          in
          [ string_of_int stages;
-           string_of_int enum.Hb_sta.Baseline.paths_examined;
+           string_of_int enum.Hb_sta.Reference.paths_walked;
            Printf.sprintf "%.5f" block_time;
            Printf.sprintf "%.5f" enum_time;
            Printf.sprintf "%.1fx" (enum_time /. Stdlib.max 1e-9 block_time);
@@ -221,7 +218,8 @@ let ablate_block_vs_paths () =
       [ 2; 3; 4; 5 ]
   in
   Hb_util.Table.print
-    ~header:[ "stages"; "paths"; "block s"; "enumeration s"; "ratio"; "agree" ]
+    ~header:
+      [ "stages"; "paths_walked"; "block s"; "enumeration s"; "ratio"; "agree" ]
     ~align:Hb_util.Table.[ Right; Right; Right; Right; Right; Left ]
     rows
 
@@ -839,6 +837,15 @@ let path_engine ?(designs = path_engine_designs) ?(ks = [ 10; 100; 1000 ]) () =
   write_file_atomic "BENCH_paths.json" (Buffer.contents out);
   Printf.printf "\nwrote BENCH_paths.json\n"
 
+let argv_value name =
+  let argv = Sys.argv in
+  let rec scan i =
+    if i + 1 >= Array.length argv then None
+    else if argv.(i) = name then Some argv.(i + 1)
+    else scan (i + 1)
+  in
+  scan 1
+
 (* ------------------------------------------------------------------ *)
 (* P3 — telemetry: disabled overhead and enabled counters             *)
 (* ------------------------------------------------------------------ *)
@@ -1099,16 +1106,7 @@ let telemetry_bench () =
   write_file_atomic "BENCH_telemetry.json" (Buffer.contents out);
   Printf.printf "\nwrote BENCH_telemetry.json\n";
   (* Optional Chrome trace of the instrumented runs: --trace FILE. *)
-  let trace_path =
-    let argv = Sys.argv in
-    let rec scan i =
-      if i + 1 >= Array.length argv then None
-      else if argv.(i) = "--trace" then Some argv.(i + 1)
-      else scan (i + 1)
-    in
-    scan 1
-  in
-  (match trace_path with
+  (match argv_value "--trace" with
    | Some path ->
      write_file_atomic path (Hb_util.Telemetry.trace_json snap);
      Printf.printf "wrote %s\n" path
@@ -1718,15 +1716,11 @@ let serve_load_bench ?(smoke = false) () =
   check_streams "phase B";
   let whatif_requests = clients * whatif_iters * 2 in
   let whatif_rps = float_of_int whatif_requests /. Stdlib.max 1e-9 whatif_s in
-  (* Quantiles by linear interpolation inside the histogram bucket the
-     target observation falls in; the +Inf bucket reports the last
-     finite bound (a floor, honest enough for a latency summary). *)
   let quantile q =
     match (before, request_hist ()) with
     | _, None -> None
     | before, Some a ->
-      let bounds = a.Hb_util.Telemetry.upper_bounds in
-      let delta =
+      let counts =
         Array.mapi
           (fun i n ->
              match before with
@@ -1734,30 +1728,8 @@ let serve_load_bench ?(smoke = false) () =
              | None -> n)
           a.Hb_util.Telemetry.bucket_counts
       in
-      let total = Array.fold_left ( + ) 0 delta in
-      if total = 0 then None
-      else begin
-        let target = q *. float_of_int total in
-        let rec scan i acc =
-          if i >= Array.length delta then
-            Some bounds.(Array.length bounds - 1)
-          else
-            let acc' = acc + delta.(i) in
-            if float_of_int acc' >= target && delta.(i) > 0 then
-              let lower = if i = 0 then 0.0 else bounds.(i - 1) in
-              let upper =
-                if i < Array.length bounds then bounds.(i)
-                else bounds.(Array.length bounds - 1)
-              in
-              Some
-                (lower
-                 +. ((upper -. lower)
-                     *. ((target -. float_of_int acc)
-                         /. float_of_int delta.(i))))
-            else scan (i + 1) acc'
-        in
-        scan 0 0
-      end
+      Hb_util.Telemetry.quantile ~bounds:a.Hb_util.Telemetry.upper_bounds
+        ~counts q
   in
   let p50 = quantile 0.5 in
   let p99 = quantile 0.99 in
@@ -2006,15 +1978,6 @@ let monitor_bench ?(smoke = false) () =
 (* `hummingbird serve --socket` daemon and drive real traffic.        *)
 (* ------------------------------------------------------------------ *)
 
-let argv_value name =
-  let argv = Sys.argv in
-  let rec scan i =
-    if i + 1 >= Array.length argv then None
-    else if argv.(i) = name then Some argv.(i + 1)
-    else scan (i + 1)
-  in
-  scan 1
-
 (* `bench/main.exe --load-socket PATH [--clients N] [--requests K]`:
    every client loads the scale10k generator (the daemon shares one
    session across them) then issues K cached-read requests; any reply
@@ -2173,7 +2136,7 @@ let bechamel_suite () =
         (Staged.stage (fun () -> ignore (Hb_sta.Slacks.compute ctx)));
       Test.make ~name:"A1/enumeration"
         (Staged.stage (fun () ->
-             ignore (Hb_sta.Baseline.path_enumeration ctx ())));
+             ignore (Hb_sta.Reference.evaluate ctx)));
     ]
   in
   let tests =

@@ -120,16 +120,15 @@ let analyse_cmd =
           else config
         in
         let base_delays =
-          match delay_model with
-          | "lumped" -> Hb_sta.Delays.lumped
-          | "rc" -> Hb_sta.Delays.rc ()
-          | "rc-chain" ->
+          match Hb_sta.Delays.of_name delay_model, delay_model with
+          | Some delays, _ -> delays
+          | None, "rc-chain" ->
             Hb_sta.Delays.rc
               ~parameters:
                 { Hb_rc.Wire_model.default with
                   Hb_rc.Wire_model.topology = Hb_rc.Wire_model.Chain }
               ()
-          | other ->
+          | None, other ->
             Printf.eprintf "unknown delay model %s (lumped|rc|rc-chain)\n" other;
             exit 1
         in
@@ -525,30 +524,37 @@ let minperiod_cmd =
        ~doc:"Bisect the smallest overall clock period that meets timing")
     Term.(const run $ netlist_arg $ clocks_arg $ tolerance)
 
+(* The shared front of [critical] and [timing]: load, run Algorithm 1,
+   and resolve [endpoint] to its element replicas. *)
+let endpoint_replicas netlist clocks endpoint =
+  let design = load_design netlist in
+  let system = load_clocks clocks in
+  let ctx = Hb_sta.Context.make ~design ~system () in
+  let _ = Hb_sta.Algorithm1.run ctx in
+  let inst =
+    match Hb_netlist.Design.find_instance design endpoint with
+    | Some i -> i
+    | None ->
+      Printf.eprintf "no instance named %s\n" endpoint;
+      exit 1
+  in
+  match
+    Hashtbl.find_opt
+      ctx.Hb_sta.Context.elements.Hb_sta.Elements.replicas_of_inst inst
+  with
+  | Some replicas -> (ctx, replicas)
+  | None ->
+    Printf.eprintf "%s is not a synchronising element\n" endpoint;
+    exit 1
+
+let endpoint_arg =
+  Arg.(required & pos 0 (some string) None
+       & info [] ~docv:"INSTANCE" ~doc:"Endpoint synchroniser instance name.")
+
 let critical_cmd =
   let run netlist clocks endpoint k =
     handle_errors (fun () ->
-        let design = load_design netlist in
-        let system = load_clocks clocks in
-        let ctx = Hb_sta.Context.make ~design ~system () in
-        let _ = Hb_sta.Algorithm1.run ctx in
-        let inst =
-          match Hb_netlist.Design.find_instance design endpoint with
-          | Some i -> i
-          | None ->
-            Printf.eprintf "no instance named %s\n" endpoint;
-            exit 1
-        in
-        let replicas =
-          match
-            Hashtbl.find_opt
-              ctx.Hb_sta.Context.elements.Hb_sta.Elements.replicas_of_inst inst
-          with
-          | Some r -> r
-          | None ->
-            Printf.eprintf "%s is not a synchronising element\n" endpoint;
-            exit 1
-        in
+        let ctx, replicas = endpoint_replicas netlist clocks endpoint in
         List.iter
           (fun paths ->
              List.iter
@@ -557,10 +563,6 @@ let critical_cmd =
                paths)
           (Hb_sta.Paths.enumerate_many ctx ~endpoints:replicas ~limit:k))
   in
-  let endpoint =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"INSTANCE" ~doc:"Endpoint synchroniser instance name.")
-  in
   let k =
     Arg.(value & opt int 5 & info [ "k" ] ~docv:"N"
            ~doc:"Number of worst paths per replica.")
@@ -568,44 +570,22 @@ let critical_cmd =
   Cmd.v
     (Cmd.info "critical"
        ~doc:"Enumerate the K worst paths into one synchroniser's data input")
-    Term.(const run $ netlist_arg $ clocks_arg $ endpoint $ k)
+    Term.(const run $ netlist_arg $ clocks_arg $ endpoint_arg $ k)
 
 let timing_cmd =
   let run netlist clocks endpoint =
     handle_errors (fun () ->
-        let design = load_design netlist in
-        let system = load_clocks clocks in
-        let ctx = Hb_sta.Context.make ~design ~system () in
-        let _ = Hb_sta.Algorithm1.run ctx in
-        let inst =
-          match Hb_netlist.Design.find_instance design endpoint with
-          | Some i -> i
-          | None ->
-            Printf.eprintf "no instance named %s\n" endpoint;
-            exit 1
-        in
-        match
-          Hashtbl.find_opt
-            ctx.Hb_sta.Context.elements.Hb_sta.Elements.replicas_of_inst inst
-        with
-        | None ->
-          Printf.eprintf "%s is not a synchronising element\n" endpoint;
-          exit 1
-        | Some replicas ->
-          List.iter
-            (fun element ->
-               print_string (Hb_sta.Report.endpoint_report ctx ~endpoint:element);
-               print_newline ())
-            replicas)
-  in
-  let endpoint =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"INSTANCE" ~doc:"Endpoint synchroniser instance name.")
+        let ctx, replicas = endpoint_replicas netlist clocks endpoint in
+        List.iter
+          (fun element ->
+             print_string (Hb_sta.Report.endpoint_report ctx ~endpoint:element);
+             print_newline ())
+          replicas)
   in
   Cmd.v
     (Cmd.info "timing"
        ~doc:"Detailed per-endpoint timing report (launch/capture edges, hops)")
-    Term.(const run $ netlist_arg $ clocks_arg $ endpoint)
+    Term.(const run $ netlist_arg $ clocks_arg $ endpoint_arg)
 
 let lint_cmd =
   let run netlist =
@@ -1131,14 +1111,13 @@ let snapshot_cmd =
               exit 1
           in
           let delays =
-            match delay_model with
-            | "lumped" -> Hb_sta.Delays.lumped
-            | "rc" -> Hb_sta.Delays.rc ()
-            | other ->
+            match Hb_sta.Delays.of_name delay_model with
+            | Some delays -> delays
+            | None ->
               Printf.eprintf
                 "unknown delay model %s (lumped|rc — only providers \
                  rebuildable by name can be snapshotted)\n"
-                other;
+                delay_model;
               exit 1
           in
           let session = Hb_sta.Session.create ~design ~system ~delays () in

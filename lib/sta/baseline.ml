@@ -1,76 +1,4 @@
-type verdict = {
-  worst_slack : Hb_util.Time.t;
-  endpoint_slacks : (int * Hb_util.Time.t) list;
-  paths_examined : int;
-  truncated : bool;
-}
-
 exception Budget_exhausted
-
-let path_enumeration (ctx : Context.t) ?(max_paths = 200_000) () =
-  let endpoint_slack : (int, Hb_util.Time.t) Hashtbl.t = Hashtbl.create 64 in
-  let paths = ref 0 in
-  let truncated = ref false in
-  let note_endpoint element slack =
-    match Hashtbl.find_opt endpoint_slack element with
-    | Some existing when existing <= slack -> ()
-    | Some _ | None -> Hashtbl.replace endpoint_slack element slack
-  in
-  let examine (cluster : Cluster.t) cut =
-    let passes = ctx.Context.passes in
-    let elements = ctx.Context.elements in
-    let plan = passes.Passes.plans.(cluster.Cluster.id) in
-    (* Closure deadlines on each local net for outputs assigned to this
-       pass. *)
-    let deadlines = Array.make (Array.length cluster.Cluster.nets) [] in
-    Array.iteri
-      (fun output_index (terminal : Cluster.terminal) ->
-         if plan.Passes.assignment.(output_index) = cut then begin
-           let element = Elements.element elements terminal.Cluster.element in
-           match Block.closure_time passes element ~cut with
-           | None -> ()
-           | Some t ->
-             deadlines.(terminal.Cluster.net) <-
-               (terminal.Cluster.element, t) :: deadlines.(terminal.Cluster.net)
-         end)
-      cluster.Cluster.outputs;
-    (* Depth-first walk of every path from each input terminal. *)
-    let rec walk net arrival =
-      List.iter
-        (fun (element, deadline) ->
-           incr paths;
-           if !paths > max_paths then raise Budget_exhausted;
-           note_endpoint element (deadline -. arrival))
-        deadlines.(net);
-      Cluster.iter_succ cluster net ~f:(fun arc_index ->
-          let arc = cluster.Cluster.arcs.(arc_index) in
-          walk arc.Cluster.to_net (arrival +. arc.Cluster.dmax))
-    in
-    Array.iter
-      (fun (terminal : Cluster.terminal) ->
-         let element = Elements.element elements terminal.Cluster.element in
-         match Block.assertion_time passes element ~cut with
-         | None -> ()
-         | Some t -> walk terminal.Cluster.net t)
-      cluster.Cluster.inputs
-  in
-  (try
-     Array.iter
-       (fun (cluster : Cluster.t) ->
-          let plan = ctx.Context.passes.Passes.plans.(cluster.Cluster.id) in
-          List.iter (fun cut -> examine cluster cut) plan.Passes.cuts)
-       ctx.Context.table.Cluster.clusters
-   with Budget_exhausted -> truncated := true);
-  let endpoint_slacks =
-    Hashtbl.fold (fun element slack acc -> (element, slack) :: acc) endpoint_slack []
-    |> List.sort (fun (_, a) (_, b) -> compare a b)
-  in
-  let worst_slack =
-    match endpoint_slacks with
-    | (_, slack) :: _ -> slack
-    | [] -> Hb_util.Time.infinity
-  in
-  { worst_slack; endpoint_slacks; paths_examined = !paths; truncated = !truncated }
 
 (* The seed's k-worst path enumerator, kept as the baseline for bench
    section P2 and the old-vs-new parity checks: best-first search whose

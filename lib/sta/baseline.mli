@@ -1,11 +1,13 @@
 (** Baseline analyses the paper compares against.
 
     {b Path enumeration} — the "computationally expensive" exact
-    alternative to the block method (Section 7): every combinational path
-    is walked individually and its path constraint checked. On acyclic
-    max-delay analysis both methods agree on every verdict (neither
-    discards false paths); the benchmark suite demonstrates the runtime
-    gap, and the property tests the agreement.
+    alternative to the block method (Section 7), where every
+    combinational path is walked individually and its path constraint
+    checked, is {!Reference.evaluate}. On acyclic max-delay analysis both
+    methods agree on every verdict (neither discards false paths); the
+    benchmark suite demonstrates the runtime gap, and the property tests
+    the agreement. {!exhaustive_paths} is the per-endpoint counterpart
+    that returns the paths themselves.
 
     {b Per-source-edge settling times} — the Wallace/Séquin-style
     accounting ([8] in the paper) in which every node receives one
@@ -16,19 +18,6 @@
 (** Raised by {!exhaustive_paths} when the path count passes
     [max_paths]. *)
 exception Budget_exhausted
-
-type verdict = {
-  worst_slack : Hb_util.Time.t;
-  endpoint_slacks : (int * Hb_util.Time.t) list;
-      (** element id → worst path slack into its data input, ascending *)
-  paths_examined : int;
-  truncated : bool;  (** true when [max_paths] stopped the enumeration *)
-}
-
-(** [path_enumeration ctx ?max_paths ()] analyses every cluster by
-    explicit path walking at the current offsets. [max_paths] defaults to
-    200_000. *)
-val path_enumeration : Context.t -> ?max_paths:int -> unit -> verdict
 
 (** [k_worst_paths ctx ~endpoint ~limit] is the seed's k-worst path
     enumerator (best-first search with a materialised hop list per

@@ -68,3 +68,8 @@ let rc ?(parameters = Hb_rc.Wire_model.default) () =
            ( direction delay.Hb_cell.Delay_model.rise,
              direction delay.Hb_cell.Delay_model.fall ));
   }
+
+let of_name = function
+  | "lumped" -> Some lumped
+  | "rc" -> Some (rc ())
+  | _ -> None

@@ -31,3 +31,8 @@ val lumped : t
 (** [rc ?parameters ()] builds the Elmore-based provider; [parameters]
     default to {!Hb_rc.Wire_model.default}. *)
 val rc : ?parameters:Hb_rc.Wire_model.parameters -> unit -> t
+
+(** [of_name name] rebuilds a provider from its [name]: [Some] for
+    ["lumped"] and ["rc"] (default wire parameters), the two providers a
+    snapshot can rebuild; [None] for any other name. *)
+val of_name : string -> t option

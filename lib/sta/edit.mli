@@ -3,7 +3,7 @@
     An edit batch is validated as a whole and applied atomically: either
     every command lands or the session is left exactly as it was. Delay
     commands ({!Set_delay}, {!Scale_delay}, {!Annotate}, {!Set_offset})
-    subsume the legacy per-call session mutators; structural commands
+    override timing data; structural commands
     ({!Insert_buffer}, {!Resize_gate}, {!Remove_gate}, {!Rewire_net})
     perform ECO surgery via {!Hb_netlist.Structural} and rebuild only
     the clusters they touch.
@@ -18,8 +18,8 @@ type t =
       (** Multiply [instance]'s base-provider delays by [factor]. *)
   | Annotate of Annotation.t
       (** Fold a parsed [.hbd] annotation into the session overrides.
-          Entries naming unknown instances are ignored, matching
-          [Session.annotate]. *)
+          Entries naming unknown instances are ignored (see
+          {!Annotation.unused}). *)
   | Set_offset of { element : int; offset : Hb_util.Time.t }
       (** Write element [element]'s free signal-arrival offset. *)
   | Insert_buffer of {

@@ -372,6 +372,11 @@ let req_float name p =
   | Some v -> v
   | None -> bad_request "missing required parameter %S" name
 
+let req_int name p =
+  match opt_int name p with
+  | Some v -> v
+  | None -> bad_request "missing required parameter %S" name
+
 let no_design () =
   raise
     (Request_error
@@ -520,11 +525,11 @@ let handle_load t c p =
    | _ -> ());
   let telemetry = opt_bool "telemetry" p in
   let macro = opt_bool "macro" p in
-  let delay_model =
-    match opt_text "delay_model" p with
-    | None | Some "lumped" -> `Lumped
-    | Some "rc" -> `Rc
-    | Some other -> bad_request "unknown delay model %S (lumped|rc)" other
+  let delay_model = Option.value ~default:"lumped" (opt_text "delay_model" p) in
+  let delays =
+    match Delays.of_name delay_model with
+    | Some delays -> delays
+    | None -> bad_request "unknown delay model %S (lumped|rc)" delay_model
   in
   let key =
     Printf.sprintf "%s|timing=%s|jobs=%s|telemetry=%s|macro=%s|delays=%s"
@@ -536,7 +541,7 @@ let handle_load t c p =
       (match explicit_jobs with None -> "" | Some j -> string_of_int j)
       (match telemetry with None -> "" | Some b -> string_of_bool b)
       (match macro with None -> "" | Some b -> string_of_bool b)
-      (match delay_model with `Lumped -> "lumped" | `Rc -> "rc")
+      delay_model
   in
   Mutex.lock t.reg_mutex;
   Fun.protect
@@ -618,11 +623,6 @@ let handle_load t c p =
             | None -> config
             | Some macro -> { config with Config.macro }
           in
-          let delays =
-            match delay_model with
-            | `Lumped -> Delays.lumped
-            | `Rc -> Delays.rc ()
-          in
           ok_or_error
             (Session.create_r ~design ~system ~config ~delays ())
           in
@@ -674,93 +674,18 @@ let handle_analyse c p =
          nests compactly inside the one-line reply envelope. *)
       Json.parse (Json_export.report ~paths report))
 
-let handle_set_delay c p =
-  let instance = req_text "instance" p in
-  let rise = req_float "rise" p in
-  let fall = req_float "fall" p in
-  let _ : Session.apply_result =
-    with_session_write c (fun s ->
-        apply_edits s [ Edit.Set_delay { instance; rise; fall } ])
-  in
-  Json.Obj [ ("instance", Json.String instance) ]
-
-let handle_scale_delay c p =
-  let instance = req_text "instance" p in
-  let factor = req_float "factor" p in
-  let _ : Session.apply_result =
-    with_session_write c (fun s ->
-        apply_edits s [ Edit.Scale_delay { instance; factor } ])
-  in
-  Json.Obj [ ("instance", Json.String instance) ]
-
-let handle_annotate c p =
-  let annotation =
-    match opt_text "text" p, opt_text "file" p with
-    | Some text, None -> Annotation.parse text
-    | None, Some file -> loading file (fun () -> Annotation.parse_file file)
-    | Some _, Some _ -> bad_request "give either text or file, not both"
-    | None, None -> bad_request "missing required parameter: text or file"
-  in
-  let unused =
-    with_session_write c (fun s ->
-        (* [apply] rejects batches naming unknown instances; the legacy
-           annotate contract skips them and reports the names instead. *)
-        let design = (Session.context s).Context.design in
-        let unused = Annotation.unused annotation ~design in
-        let known =
-          List.filter
-            (fun (name, _) -> not (List.mem name unused))
-            (Annotation.entries annotation)
-        in
-        if known <> [] then begin
-          let _ : Session.apply_result =
-            apply_edits s [ Edit.Annotate (Annotation.of_entries known) ]
-          in
-          ()
-        end;
-        unused)
-  in
-  Json.Obj
-    [ ("entries", Json.Number (float_of_int (Annotation.count annotation)));
-      ("unused", Json.List (List.map (fun n -> Json.String n) unused));
-    ]
-
-let handle_set_offset c p =
-  let element =
-    match opt_int "element" p with
-    | Some e -> e
-    | None -> bad_request "missing required parameter \"element\""
-  in
-  let value = req_float "value" p in
-  let actual =
-    with_session_write c (fun s ->
-        let _ : Session.apply_result =
-          apply_edits s [ Edit.Set_offset { element; offset = value } ]
-        in
-        Hb_sync.Element.o_dz
-          (Elements.element (Session.context s).Context.elements element))
-  in
-  Json.Obj
-    [ ("element", Json.Number (float_of_int element));
-      ("offset", Json.Number actual);
-    ]
-
-(* One command object of the batch "edit" method → a typed {!Edit.t}.
-   Cell names resolve against the server's library here, so the session
-   layer only ever sees resolved cells. *)
-let edit_of_json t i v =
-  let p =
-    match v with
-    | Json.Obj _ -> v
-    | _ -> bad_request "edit %d: command must be an object" i
-  in
+(* One edit command → a typed {!Edit.t}: command [i] of the batch "edit"
+   method, or the params of the single-edit method named [op]. Cell names
+   resolve against the server's library here, so the session layer only
+   ever sees resolved cells. *)
+let edit_of_json t i ~op p =
   let cell_field () =
     let name = req_text "cell" p in
     match Hb_cell.Library.find t.library name with
     | Some cell -> cell
     | None -> bad_request "edit %d: unknown cell %S" i name
   in
-  match req_text "op" p with
+  match op with
   | "set_delay" ->
     Edit.Set_delay
       { instance = req_text "instance" p;
@@ -771,16 +696,15 @@ let edit_of_json t i v =
     Edit.Scale_delay
       { instance = req_text "instance" p; factor = req_float "factor" p }
   | "annotate" ->
-    (match opt_text "text" p with
-     | Some text -> Edit.Annotate (Annotation.parse text)
-     | None -> bad_request "edit %d: annotate needs \"text\"" i)
+    Edit.Annotate
+      (match opt_text "text" p, opt_text "file" p with
+       | Some text, None -> Annotation.parse text
+       | None, Some file -> loading file (fun () -> Annotation.parse_file file)
+       | Some _, Some _ -> bad_request "give either text or file, not both"
+       | None, None -> bad_request "missing required parameter: text or file")
   | "set_offset" ->
-    let element =
-      match opt_int "element" p with
-      | Some e -> e
-      | None -> bad_request "edit %d: missing \"element\"" i
-    in
-    Edit.Set_offset { element; offset = req_float "value" p }
+    Edit.Set_offset
+      { element = req_int "element" p; offset = req_float "value" p }
   | "insert_buffer" ->
     Edit.Insert_buffer
       { net = req_text "net" p;
@@ -811,7 +735,14 @@ let handle_edit t c p =
     | None -> bad_request "missing required parameter \"commands\""
   in
   if commands = [] then bad_request "commands must be non-empty";
-  let edits = List.mapi (edit_of_json t) commands in
+  let edits =
+    List.mapi
+      (fun i v ->
+        match v with
+        | Json.Obj _ -> edit_of_json t i ~op:(req_text "op" v) v
+        | _ -> bad_request "edit %d: command must be an object" i)
+      commands
+  in
   let result = with_session_write c (fun s -> apply_edits s edits) in
   Json.Obj
     [ ("applied", Json.Number (float_of_int result.Session.applied));
@@ -830,6 +761,36 @@ let handle_edit t c p =
                  ])
              edits) );
     ]
+
+(* The reply of a single-edit method, read from the session its one
+   command was just applied to. *)
+let single_edit_reply s = function
+  | Edit.Set_delay { instance; _ } | Edit.Scale_delay { instance; _ } ->
+    Json.Obj [ ("instance", Json.String instance) ]
+  | Edit.Annotate annotation ->
+    let unused =
+      Annotation.unused annotation ~design:(Session.context s).Context.design
+    in
+    Json.Obj
+      [ ("entries", Json.Number (float_of_int (Annotation.count annotation)));
+        ("unused", Json.List (List.map (fun n -> Json.String n) unused));
+      ]
+  | Edit.Set_offset { element; _ } ->
+    (* Read back: the session clamps the offset to the element's window. *)
+    let e = Elements.element (Session.context s).Context.elements element in
+    Json.Obj
+      [ ("element", Json.Number (float_of_int element));
+        ("offset", Json.Number (Hb_sync.Element.o_dz e));
+      ]
+  | Edit.Insert_buffer _ | Edit.Resize_gate _ | Edit.Remove_gate _
+  | Edit.Rewire_net _ ->
+    invalid_arg "Serve.single_edit_reply: structural edits go through \"edit\""
+
+let handle_single_edit t c ~op p =
+  let edit = edit_of_json t 0 ~op p in
+  with_session_write c (fun s ->
+      let _ : Session.apply_result = apply_edits s [ edit ] in
+      single_edit_reply s edit)
 
 let handle_paths c p =
   let limit = Option.value ~default:5 (opt_int "limit" p) in
@@ -981,10 +942,8 @@ let dispatch t c ~meth p =
   | "ping" -> Json.Obj [ ("pong", Json.Bool true) ]
   | "load" -> handle_load t c p
   | "analyse" -> handle_analyse c p
-  | "set_delay" -> handle_set_delay c p
-  | "scale_delay" -> handle_scale_delay c p
-  | "annotate" -> handle_annotate c p
-  | "set_offset" -> handle_set_offset c p
+  | ("set_delay" | "scale_delay" | "annotate" | "set_offset") as op ->
+    handle_single_edit t c ~op p
   | "edit" -> handle_edit t c p
   | "paths" -> handle_paths c p
   | "constraints" -> handle_constraints c

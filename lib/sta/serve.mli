@@ -24,10 +24,12 @@
     replies, never silent drops.
 
     Methods: [ping], [load] (netlist/clocks/timing paths, or the name
-    of a registered ["generator"]), [annotate] ([text] or [file]),
-    [set_delay], [scale_delay], [set_offset], [analyse], [paths],
-    [constraints], [hold], [metrics], [flight], [sleep] (test hook) and
-    [shutdown]. A request may carry ["schema_version"]: a value the
+    of a registered ["generator"]), [analyse], [edit] (a ["commands"]
+    list of typed edit objects, applied as one atomic batch),
+    [set_delay], [scale_delay], [annotate] ([text] or [file]) and
+    [set_offset] (one edit command each, decoded like an [edit] command
+    and answered with a method-specific reply), [paths], [constraints],
+    [hold], [metrics], [flight], [sleep] (test hook) and [shutdown]. A request may carry ["schema_version"]: a value the
     server doesn't speak is rejected with code ["schema_version"];
     absent means current. A request-level ["timeout"] (seconds)
     overrides the server default; budgets are deadline-based

@@ -466,42 +466,6 @@ let apply t commands =
     in
     raise (Error.Error error)
 
-(* Legacy single-command mutators, kept as thin wrappers over [apply].
-   They re-raise the bare (index-free) error so existing callers see
-   the same messages as before the edit-command redesign. *)
-
-let apply_legacy t command =
-  match apply_r t [ command ] with
-  | Ok _ -> ()
-  | Error { error; _ } -> raise (Error.Error error)
-
-let set_delay t ~instance ~rise ~fall =
-  apply_legacy t (Edit.Set_delay { instance; rise; fall })
-
-let scale_delay t ~instance ~factor =
-  apply_legacy t (Edit.Scale_delay { instance; factor })
-
-let annotate t annotation =
-  check_open t;
-  let seen = Hashtbl.create 16 in
-  let known = ref [] in
-  let unknown = ref [] in
-  List.iter
-    (fun (name, entry) ->
-       if not (Hashtbl.mem seen name) then begin
-         Hashtbl.add seen name ();
-         match Hb_netlist.Design.find_instance t.ctx.Context.design name with
-         | Some _ -> known := (name, entry) :: !known
-         | None -> unknown := name :: !unknown
-       end)
-    (Annotation.entries annotation);
-  if !known <> [] then
-    apply_legacy t (Edit.Annotate (Annotation.of_entries (List.rev !known)));
-  List.rev !unknown
-
-let set_offset t ~element offset =
-  apply_legacy t (Edit.Set_offset { element; offset })
-
 let update_design t ~design =
   check_open t;
   let ctx, cpu, wall =

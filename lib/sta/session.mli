@@ -150,24 +150,6 @@ val update_design : t -> design:Hb_netlist.Design.t -> unit
     the escape hatch for timing data changed behind the session's back. *)
 val invalidate : t -> unit
 
-(** {2 Legacy mutators}
-
-    One-command wrappers over {!apply}, kept for source compatibility. *)
-
-val set_delay : t -> instance:string -> rise:float -> fall:float -> unit
-[@@alert deprecated "use Session.apply with Edit.Set_delay"]
-
-val scale_delay : t -> instance:string -> factor:float -> unit
-[@@alert deprecated "use Session.apply with Edit.Scale_delay"]
-
-(** Returns the annotated names not present in the design, which are
-    skipped — {!Annotation.unused} semantics. *)
-val annotate : t -> Annotation.t -> string list
-[@@alert deprecated "use Session.apply with Edit.Annotate"]
-
-val set_offset : t -> element:int -> Hb_util.Time.t -> unit
-[@@alert deprecated "use Session.apply with Edit.Set_offset"]
-
 (** {2 Queries} *)
 
 (** [analyse_r ?generate_constraints ?check_hold t] returns the same

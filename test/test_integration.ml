@@ -91,19 +91,28 @@ let test_figure1_settling_times () =
 (* Cross-validation on bigger inputs                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* [(element, slack)] for every endpoint the exhaustive path walk of
+   {!Hb_sta.Reference.evaluate} reached: its finite input slacks. A
+   truncated walk fails the test. *)
+let enumerated_endpoints (exact : Hb_sta.Reference.verdict) =
+  if exact.Hb_sta.Reference.truncated then
+    Alcotest.fail "reference path walk truncated";
+  Array.to_list exact.Hb_sta.Reference.element_input_slack
+  |> List.mapi (fun element slack -> (element, slack))
+  |> List.filter (fun (_, slack) -> Hb_util.Time.is_finite slack)
+
 let test_block_vs_enumeration_alu () =
   let design, system = Hb_workload.Chips.alu () in
   let ctx = Hb_sta.Context.make ~design ~system () in
   let block = Hb_sta.Slacks.compute ctx in
-  let exact = Hb_sta.Baseline.path_enumeration ctx ~max_paths:2_000_000 () in
-  Alcotest.(check bool) "not truncated" false exact.Hb_sta.Baseline.truncated;
+  let exact = Hb_sta.Reference.evaluate ctx in
   List.iter
     (fun (element, slack) ->
        Alcotest.(check (float 1e-6))
          (Printf.sprintf "endpoint %d" element)
          slack
          block.Hb_sta.Slacks.element_input_slack.(element))
-    exact.Hb_sta.Baseline.endpoint_slacks
+    (enumerated_endpoints exact)
 
 let test_multifrequency_pipeline () =
   (* Latches on a 1x clock feeding FFs on 2x and 4x clocks: the multirate
@@ -138,13 +147,13 @@ let test_multifrequency_pipeline () =
   (* Cross-check against enumeration. *)
   let ctx = report.Hb_sta.Engine.context in
   let block = Hb_sta.Slacks.compute ctx in
-  let exact = Hb_sta.Baseline.path_enumeration ctx () in
+  let exact = Hb_sta.Reference.evaluate ctx in
   List.iter
     (fun (element, slack) ->
        Alcotest.(check (float 1e-6))
          (Printf.sprintf "endpoint %d" element)
          slack block.Hb_sta.Slacks.element_input_slack.(element))
-    exact.Hb_sta.Baseline.endpoint_slacks
+    (enumerated_endpoints exact)
 
 (* ------------------------------------------------------------------ *)
 (* Redesign closes the loop on a real design                          *)
@@ -241,13 +250,12 @@ let prop_soups_block_equals_enumeration =
        in
        let ctx = Hb_sta.Context.make ~design ~system () in
        let block = Hb_sta.Slacks.compute ctx in
-       let exact = Hb_sta.Baseline.path_enumeration ctx () in
-       (not exact.Hb_sta.Baseline.truncated)
-       && List.for_all
+       let exact = Hb_sta.Reference.evaluate ctx in
+       List.for_all
             (fun (e, s) ->
                Float.abs (s -. block.Hb_sta.Slacks.element_input_slack.(e))
                < 1e-6)
-            exact.Hb_sta.Baseline.endpoint_slacks)
+            (enumerated_endpoints exact))
 
 let prop_soups_algorithms_terminate =
   (* Algorithm 1 and 2 converge (no cap hit) on every random soup. *)
@@ -324,10 +332,10 @@ let prop_verdict_witnessed_by_enumeration =
        match (Hb_sta.Algorithm1.run ctx).Hb_sta.Algorithm1.status with
        | Hb_sta.Algorithm1.Slow_paths -> true (* nothing claimed *)
        | Hb_sta.Algorithm1.Meets_timing ->
-         let exact = Hb_sta.Baseline.path_enumeration ctx () in
+         let exact = Hb_sta.Reference.evaluate ctx in
          List.for_all
            (fun (_, slack) -> Hb_util.Time.is_positive slack)
-           exact.Hb_sta.Baseline.endpoint_slacks)
+           (enumerated_endpoints exact))
 
 let prop_hbn_round_trip_preserves_analysis =
   (* Writing any soup to .hbn text and reading it back yields a design

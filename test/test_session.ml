@@ -130,7 +130,7 @@ let test_whatif_annotation_parity () =
   let annotation = Hb_sta.Annotation.parse text in
   Alcotest.(check (list string)) "unused names" [ "ghost" ]
     (Hb_sta.Annotation.unused annotation ~design);
-  (* [Edit.Annotate] skips unknown entries, matching the legacy call. *)
+  (* [Edit.Annotate] skips unknown entries. *)
   let _ : Hb_sta.Session.apply_result =
     Hb_sta.Session.apply session [ Hb_sta.Edit.Annotate annotation ]
   in
@@ -180,37 +180,6 @@ let test_set_offset_deterministic () =
     report
   in
   check_reports_equal "offset edit" (run ()) (run ())
-
-(* The deprecated one-command wrappers must keep behaving exactly like
-   the [Edit] batches they delegate to while downstream callers migrate;
-   this module is the single place they are still exercised. *)
-module Legacy = struct
-  [@@@alert "-deprecated"]
-
-  let test_wrappers () =
-    let design, system = pipeline ~period:3.0 () in
-    let session = Hb_sta.Session.create ~design ~system () in
-    let instance = path_instance session in
-    Hb_sta.Session.scale_delay session ~instance ~factor:0.7;
-    Hb_sta.Session.set_delay session ~instance ~rise:0.9 ~fall:1.1;
-    let unused =
-      Hb_sta.Session.annotate session (Hb_sta.Annotation.parse "scale ghost 2")
-    in
-    Alcotest.(check (list string)) "annotate reports unused" [ "ghost" ]
-      unused;
-    let via_legacy = Hb_sta.Session.analyse session in
-    Hb_sta.Session.close session;
-    let session = Hb_sta.Session.create ~design ~system () in
-    let _ : Hb_sta.Session.apply_result =
-      Hb_sta.Session.apply session
-        [ Hb_sta.Edit.Scale_delay { instance; factor = 0.7 };
-          Hb_sta.Edit.Set_delay { instance; rise = 0.9; fall = 1.1 };
-          Hb_sta.Edit.Annotate (Hb_sta.Annotation.parse "scale ghost 2") ]
-    in
-    let via_apply = Hb_sta.Session.analyse session in
-    Hb_sta.Session.close session;
-    check_reports_equal "legacy wrappers match apply" via_legacy via_apply
-end
 
 (* ------------------------------------------------------------------ *)
 (* structural ECO edits                                               *)
@@ -1211,6 +1180,124 @@ let test_serve_concurrent_parity () =
   Alcotest.(check string) "concurrent final report equals serial"
     (Json.to_string serial) (Json.to_string concurrent)
 
+(* The four single-edit methods keep their own reply shapes, and each
+   leaves the session exactly where the equivalent "edit" batch does. *)
+let test_serve_single_edit_replies () =
+  let design, system =
+    Hb_workload.Pipelines.two_phase ~width:3 ~stages:3 ~gates_per_stage:12 ()
+  in
+  let probe = Hb_sta.Session.create ~design ~system () in
+  let instances = path_instances probe 4 in
+  let elements = (Hb_sta.Session.context probe).Hb_sta.Context.elements in
+  let element =
+    let rec first e =
+      if e >= Hb_sta.Elements.count elements then
+        Alcotest.fail "no adjustable element"
+      else if
+        Hb_sync.Element.is_boundary (Hb_sta.Elements.element elements e)
+      then first (e + 1)
+      else e
+    in
+    first 0
+  in
+  let requested = 1000.0 in
+  let _ : Hb_sta.Session.apply_result =
+    Hb_sta.Session.apply probe
+      [ Hb_sta.Edit.Set_offset { element; offset = requested } ]
+  in
+  let clamped =
+    Hb_sync.Element.o_dz (Hb_sta.Elements.element elements element)
+  in
+  Hb_sta.Session.close probe;
+  Alcotest.(check bool) "request lies past the window" true
+    (clamped <> requested);
+  let inst i = List.nth instances i in
+  let file_text = Printf.sprintf "scale %s 1.2" (inst 3) in
+  let hbd = Filename.temp_file "hb_session" ".hbd" in
+  let oc = open_out hbd in
+  output_string oc file_text;
+  close_out oc;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove hbd)
+    (fun () ->
+       let daemon () =
+         let generators = [ ("pipe", fun () -> (design, system)) ] in
+         let d = Hb_sta.Serve.create ~generators () in
+         let send line = Hb_sta.Serve.handle_line d line in
+         Alcotest.(check string) "load" "ok"
+           (reply_status
+              (send {|{"id":1,"method":"load","params":{"generator":"pipe"}}|}));
+         send
+       in
+       let single = daemon () in
+       let batch = daemon () in
+       let report send =
+         let reply = send {|{"id":2,"method":"analyse"}|} in
+         Alcotest.(check string) "analyse ok" "ok" (reply_status reply);
+         match reply_result reply with
+         | Json.Obj fields ->
+           Json.to_string
+             (Json.Obj (List.filter (fun (k, _) -> k <> "timings") fields))
+         | _ -> Alcotest.fail "analyse result is not an object"
+       in
+       let step ~meth ~params ~command expected =
+         let reply =
+           single
+             (Printf.sprintf {|{"id":3,"method":"%s","params":%s}|} meth params)
+         in
+         Alcotest.(check string) (meth ^ " ok") "ok" (reply_status reply);
+         Alcotest.(check string) (meth ^ " reply") expected
+           (Json.to_string (reply_result reply));
+         Alcotest.(check string) (meth ^ " batch ok") "ok"
+           (reply_status
+              (batch
+                 (Printf.sprintf
+                    {|{"id":4,"method":"edit","params":{"commands":[%s]}}|}
+                    command)));
+         Alcotest.(check string) (meth ^ " matches the batch") (report batch)
+           (report single)
+       in
+       let delay =
+         Printf.sprintf {|"instance":"%s","rise":0.9,"fall":1.1|} (inst 0)
+       in
+       step ~meth:"set_delay" ~params:("{" ^ delay ^ "}")
+         ~command:({|{"op":"set_delay",|} ^ delay ^ "}")
+         (Printf.sprintf {|{"instance":"%s"}|} (inst 0));
+       let scale = Printf.sprintf {|"instance":"%s","factor":0.7|} (inst 1) in
+       step ~meth:"scale_delay" ~params:("{" ^ scale ^ "}")
+         ~command:({|{"op":"scale_delay",|} ^ scale ^ "}")
+         (Printf.sprintf {|{"instance":"%s"}|} (inst 1));
+       let text =
+         Printf.sprintf {|"text":"scale %s 0.6\ndelay ghost rise 1 fall 1"|}
+           (inst 2)
+       in
+       step ~meth:"annotate" ~params:("{" ^ text ^ "}")
+         ~command:({|{"op":"annotate",|} ^ text ^ "}")
+         {|{"entries":2,"unused":["ghost"]}|};
+       step ~meth:"annotate"
+         ~params:(Printf.sprintf {|{"file":"%s"}|} hbd)
+         ~command:(Printf.sprintf {|{"op":"annotate","text":"%s"}|} file_text)
+         {|{"entries":1,"unused":[]}|};
+       let both =
+         single
+           (Printf.sprintf
+              {|{"id":5,"method":"annotate","params":{"text":"scale %s 2","file":"%s"}}|}
+              (inst 0) hbd)
+       in
+       Alcotest.(check string) "text and file" "bad_request"
+         (reply_error_code both);
+       let offset =
+         Printf.sprintf {|"element":%d,"value":%g|} element requested
+       in
+       step ~meth:"set_offset" ~params:("{" ^ offset ^ "}")
+         ~command:({|{"op":"set_offset",|} ^ offset ^ "}")
+         (Json.to_string
+            (Json.Obj
+               [ ("element", Json.Number (float_of_int element));
+                 ("offset", Json.Number clamped) ]));
+       ignore (single {|{"id":6,"method":"shutdown"}|});
+       ignore (batch {|{"id":6,"method":"shutdown"}|}))
+
 (* ------------------------------------------------------------------ *)
 (* Error, Timeout, Engine.preprocess, Json                             *)
 (* ------------------------------------------------------------------ *)
@@ -1339,8 +1426,7 @@ let () =
          Alcotest.test_case "repeated queries stable" `Quick
            test_repeated_queries_stable;
          Alcotest.test_case "offset edits deterministic" `Quick
-           test_set_offset_deterministic;
-         Alcotest.test_case "legacy wrappers" `Quick Legacy.test_wrappers ]);
+           test_set_offset_deterministic ]);
       ("eco",
        [ Alcotest.test_case "insert buffer" `Quick test_eco_insert_buffer;
          Alcotest.test_case "resize gate" `Quick test_eco_resize_gate;
@@ -1362,7 +1448,9 @@ let () =
       ("serve",
        [ Alcotest.test_case "transcript" `Quick test_serve_transcript;
          Alcotest.test_case "run channel" `Quick test_serve_run_channel;
-         Alcotest.test_case "observability" `Quick test_serve_observability ]);
+         Alcotest.test_case "observability" `Quick test_serve_observability;
+         Alcotest.test_case "single-edit replies" `Quick
+           test_serve_single_edit_replies ]);
       ("concurrent",
        [ Alcotest.test_case "shared session" `Quick test_serve_shared_session;
          Alcotest.test_case "admission control" `Quick test_serve_admission;
