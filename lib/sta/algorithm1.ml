@@ -27,40 +27,43 @@ type direction = Forward | Backward
    amounts buffer: a gather pass folding the slack snapshot's element
    arrays against the headrooms, then an apply pass issuing the shifts.
    [divisor] is [None] for complete transfers and [Some n] for partial
-   ones. *)
-let gather_amounts (ctx : Context.t) slacks direction ~divisor ~amounts =
-  let elements = ctx.Context.elements in
+   ones. Both passes read the elements' cached offsets and write out the
+   [Hb_util.Time] helpers, so no float is boxed per element. *)
+let gather_amounts (ctx : Context.t) (slacks : Slacks.t) direction ~divisor
+    ~amounts =
+  let all = ctx.Context.elements.Elements.all in
   let slack_of =
     match direction with
     | Forward -> slacks.Slacks.element_input_slack
     | Backward -> slacks.Slacks.element_output_slack
   in
-  for e = 0 to Elements.count elements - 1 do
-    let element = Elements.element elements e in
+  for e = 0 to Array.length all - 1 do
+    let offsets = all.(e).Hb_sync.Element.offsets in
     let headroom =
       match direction with
-      | Forward -> Hb_sync.Element.forward_headroom element
-      | Backward -> Hb_sync.Element.backward_headroom element
+      | Forward -> offsets.Hb_sync.Element.forward_headroom
+      | Backward -> offsets.Hb_sync.Element.backward_headroom
     in
     let slack =
       match divisor with
       | None -> slack_of.(e)
       | Some n -> slack_of.(e) /. n
     in
-    amounts.(e) <- Hb_util.Time.min slack headroom
+    (* Hb_util.Time.min slack headroom *)
+    amounts.(e) <- (if slack <= headroom then slack else headroom)
   done
 
 let apply_amounts (ctx : Context.t) direction ~amounts =
-  let elements = ctx.Context.elements in
+  let all = ctx.Context.elements.Elements.all in
   let moved = ref false in
-  for e = 0 to Elements.count elements - 1 do
+  for e = 0 to Array.length all - 1 do
     let amount = amounts.(e) in
-    if Hb_util.Time.is_positive amount then begin
+    (* Hb_util.Time.is_positive amount *)
+    if Hb_util.Time.zero +. Hb_util.Time.eps < amount then begin
       moved := true;
-      let element = Elements.element elements e in
       match direction with
-      | Forward -> Hb_sync.Element.shift element (-.amount)
-      | Backward -> Hb_sync.Element.shift element amount
+      | Forward -> Hb_sync.Element.shift all.(e) (-.amount)
+      | Backward -> Hb_sync.Element.shift all.(e) amount
     end
   done;
   !moved
@@ -98,27 +101,25 @@ let transfer_step ctx direction =
 let run (ctx : Context.t) =
   let cap = ctx.Context.config.Config.max_transfer_iterations in
   let capped = ref false in
-  (* Intermediate snapshots go through the (possibly macro-level)
-     transfer path; the outcome's [final] is always a full flat compute
-     so net-level data, paths and reports are unaffected by macro mode. *)
-  let macro_snapshots =
-    ctx.Context.config.Config.macro
-    && not ctx.Context.config.Config.rise_fall
-  in
+  (* Intermediate snapshots are element-only (and macro-level when
+     configured), written into the arena's two slack buffers; a loop
+     exits through one full compute, which the cluster cache serves
+     without re-evaluating anything, so the outcome's [final] carries the
+     net-level data paths and reports need. *)
   let arena = Hb_util.Arena.create () in
-  let amounts =
-    Hb_util.Arena.floats arena (Elements.count ctx.Context.elements)
-  in
+  let element_count = Elements.count ctx.Context.elements in
+  let amounts = Hb_util.Arena.floats arena element_count in
+  let input_slack = Hb_util.Arena.floats arena element_count in
+  let output_slack = Hb_util.Arena.floats arena element_count in
+  let snapshot () = Slacks.compute_transfer ctx ~input_slack ~output_slack in
   (* Iterations 1 and 2: complete transfers to a fixed point; each returns
      [Some slacks] when every slack went strictly positive on the way. *)
   let complete_phase direction =
     let cycles = ref 0 in
     let rec loop () =
       Hb_util.Timeout.check ();
-      let slacks = Slacks.compute_transfer ctx in
-      if Slacks.all_positive slacks then
-        (Some (if macro_snapshots then Slacks.compute ctx else slacks),
-         !cycles)
+      let slacks = snapshot () in
+      if Slacks.all_positive slacks then (Some (Slacks.compute ctx), !cycles)
       else if !cycles >= cap then begin
         capped := true;
         (None, !cycles)
@@ -134,6 +135,8 @@ let run (ctx : Context.t) =
   in
   let finish status final forward_cycles backward_cycles =
     Hb_util.Arena.release arena amounts;
+    Hb_util.Arena.release arena input_slack;
+    Hb_util.Arena.release arena output_slack;
     { status; final; forward_cycles; backward_cycles; capped = !capped }
   in
   match complete_phase Forward with
@@ -148,14 +151,12 @@ let run (ctx : Context.t) =
        for _ = 1 to backward_cycles do
          Hb_util.Timeout.check ();
          Hb_util.Telemetry.incr c_relaxation_iterations;
-         let slacks = Slacks.compute_transfer ctx in
-         partial_transfer_into ctx slacks Forward ~amounts
+         partial_transfer_into ctx (snapshot ()) Forward ~amounts
        done;
        for _ = 1 to forward_cycles do
          Hb_util.Timeout.check ();
          Hb_util.Telemetry.incr c_relaxation_iterations;
-         let slacks = Slacks.compute_transfer ctx in
-         partial_transfer_into ctx slacks Backward ~amounts
+         partial_transfer_into ctx (snapshot ()) Backward ~amounts
        done;
        let final = Slacks.compute ctx in
        let status =

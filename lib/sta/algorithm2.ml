@@ -12,29 +12,40 @@ type direction = Forward | Backward
 (* One snatching step across all elements from one slack snapshot.
    Forward snatching takes time from upstream when the paths leaving the
    element's output are too slow; backward snatching takes time from
-   downstream when the paths converging on its data input are too slow. *)
-let snatch (ctx : Context.t) slacks direction =
+   downstream when the paths converging on its data input are too slow.
+   Headrooms come from the elements' cached offsets and the
+   [Hb_util.Time] tests are written out, so no float is boxed per
+   element. *)
+let snatch (ctx : Context.t) (slacks : Slacks.t) direction =
+  let all = ctx.Context.elements.Elements.all in
+  let eps = Hb_util.Time.eps and zero = Hb_util.Time.zero in
   let moved = ref false in
-  for e = 0 to Elements.count ctx.Context.elements - 1 do
-    let element = Elements.element ctx.Context.elements e in
-    let amount =
+  for e = 0 to Array.length all - 1 do
+    let offsets = all.(e).Hb_sync.Element.offsets in
+    let node_slack =
       match direction with
-      | Forward ->
-        let node_slack = slacks.Slacks.element_output_slack.(e) in
-        if Hb_util.Time.is_negative node_slack then
-          Hb_util.Time.min (-.node_slack) (Hb_sync.Element.forward_headroom element)
-        else 0.0
-      | Backward ->
-        let node_slack = slacks.Slacks.element_input_slack.(e) in
-        if Hb_util.Time.is_negative node_slack then
-          Hb_util.Time.min (-.node_slack) (Hb_sync.Element.backward_headroom element)
-        else 0.0
+      | Forward -> slacks.Slacks.element_output_slack.(e)
+      | Backward -> slacks.Slacks.element_input_slack.(e)
     in
-    if Hb_util.Time.is_positive amount then begin
+    let headroom =
+      match direction with
+      | Forward -> offsets.Hb_sync.Element.forward_headroom
+      | Backward -> offsets.Hb_sync.Element.backward_headroom
+    in
+    (* Hb_util.Time.is_negative node_slack, then
+       Hb_util.Time.min (-.node_slack) headroom *)
+    let amount =
+      if node_slack +. eps < zero then
+        let need = -.node_slack in
+        if need <= headroom then need else headroom
+      else 0.0
+    in
+    (* Hb_util.Time.is_positive amount *)
+    if zero +. eps < amount then begin
       moved := true;
       match direction with
-      | Forward -> Hb_sync.Element.shift element (-.amount)
-      | Backward -> Hb_sync.Element.shift element amount
+      | Forward -> Hb_sync.Element.shift all.(e) (-.amount)
+      | Backward -> Hb_sync.Element.shift all.(e) amount
     end
   done;
   !moved
@@ -42,31 +53,33 @@ let snatch (ctx : Context.t) slacks direction =
 let run (ctx : Context.t) =
   let cap = ctx.Context.config.Config.max_transfer_iterations in
   let capped = ref false in
+  (* The snatch loops read element-only snapshots written into these two
+     buffers; each phase then exits through one full compute, which the
+     cluster cache serves without re-evaluating anything. *)
+  let element_count = Elements.count ctx.Context.elements in
+  let input_slack = Array.make element_count 0.0 in
+  let output_slack = Array.make element_count 0.0 in
   let snatch_phase direction =
     let cycles = ref 0 in
     let rec loop () =
       Hb_util.Timeout.check ();
-      let slacks = Slacks.compute ctx in
-      if !cycles >= cap then begin
-        capped := true;
-        slacks
-      end
+      let slacks = Slacks.compute_elements ctx ~input_slack ~output_slack in
+      if !cycles >= cap then capped := true
       else begin
         incr cycles;
-        if snatch ctx slacks direction then loop () else slacks
+        if snatch ctx slacks direction then loop ()
       end
     in
-    (loop (), !cycles)
+    loop ();
+    (Slacks.compute ctx, !cycles)
   in
   (* Iteration 1: backward snatching, then record ready times. *)
   let after_backward, snatch_backward_cycles = snatch_phase Backward in
-  let ready = Array.copy after_backward.Slacks.net_ready in
   (* Iteration 2: forward snatching, then record required times. *)
   let after_forward, snatch_forward_cycles = snatch_phase Forward in
-  let required = Array.copy after_forward.Slacks.net_required in
-  { ready;
-    required;
-    net_slack = Array.copy after_forward.Slacks.net_slack;
+  { ready = after_backward.Slacks.net_ready;
+    required = after_forward.Slacks.net_required;
+    net_slack = after_forward.Slacks.net_slack;
     snatch_backward_cycles;
     snatch_forward_cycles;
     capped = !capped;

@@ -58,7 +58,10 @@ val create_result : nets:int -> result
     {!evaluate} writing into the caller-owned buffer [out] (every array
     is fully overwritten). Reusing one buffer per (cluster, pass) across
     relaxation iterations removes the five per-call array allocations
-    from the hot loop.
+    from the hot loop; the sweeps themselves allocate nothing. Boundary
+    times come from the pass tables ({!Passes.t}[.linear] and the
+    element node arrays) and the elements' cached offsets, so the work
+    is O(cluster).
     @raise Invalid_argument when [out] was sized for a different cluster. *)
 val evaluate_into :
   passes:Passes.t ->
@@ -70,8 +73,9 @@ val evaluate_into :
   unit
 
 (** [assertion_time passes element ~cut] places the element's effective
-    output assertion on the pass's time axis; [None] when the element has
-    no assertion edge. *)
+    output assertion on the pass's time axis —
+    [linear.(cut * node_count + node) +. offsets.assertion], the sum the
+    sweeps form — or [None] when the element has no assertion edge. *)
 val assertion_time :
   Passes.t -> Hb_sync.Element.t -> cut:int -> Hb_util.Time.t option
 

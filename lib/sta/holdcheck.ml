@@ -29,20 +29,29 @@ let ideal_constraint (ctx : Context.t) ~assertion_edge ~closure_edge =
   let delta = Hb_util.Time.modulo (t_c -. t_a) ~period in
   if Hb_util.Time.le delta 0.0 then period else delta
 
-(* Minimum path delay from one source net to every net of the cluster. *)
-let min_delays (cluster : Cluster.t) ~source =
-  let n = Array.length cluster.Cluster.nets in
-  let dmin = Array.make n Hb_util.Time.infinity in
+(* Minimum path delay from one source net to every net of the cluster,
+   written into the caller's scratch [dmin] (at least the cluster's net
+   count long; entries past it are left alone). A for-loop over the arc
+   SoA: no closure, no boxed float per net. *)
+let min_delays (cluster : Cluster.t) ~source ~dmin =
+  Array.fill dmin 0 (Array.length cluster.Cluster.nets) Float.infinity;
   dmin.(source) <- 0.0;
-  Array.iter
-    (fun net ->
-       if Hb_util.Time.is_finite dmin.(net) then
-         Cluster.iter_succ cluster net ~f:(fun arc_index ->
-             let arc = cluster.Cluster.arcs.(arc_index) in
-             let t = dmin.(net) +. arc.Cluster.dmin in
-             if t < dmin.(arc.Cluster.to_net) then dmin.(arc.Cluster.to_net) <- t))
-    cluster.Cluster.topo;
-  dmin
+  let topo = cluster.Cluster.topo in
+  let succ_off = cluster.Cluster.succ_off in
+  let succ_arc = cluster.Cluster.succ_arc in
+  let arc_dmin = cluster.Cluster.arc_dmin in
+  let arc_to = cluster.Cluster.arc_to in
+  for i = 0 to Array.length topo - 1 do
+    let net = topo.(i) in
+    let d = dmin.(net) in
+    if Float.is_finite d then
+      for k = succ_off.(net) to succ_off.(net + 1) - 1 do
+        let j = succ_arc.(k) in
+        let t = d +. arc_dmin.(j) in
+        let to_net = arc_to.(j) in
+        if t < dmin.(to_net) then dmin.(to_net) <- t
+      done
+  done
 
 (* The supplementary constraint is inherently per input/output pair (the
    relevant closure is the next one after each input's assertion), so it is
@@ -51,6 +60,16 @@ let min_delays (cluster : Cluster.t) ~source =
 let check (ctx : Context.t) =
   let elements = ctx.Context.elements in
   let worst : (int, Hb_util.Time.t) Hashtbl.t = Hashtbl.create 32 in
+  let clusters = ctx.Context.table.Cluster.clusters in
+  (* One scratch row, sized to the largest cluster, serves every source. *)
+  let dmin =
+    Array.make
+      (Array.fold_left
+         (fun acc (cluster : Cluster.t) ->
+            Stdlib.max acc (Array.length cluster.Cluster.nets))
+         0 clusters)
+      Float.infinity
+  in
   Array.iter
     (fun (cluster : Cluster.t) ->
        Array.iteri
@@ -59,7 +78,7 @@ let check (ctx : Context.t) =
             match source.Hb_sync.Element.assertion_edge with
             | None -> ()
             | Some assertion_edge ->
-              let dmin = min_delays cluster ~source:input.Cluster.net in
+              min_delays cluster ~source:input.Cluster.net ~dmin;
               let o_x = Hb_sync.Element.assertion_offset source in
               (* Group the reachable outputs so that, among the replicas
                  of one multi-rate endpoint, only the replica whose
@@ -112,7 +131,7 @@ let check (ctx : Context.t) =
                    end)
                 nearest)
          cluster.Cluster.inputs)
-    ctx.Context.table.Cluster.clusters;
+    clusters;
   Hashtbl.fold
     (fun element margin acc ->
        { element;

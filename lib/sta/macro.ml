@@ -13,13 +13,12 @@ type t = {
   bwd_off : int array;
   bwd_out : int array;
   bwd_d : Hb_util.Time.t array;
-  (* Boundary lookups hoisted out of the evaluation loop: element ids and
-     pass-graph node indices (-1 when the terminal carries no edge),
-     replacing the per-call hashtable lookups inside Passes. *)
+  (* Boundary element ids, and the boundary times of the pass being
+     evaluated: scratch that [evaluate] overwrites on every call. *)
   in_elt : int array;
-  in_node : int array;
   out_elt : int array;
-  out_node : int array;
+  in_time : Hb_util.Time.t array;
+  out_time : Hb_util.Time.t array;
 }
 
 let c_extractions = Hb_util.Telemetry.counter "macro.extractions"
@@ -48,37 +47,18 @@ let csr_of_rows rows =
   done;
   (off, idx, d)
 
-let extract ~passes ~elements (cluster : Cluster.t) =
+let extract ~passes (cluster : Cluster.t) =
   Hb_util.Telemetry.incr c_extractions;
   let n = Array.length cluster.Cluster.nets in
   let inputs = cluster.Cluster.inputs in
   let outputs = cluster.Cluster.outputs in
   let ni = Array.length inputs in
   let no = Array.length outputs in
-  let in_elt = Array.make ni 0 in
-  let in_node = Array.make ni (-1) in
-  let out_elt = Array.make no 0 in
-  let out_node = Array.make no (-1) in
-  for i = 0 to ni - 1 do
-    let terminal = inputs.(i) in
-    in_elt.(i) <- terminal.Cluster.element;
-    match
-      (Elements.element elements terminal.Cluster.element)
-        .Hb_sync.Element.assertion_edge
-    with
-    | Some edge -> in_node.(i) <- Passes.assertion_node passes edge
-    | None -> ()
-  done;
-  for o = 0 to no - 1 do
-    let terminal = outputs.(o) in
-    out_elt.(o) <- terminal.Cluster.element;
-    match
-      (Elements.element elements terminal.Cluster.element)
-        .Hb_sync.Element.closure_edge
-    with
-    | Some edge -> out_node.(o) <- Passes.closure_node passes edge
-    | None -> ()
-  done;
+  let element_of (terminal : Cluster.terminal) = terminal.Cluster.element in
+  let in_elt = Array.map element_of inputs in
+  let out_elt = Array.map element_of outputs in
+  let assertion_node = passes.Passes.element_assertion_node in
+  let closure_node = passes.Passes.element_closure_node in
   let topo = cluster.Cluster.topo in
   let succ_off = cluster.Cluster.succ_off in
   let succ_arc = cluster.Cluster.succ_arc in
@@ -93,35 +73,35 @@ let extract ~passes ~elements (cluster : Cluster.t) =
      when an output terminal sits on the very same net. *)
   let fwd_rows = Array.make no [] in
   for i = 0 to ni - 1 do
-    if in_node.(i) >= 0 then begin
+    if assertion_node.(in_elt.(i)) >= 0 then begin
       Array.fill value 0 n Hb_util.Time.neg_infinity;
       value.(inputs.(i).Cluster.net) <- 0.0;
-      Array.iter
-        (fun net ->
-           let v = value.(net) in
-           if Hb_util.Time.is_finite v then
-             for k = succ_off.(net) to succ_off.(net + 1) - 1 do
-               let j = succ_arc.(k) in
-               let c = v +. arc_dmax.(j) in
-               if c > value.(arc_to.(j)) then value.(arc_to.(j)) <- c
-             done)
-        topo;
+      for t = 0 to Array.length topo - 1 do
+        let net = topo.(t) in
+        let v = value.(net) in
+        if Float.is_finite v then
+          for k = succ_off.(net) to succ_off.(net + 1) - 1 do
+            let j = succ_arc.(k) in
+            let c = v +. arc_dmax.(j) in
+            if c > value.(arc_to.(j)) then value.(arc_to.(j)) <- c
+          done
+      done;
       for o = 0 to no - 1 do
         let v = value.(outputs.(o).Cluster.net) in
-        if Hb_util.Time.is_finite v then fwd_rows.(o) <- (i, v) :: fwd_rows.(o)
+        if Float.is_finite v then fwd_rows.(o) <- (i, v) :: fwd_rows.(o)
       done
     end
   done;
   (* Backward: one reverse sweep per closing output terminal. *)
   let bwd_rows = Array.make ni [] in
   for o = 0 to no - 1 do
-    if out_node.(o) >= 0 then begin
+    if closure_node.(out_elt.(o)) >= 0 then begin
       Array.fill value 0 n Hb_util.Time.neg_infinity;
       value.(outputs.(o).Cluster.net) <- 0.0;
       for t = Array.length topo - 1 downto 0 do
         let net = topo.(t) in
         let v = value.(net) in
-        if Hb_util.Time.is_finite v then
+        if Float.is_finite v then
           for k = pred_off.(net) to pred_off.(net + 1) - 1 do
             let j = pred_arc.(k) in
             let c = v +. arc_dmax.(j) in
@@ -130,78 +110,80 @@ let extract ~passes ~elements (cluster : Cluster.t) =
       done;
       for i = 0 to ni - 1 do
         let v = value.(inputs.(i).Cluster.net) in
-        if Hb_util.Time.is_finite v then bwd_rows.(i) <- (o, v) :: bwd_rows.(i)
+        if Float.is_finite v then bwd_rows.(i) <- (o, v) :: bwd_rows.(i)
       done
     end
   done;
   let fwd_off, fwd_in, fwd_d = csr_of_rows fwd_rows in
   let bwd_off, bwd_out, bwd_d = csr_of_rows bwd_rows in
   { fwd_off; fwd_in; fwd_d; bwd_off; bwd_out; bwd_d;
-    in_elt; in_node; out_elt; out_node;
+    in_elt; out_elt;
+    in_time = Array.make ni 0.0;
+    out_time = Array.make no 0.0;
   }
 
+(* Plain for-loops reading the pass tables and the elements' cached
+   offsets: no closure, no float boxed per terminal or arc. *)
 let evaluate macro ~passes ~elements ~(plan : Passes.plan) ~cut
-    ~input_slack ~output_slack ~scratch_assert ~scratch_close =
+    ~input_slack ~output_slack =
   Hb_util.Telemetry.incr c_evaluations;
-  let node_count = passes.Passes.node_count in
-  let node_time = passes.Passes.node_time in
-  let period = passes.Passes.system.Hb_clock.System.overall_period in
-  let first = (cut + 1) mod node_count in
-  let origin = node_time.(first) in
-  let linear node =
-    let base = node_time.(node) -. origin in
-    if node < first then base +. period else base
-  in
-  let ni = Array.length macro.in_node in
-  let no = Array.length macro.out_node in
+  let all = elements.Elements.all in
+  let linear = passes.Passes.linear in
+  let row = cut * passes.Passes.node_count in
+  let assertion_node = passes.Passes.element_assertion_node in
+  let closure_node = passes.Passes.element_closure_node in
+  let in_elt = macro.in_elt and out_elt = macro.out_elt in
+  let in_time = macro.in_time and out_time = macro.out_time in
+  let ni = Array.length in_elt in
+  let no = Array.length out_elt in
   let assignment = plan.Passes.assignment in
   (* Absolute boundary times of this pass; offsets are re-read on every
      call because the relaxation loop moves them between snapshots. *)
   for i = 0 to ni - 1 do
-    let node = macro.in_node.(i) in
-    scratch_assert.(i) <-
-      (if node < 0 then Hb_util.Time.neg_infinity
+    let e = in_elt.(i) in
+    let node = assertion_node.(e) in
+    in_time.(i) <-
+      (if node < 0 then Float.neg_infinity
        else
-         linear node
-         +. Hb_sync.Element.assertion_offset
-              (Elements.element elements macro.in_elt.(i)))
+         linear.(row + node)
+         +. all.(e).Hb_sync.Element.offsets.Hb_sync.Element.assertion)
   done;
   (* Output side: ready-time folds and data-input slacks for the outputs
      assigned to this cut; closures stay +inf elsewhere so the backward
      folds ignore them. *)
   for o = 0 to no - 1 do
-    if assignment.(o) = cut && macro.out_node.(o) >= 0 then begin
+    let e = out_elt.(o) in
+    let node = closure_node.(e) in
+    if assignment.(o) = cut && node >= 0 then begin
       let closure =
-        linear macro.out_node.(o)
-        +. Hb_sync.Element.closure_offset
-             (Elements.element elements macro.out_elt.(o))
+        linear.(row + node)
+        +. all.(e).Hb_sync.Element.offsets.Hb_sync.Element.closure
       in
-      scratch_close.(o) <- closure;
-      let ready = ref Hb_util.Time.neg_infinity in
+      out_time.(o) <- closure;
+      let ready = ref Float.neg_infinity in
       for k = macro.fwd_off.(o) to macro.fwd_off.(o + 1) - 1 do
-        let t = scratch_assert.(macro.fwd_in.(k)) +. macro.fwd_d.(k) in
+        let t = in_time.(macro.fwd_in.(k)) +. macro.fwd_d.(k) in
         if t > !ready then ready := t
       done;
-      if Hb_util.Time.is_finite !ready then begin
+      if Float.is_finite !ready then begin
         let slack = closure -. !ready in
-        let e = macro.out_elt.(o) in
         if slack < input_slack.(e) then input_slack.(e) <- slack
       end
     end
-    else scratch_close.(o) <- Hb_util.Time.infinity
+    else out_time.(o) <- Float.infinity
   done;
   (* Input side: required-time folds and element output slacks; every
      pass constrains the paths emanating from an input terminal. *)
   for i = 0 to ni - 1 do
-    if macro.in_node.(i) >= 0 then begin
-      let required = ref Hb_util.Time.infinity in
+    let e = in_elt.(i) in
+    if assertion_node.(e) >= 0 then begin
+      let required = ref Float.infinity in
       for k = macro.bwd_off.(i) to macro.bwd_off.(i + 1) - 1 do
-        let t = scratch_close.(macro.bwd_out.(k)) -. macro.bwd_d.(k) in
+        let t = out_time.(macro.bwd_out.(k)) -. macro.bwd_d.(k) in
         if t < !required then required := t
       done;
-      if Hb_util.Time.is_finite !required then begin
-        let slack = !required -. scratch_assert.(i) in
-        let e = macro.in_elt.(i) in
+      if Float.is_finite !required then begin
+        let slack = !required -. in_time.(i) in
         if slack < output_slack.(e) then output_slack.(e) <- slack
       end
     end

@@ -28,10 +28,11 @@ val c_extractions : Hb_util.Telemetry.counter
 (** Incremented once per {!extract} call ("macro.extractions"); tests
     assert single-cluster invalidation through it. *)
 
-val extract : passes:Passes.t -> elements:Elements.t -> Cluster.t -> t
-(** [extract ~passes ~elements cluster] condenses the cluster: one
-    worst-delay sweep per boundary terminal that carries a clock edge
-    (assertion edge for inputs, closure edge for outputs). *)
+val extract : passes:Passes.t -> Cluster.t -> t
+(** [extract ~passes cluster] condenses the cluster: one worst-delay
+    sweep per boundary terminal that carries a clock edge (assertion
+    edge for inputs, closure edge for outputs, read from the pass's
+    element node tables). *)
 
 val evaluate :
   t ->
@@ -41,13 +42,13 @@ val evaluate :
   cut:int ->
   input_slack:Hb_util.Time.t array ->
   output_slack:Hb_util.Time.t array ->
-  scratch_assert:Hb_util.Time.t array ->
-  scratch_close:Hb_util.Time.t array ->
   unit
 (** [evaluate macro ~passes ~elements ~plan ~cut ~input_slack
-    ~output_slack ~scratch_assert ~scratch_close] folds the macro's
-    interface arcs for one pass and min-merges the element slacks into
-    the caller's per-element accumulators ([input_slack] indexed like
+    ~output_slack] folds the macro's interface arcs for one pass and
+    min-merges the element slacks into the caller's per-element
+    accumulators ([input_slack] indexed like
     {!Slacks.t}[.element_input_slack], [output_slack] likewise). The
-    scratch arrays must hold at least the cluster's input and output
-    terminal counts respectively; contents are clobbered. *)
+    pass's boundary times go to scratch arrays the macro owns, so one
+    macro must not be evaluated by two domains at once; the slack engine
+    evaluates macros on one domain, inside an analysis that holds its
+    session for writing. Allocates nothing. *)

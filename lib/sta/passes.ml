@@ -8,8 +8,11 @@ type t = {
   system : Hb_clock.System.t;
   node_count : int;
   node_time : Hb_util.Time.t array;
+  linear : Hb_util.Time.t array;
   plans : plan array;
   edge_index : (Hb_clock.Edge.t, int) Hashtbl.t;
+  element_assertion_node : int array;
+  element_closure_node : int array;
   endpoint_cluster : int array;
   endpoint_output : int array;
   endpoint_cut : int array;
@@ -19,8 +22,7 @@ exception Pass_error of string
 
 let error fmt = Format.kasprintf (fun m -> raise (Pass_error m)) fmt
 
-(* Shared edge-index table; rebuilt cheaply per [build] and embedded in the
-   closures below via hashtable lookup on demand. *)
+(* Shared edge-index table, rebuilt cheaply per [build]. *)
 let edge_table system =
   let edges = Hb_clock.System.edges system in
   let index = Hashtbl.create (Array.length edges * 2) in
@@ -40,36 +42,50 @@ let assertion_node_of_index i = (2 * i) + 1
 let closure_node t edge = closure_node_of_index (node_lookup t.edge_index edge)
 let assertion_node t edge = assertion_node_of_index (node_lookup t.edge_index edge)
 
-let linear_time t ~cut ~node =
-  let n = t.node_count in
-  let first = (cut + 1) mod n in
-  let base = t.node_time.(node) -. t.node_time.(first) in
-  if node < first then base +. t.system.Hb_clock.System.overall_period else base
+(* Every (cut, node) placement, row-major by cut: the boundary-time
+   sums of the sweeps, the aggregation and the macros index it instead
+   of calling [linear_time]. *)
+let linear_table ~system ~node_count ~node_time =
+  let period = system.Hb_clock.System.overall_period in
+  Array.init (node_count * node_count) (fun k ->
+      let cut = k / node_count and node = k mod node_count in
+      let first = (cut + 1) mod node_count in
+      let base = node_time.(node) -. node_time.(first) in
+      if node < first then base +. period else base)
 
-let plan_for ~elements ~index ~node_count (cluster : Cluster.t) =
+let linear_time t ~cut ~node = t.linear.((cut * t.node_count) + node)
+
+(* Element id → its assertion and closure nodes, -1 without the edge:
+   the one place an element's edges are looked up in [edge_index]. *)
+let element_nodes ~elements ~index =
+  let count = Elements.count elements in
+  let assertion = Array.make count (-1) in
+  let closure = Array.make count (-1) in
+  for e = 0 to count - 1 do
+    let element = Elements.element elements e in
+    (match element.Hb_sync.Element.assertion_edge with
+     | Some edge ->
+       assertion.(e) <- assertion_node_of_index (node_lookup index edge)
+     | None -> ());
+    match element.Hb_sync.Element.closure_edge with
+    | Some edge ->
+      closure.(e) <- closure_node_of_index (node_lookup index edge)
+    | None -> ()
+  done;
+  (assertion, closure)
+
+let plan_for ~assertion_node ~closure_node ~node_count (cluster : Cluster.t) =
   (* Requirements: one per connected input/output terminal pair. *)
   let requirements = ref [] in
   Array.iteri
     (fun input_index (input : Cluster.terminal) ->
-       let input_element = Elements.element elements input.Cluster.element in
-       match input_element.Hb_sync.Element.assertion_edge with
-       | None -> ()
-       | Some assertion_edge ->
-         let a_node =
-           assertion_node_of_index (node_lookup index assertion_edge)
-         in
+       let a_node = assertion_node.(input.Cluster.element) in
+       if a_node >= 0 then
          List.iter
            (fun output_index ->
               let output = cluster.Cluster.outputs.(output_index) in
-              let output_element =
-                Elements.element elements output.Cluster.element
-              in
-              match output_element.Hb_sync.Element.closure_edge with
-              | None -> ()
-              | Some closure_edge ->
-                let c_node =
-                  closure_node_of_index (node_lookup index closure_edge)
-                in
+              let c_node = closure_node.(output.Cluster.element) in
+              if c_node >= 0 then
                 requirements :=
                   { Hb_clock.Break.before = a_node; after = c_node }
                   :: !requirements)
@@ -80,16 +96,9 @@ let plan_for ~elements ~index ~node_count (cluster : Cluster.t) =
   let assignment =
     Array.map
       (fun (output : Cluster.terminal) ->
-         let output_element =
-           Elements.element elements output.Cluster.element
-         in
-         match output_element.Hb_sync.Element.closure_edge with
-         | None -> -1
-         | Some closure_edge ->
-           let c_node =
-             closure_node_of_index (node_lookup index closure_edge)
-           in
-           Hb_clock.Break.assign ~node_count ~cuts c_node)
+         let c_node = closure_node.(output.Cluster.element) in
+         if c_node < 0 then -1
+         else Hb_clock.Break.assign ~node_count ~cuts c_node)
       cluster.Cluster.outputs
   in
   { cluster = cluster.Cluster.id; cuts; assignment }
@@ -126,16 +135,25 @@ let build ~system ~elements ~table =
     else
       Array.init node_count (fun node -> snd edges.(node / 2))
   in
+  let assertion_node, closure_node = element_nodes ~elements ~index in
   let plans =
-    Array.map (plan_for ~elements ~index ~node_count) table.Cluster.clusters
+    Array.map (plan_for ~assertion_node ~closure_node ~node_count)
+      table.Cluster.clusters
   in
   let endpoint_cluster, endpoint_output, endpoint_cut =
     endpoint_maps ~elements ~table ~plans
   in
-  { system; node_count; node_time; plans; edge_index = index;
+  { system; node_count; node_time;
+    linear = linear_table ~system ~node_count ~node_time;
+    plans; edge_index = index;
+    element_assertion_node = assertion_node;
+    element_closure_node = closure_node;
     endpoint_cluster; endpoint_output; endpoint_cut }
 
 let rebuild previous ~elements ~table ~reusable =
+  let assertion_node, closure_node =
+    element_nodes ~elements ~index:previous.edge_index
+  in
   let plans =
     Array.map
       (fun (cluster : Cluster.t) ->
@@ -145,14 +163,17 @@ let rebuild previous ~elements ~table ~reusable =
            if old.cluster = cluster.Cluster.id then old
            else { old with cluster = cluster.Cluster.id }
          | None ->
-           plan_for ~elements ~index:previous.edge_index
+           plan_for ~assertion_node ~closure_node
              ~node_count:previous.node_count cluster)
       table.Cluster.clusters
   in
   let endpoint_cluster, endpoint_output, endpoint_cut =
     endpoint_maps ~elements ~table ~plans
   in
-  { previous with plans; endpoint_cluster; endpoint_output; endpoint_cut }
+  { previous with plans;
+                  element_assertion_node = assertion_node;
+                  element_closure_node = closure_node;
+                  endpoint_cluster; endpoint_output; endpoint_cut }
 
 let total_passes t =
   Array.fold_left (fun acc plan -> acc + List.length plan.cuts) 0 t.plans

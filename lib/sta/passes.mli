@@ -30,9 +30,21 @@ type t = {
   system : Hb_clock.System.t;
   node_count : int;            (** 2 × number of clock edges (min 1) *)
   node_time : Hb_util.Time.t array;
+  linear : Hb_util.Time.t array;
+      (** [linear.(cut * node_count + node)] is {!linear_time}[ ~cut ~node]:
+          every placement on every broken-open axis, computed once *)
   plans : plan array;          (** indexed by cluster id *)
   edge_index : (Hb_clock.Edge.t, int) Hashtbl.t;
       (** edge → index into the sorted edge array *)
+  element_assertion_node : int array;
+      (** element id → node of its assertion edge; [-1] when it has
+          none *)
+  element_closure_node : int array;
+      (** element id → node of its closure edge; [-1] when it has none.
+          With [linear] and {!Hb_sync.Element.t}[.offsets], a boundary
+          time is [linear.(cut * node_count + node) +. offset]: the sum
+          {!Block}, {!Slacks} and {!Macro} form in their loops with no
+          call and no hashtable lookup *)
   endpoint_cluster : int array;
       (** element id → cluster owning its data-input terminal; [-1] when
           the element is not a cluster output *)
@@ -53,7 +65,7 @@ val assertion_node : t -> Hb_clock.Edge.t -> int
 
 (** [linear_time t ~cut ~node] places [node] on the broken-open time axis
     [[0, T)) ∪ [T, 2T)) starting at the cut: nodes that wrap past the cut
-    are shifted one overall period later. *)
+    are shifted one overall period later. A read of [linear]. *)
 val linear_time : t -> cut:int -> node:int -> Hb_util.Time.t
 
 (** [build ~system ~elements ~table] computes a plan for every cluster. *)
@@ -68,9 +80,10 @@ val build :
     [reusable c] names the old cluster id whose graph new cluster [c]
     physically shares (see [Cluster.extract]'s [reuse]), letting its
     plan carry over with only the id rewritten; all other clusters are
-    re-solved. Endpoint maps are recomputed in full — they are sized by
-    the element count, which an edit may change. The clock-edge graph
-    ([system], [node_time], [edge_index]) is shared with [previous]. *)
+    re-solved. Endpoint maps and element nodes are recomputed in full —
+    they are sized by the element count, which an edit may change. The
+    clock-edge graph ([system], [node_time], [linear], [edge_index]) is
+    shared with [previous]. *)
 val rebuild :
   t ->
   elements:Elements.t ->

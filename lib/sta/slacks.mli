@@ -49,16 +49,41 @@ type t = {
     compare the incremental path against a from-scratch recompute. *)
 val compute : ?mode:Block.mode -> ?force:bool -> Context.t -> t
 
-(** [compute_transfer ctx] is the slack snapshot used between slack
-    transfers inside Algorithm 1. When [Config.macro] is set (and the
-    scalar arrival model is in effect), it evaluates through per-cluster
-    interface-arc timing macros ({!Macro}) — element slacks and [worst]
-    are bit-identical to {!compute}, but the net-level arrays are left
-    empty (length 0), since the transfer loop never reads them. Falls
-    back to {!compute} when macros are disabled or [Config.rise_fall] is
-    set. The final slack picture an analysis reports always comes from
-    {!compute}. *)
-val compute_transfer : Context.t -> t
+(** [compute_elements ctx ~input_slack ~output_slack] is an
+    element-only snapshot at the current offsets: the element slacks and
+    [worst] of {!compute}, bit for bit, written into the caller's two
+    buffers (one slot per element; previous contents are overwritten).
+    The returned record's element arrays {e are} those buffers and its
+    net-level arrays are empty (length 0). Block results come through
+    the same incremental cluster cache as {!compute}, so a following
+    {!compute} at unchanged offsets re-evaluates nothing. With the
+    cache on, a snapshot allocates a constant amount whatever the
+    design size; the paper's from-scratch path ([Config.sequential])
+    evaluates each block into a fresh result, as {!compute} does.
+    @raise Invalid_argument when a buffer's length is not the element
+    count. *)
+val compute_elements :
+  Context.t ->
+  input_slack:Hb_util.Time.t array ->
+  output_slack:Hb_util.Time.t array ->
+  t
+
+(** [compute_transfer ctx ~input_slack ~output_slack] is the slack
+    snapshot used between slack transfers inside Algorithm 1: an
+    element-only snapshot in the caller's buffers, as for
+    {!compute_elements}. When [Config.macro] is set (and the scalar
+    arrival model is in effect), it evaluates through per-cluster
+    interface-arc timing macros ({!Macro}) instead of the block sweeps;
+    the element slacks and [worst] are the same bit for bit. Otherwise
+    it is {!compute_elements}. The final slack picture an analysis
+    reports always comes from {!compute}.
+    @raise Invalid_argument when a buffer's length is not the element
+    count. *)
+val compute_transfer :
+  Context.t ->
+  input_slack:Hb_util.Time.t array ->
+  output_slack:Hb_util.Time.t array ->
+  t
 
 (** [all_positive t] is true when every terminal slack is strictly
     positive — the system "behaves as intended". *)

@@ -9,6 +9,13 @@ type detail =
       closure_offset : Hb_util.Time.t;
     }
 
+type offsets = {
+  mutable assertion : float;
+  mutable closure : float;
+  mutable forward_headroom : float;
+  mutable backward_headroom : float;
+}
+
 type t = {
   id : int;
   inst : int;
@@ -19,69 +26,77 @@ type t = {
   closure_edge : Hb_clock.Edge.t option;
   detail : detail;
   mutable version : int;
+  offsets : offsets;
 }
+
+(* The derived offsets of the current state, by the Model formulas. An
+   all-float record, so refreshing it stores floats flat and allocates
+   nothing, and readers in other modules load them without a call. *)
+let refresh t =
+  let o = t.offsets in
+  match t.detail with
+  | Clocked c ->
+    o.assertion <- Model.assertion_offset c.kind c.params ~o_dz:c.o_dz;
+    o.closure <-
+      t.extra_closure_delay +. Model.closure_offset c.kind c.params ~o_dz:c.o_dz;
+    o.forward_headroom <- Model.forward_headroom c.kind c.params ~o_dz:c.o_dz;
+    o.backward_headroom <- Model.backward_headroom c.kind c.params ~o_dz:c.o_dz
+  | Fixed f ->
+    o.assertion <- f.assertion_offset;
+    o.closure <- t.extra_closure_delay +. f.closure_offset;
+    o.forward_headroom <- 0.0;
+    o.backward_headroom <- 0.0
+
+let make ~id ~inst ~label ~replica ~extra_closure_delay ~assertion_edge
+    ~closure_edge detail =
+  let t =
+    { id; inst; label; replica; extra_closure_delay; assertion_edge;
+      closure_edge; detail; version = 0;
+      offsets =
+        { assertion = 0.0; closure = 0.0; forward_headroom = 0.0;
+          backward_headroom = 0.0 };
+    }
+  in
+  refresh t;
+  t
 
 let clocked ?(extra_closure_delay = 0.0) ~id ~inst ~label ~replica ~kind
     ~params ~assertion_edge ~closure_edge () =
   Model.validate params;
   if extra_closure_delay < 0.0 then
     invalid_arg "Element.clocked: negative extra closure delay";
-  { id; inst; label; replica; extra_closure_delay;
-    assertion_edge = Some assertion_edge;
-    closure_edge = Some closure_edge;
-    detail = Clocked { kind; params; o_dz = Model.initial_o_dz kind params };
-    version = 0;
-  }
+  make ~id ~inst ~label ~replica ~extra_closure_delay
+    ~assertion_edge:(Some assertion_edge) ~closure_edge:(Some closure_edge)
+    (Clocked { kind; params; o_dz = Model.initial_o_dz kind params })
 
 let input_boundary ~inst ~id ~label ~edge ~arrival_offset =
-  { id; inst; label; replica = 0; extra_closure_delay = 0.0;
-    assertion_edge = Some edge;
-    closure_edge = None;
-    detail = Fixed { assertion_offset = arrival_offset; closure_offset = 0.0 };
-    version = 0;
-  }
+  make ~id ~inst ~label ~replica:0 ~extra_closure_delay:0.0
+    ~assertion_edge:(Some edge) ~closure_edge:None
+    (Fixed { assertion_offset = arrival_offset; closure_offset = 0.0 })
 
 let output_boundary ~inst ~id ~label ~edge ~required_offset =
-  { id; inst; label; replica = 0; extra_closure_delay = 0.0;
-    assertion_edge = None;
-    closure_edge = Some edge;
-    detail = Fixed { assertion_offset = 0.0; closure_offset = required_offset };
-    version = 0;
-  }
+  make ~id ~inst ~label ~replica:0 ~extra_closure_delay:0.0
+    ~assertion_edge:None ~closure_edge:(Some edge)
+    (Fixed { assertion_offset = 0.0; closure_offset = required_offset })
 
-let closure_offset t =
-  t.extra_closure_delay
-  +.
-  match t.detail with
-  | Clocked c -> Model.closure_offset c.kind c.params ~o_dz:c.o_dz
-  | Fixed f -> f.closure_offset
+let closure_offset t = t.offsets.closure
+let assertion_offset t = t.offsets.assertion
+let forward_headroom t = t.offsets.forward_headroom
+let backward_headroom t = t.offsets.backward_headroom
 
-let assertion_offset t =
-  match t.detail with
-  | Clocked c -> Model.assertion_offset c.kind c.params ~o_dz:c.o_dz
-  | Fixed f -> f.assertion_offset
-
-let forward_headroom t =
-  match t.detail with
-  | Clocked c -> Model.forward_headroom c.kind c.params ~o_dz:c.o_dz
-  | Fixed _ -> 0.0
-
-let backward_headroom t =
-  match t.detail with
-  | Clocked c -> Model.backward_headroom c.kind c.params ~o_dz:c.o_dz
-  | Fixed _ -> 0.0
-
-(* Every effective change of an element's offset state bumps [version];
-   the slack engine compares versions against its last snapshot to find
-   the clusters whose cached block results are stale. Clamped-to-equal
-   writes do not bump, so converged elements stop dirtying clusters. *)
+(* Every effective change of an element's offset state bumps [version]
+   and refreshes [offsets]; the slack engine compares versions against
+   its last snapshot to find the clusters whose cached block results are
+   stale. Clamped-to-equal writes do not bump, so converged elements stop
+   dirtying clusters. *)
 let write_o_dz t value =
   match t.detail with
   | Fixed _ -> ()
   | Clocked c ->
     if value <> c.o_dz then begin
       c.o_dz <- value;
-      t.version <- t.version + 1
+      t.version <- t.version + 1;
+      refresh t
     end
 
 let shift t delta =

@@ -11,7 +11,9 @@
     data at a fixed offset. They take part in slack bookkeeping but have no
     adjustable offsets. *)
 
-type detail =
+(** Private so that [o_dz] only moves through {!shift}, {!set_o_dz} and
+    {!reset}, which keep [version] and [offsets] in step with it. *)
+type detail = private
   | Clocked of {
       kind : Hb_cell.Kind.synchroniser;
       params : Model.params;
@@ -21,6 +23,24 @@ type detail =
       assertion_offset : Hb_util.Time.t;
       closure_offset : Hb_util.Time.t;
     }  (** boundary (port) element *)
+
+(** The effective offsets and transfer headrooms of the current offset
+    state, as {!Model} derives them. Each value has one owner: the
+    element computes them when it is made and again on every effective
+    offset change, and everything else reads them. All fields are
+    floats, so the record stores them flat: hot loops in other modules
+    read a field without a call, and so without boxing the float (the
+    default dev profile compiles libraries [-opaque], which keeps
+    cross-module float helpers from inlining). *)
+type offsets = private {
+  mutable assertion : float;
+      (** effective output assertion offset [max(O_at + D_cz, o_zd)] *)
+  mutable closure : float;
+      (** effective input closure offset [min(-Dsetup, o_dz)], plus
+          [extra_closure_delay] *)
+  mutable forward_headroom : float;
+  mutable backward_headroom : float;
+}
 
 type t = private {
   id : int;          (** dense id across the analysed design *)
@@ -41,6 +61,8 @@ type t = private {
       (** dirty counter: bumped on every effective offset change
           ({!shift}, {!set_o_dz}, {!reset}); incremental slack evaluation
           compares it against a snapshot to find stale clusters *)
+  offsets : offsets;
+      (** refreshed wherever [version] is bumped *)
 }
 
 (** [clocked ~id ~inst ~label ~replica ~kind ~params ~assertion_edge
@@ -75,7 +97,8 @@ val output_boundary :
   inst:int ->
   id:int -> label:string -> edge:Hb_clock.Edge.t -> required_offset:Hb_util.Time.t -> t
 
-(** Effective offsets under the current state (see {!Model}). *)
+(** Effective offsets under the current state (see {!Model}): reads of
+    [offsets]. *)
 val closure_offset : t -> Hb_util.Time.t
 val assertion_offset : t -> Hb_util.Time.t
 

@@ -12,8 +12,12 @@ let[@inline] ge a b = le b a
 let[@inline] is_negative t = lt t zero
 let[@inline] is_positive t = gt t zero
 let[@inline] is_finite t = Float.is_finite t
-let min = Stdlib.min
-let max = Stdlib.max
+(* Float-typed, so no call goes through polymorphic compare on boxed
+   floats. They return what [Stdlib.min]/[Stdlib.max] return on floats:
+   polymorphic [<=]/[>=] is false against NaN and treats the two zeros
+   as equal, as the float comparisons do. *)
+let[@inline] min (a : t) b = if a <= b then a else b
+let[@inline] max (a : t) b = if a >= b then a else b
 
 let clamp ~lo ~hi t =
   if lt hi lo then

@@ -42,6 +42,10 @@ val is_positive : t -> bool
 (** [is_finite t] is false for both infinities and NaN. *)
 val is_finite : t -> bool
 
+(** [min a b] is [if a <= b then a else b] and [max a b] is
+    [if a >= b then a else b], on floats: the same result as
+    [Stdlib.min]/[Stdlib.max], NaN and signed zeros included, without
+    polymorphic comparison. *)
 val min : t -> t -> t
 val max : t -> t -> t
 

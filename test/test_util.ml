@@ -29,6 +29,28 @@ let test_time_clamp () =
     (Invalid_argument "Time.clamp: empty interval [2, 1]")
     (fun () -> ignore (Hb_util.Time.clamp ~lo:2.0 ~hi:1.0 0.0))
 
+(* The float-typed min/max must pick the very operand the polymorphic
+   Stdlib versions pick, bit for bit, on the awkward inputs: NaN on
+   either side, both signed zeros, and the infinities. *)
+let test_time_min_max () =
+  let specials =
+    [ Float.nan; -0.0; 0.0; Float.infinity; Float.neg_infinity; 1.0; -1.0 ]
+  in
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun a ->
+       List.iter
+         (fun b ->
+            let same name ours theirs =
+              if bits ours <> bits theirs then
+                Alcotest.failf "%s %h %h: got %h, Stdlib gives %h" name a b
+                  ours theirs
+            in
+            same "min" (Hb_util.Time.min a b) (Stdlib.min a b);
+            same "max" (Hb_util.Time.max a b) (Stdlib.max a b))
+         specials)
+    specials
+
 let prop_modulo_in_range =
   QCheck.Test.make ~name:"Time.modulo lands in [0, period)" ~count:500
     QCheck.(pair (float_range (-1000.0) 1000.0) (float_range 0.5 100.0))
@@ -770,7 +792,8 @@ let () =
     [ ("time",
        [ Alcotest.test_case "comparisons" `Quick test_time_compare;
          Alcotest.test_case "modulo" `Quick test_time_modulo;
-         Alcotest.test_case "clamp" `Quick test_time_clamp ]);
+         Alcotest.test_case "clamp" `Quick test_time_clamp;
+         Alcotest.test_case "min/max match Stdlib" `Quick test_time_min_max ]);
       ("rng",
        [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
          Alcotest.test_case "copy" `Quick test_rng_copy;
