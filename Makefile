@@ -8,13 +8,11 @@ build:
 test: build
 	dune runtest
 
-# Tier-1 gate plus fast parity/perf smokes: bench section P1 (slack
-# engine, two smallest Table 1 designs) and P2 (k-worst path engine,
-# DES-scale soup) fail hard when an optimised engine diverges from its
-# sequential / seed baseline, and S2 (scale) asserts macro-vs-flat
-# slack parity on the 10k-cell tiled-Feistel design. The validate step
-# replays the frozen golden QoR corpus and a small fixed-seed
-# differential fuzz batch.
+# Tier-1 gate plus the bench smoke: nine sections on small inputs
+# (P1 slack engine, P2 k-worst paths, P3 telemetry, P4 session, S2
+# scale, P5 snapshot, S3 serve, O1 monitor, V1 fuzz), which exits 1
+# after listing every failed gate. The validate step replays the frozen
+# golden QoR corpus and a small fixed-seed differential fuzz batch.
 check:
 	dune build
 	dune runtest

@@ -458,7 +458,6 @@ let whatif_cmd =
     handle_errors (fun () ->
         let design = load_design netlist in
         let system = load_clocks clocks in
-        let base = system.Hb_clock.System.overall_period in
         Printf.printf "period(ns)  worst-slack(ns)  verdict\n";
         for i = 0 to steps - 1 do
           let period =
@@ -467,17 +466,7 @@ let whatif_cmd =
                /. float_of_int (Stdlib.max 1 (steps - 1))
           in
           (* Waveforms scale with the period so the duty cycle is kept. *)
-          let scale = period /. base in
-          let scaled =
-            Hb_clock.System.make ~overall_period:period
-              (List.map
-                 (fun w ->
-                    Hb_clock.Waveform.make ~name:w.Hb_clock.Waveform.name
-                      ~multiplier:w.Hb_clock.Waveform.multiplier
-                      ~rise:(w.Hb_clock.Waveform.rise *. scale)
-                      ~width:(w.Hb_clock.Waveform.width *. scale))
-                 system.Hb_clock.System.waveforms)
-          in
+          let scaled = Hb_sta.Minperiod.scaled_system system ~period in
           let ctx = Hb_sta.Context.make ~design ~system:scaled () in
           let outcome = Hb_sta.Algorithm1.run ctx in
           Printf.printf "%10.1f %16.3f  %s\n" period
@@ -652,22 +641,36 @@ let serve_cmd =
           | Some path ->
             Hb_sta.Config_format.parse_file ~base:Hb_sta.Config.default path
         in
-        let pick flag key = Option.value ~default:key flag in
-        let backlog = pick backlog file_config.Hb_sta.Config.serve_backlog in
+        let pick directive flag key =
+          match flag with
+          | None -> key
+          | Some n ->
+            (match Hb_sta.Config_format.check_serve_setting directive n with
+             | Ok n -> n
+             | Error message -> failwith message)
+        in
+        let backlog =
+          pick "serve-backlog" backlog file_config.Hb_sta.Config.serve_backlog
+        in
         let max_clients =
-          pick max_clients file_config.Hb_sta.Config.serve_max_clients
+          pick "serve-max-clients" max_clients
+            file_config.Hb_sta.Config.serve_max_clients
         in
         let workers =
-          match pick workers file_config.Hb_sta.Config.serve_workers with
+          match
+            pick "serve-workers" workers file_config.Hb_sta.Config.serve_workers
+          with
           | 0 -> Hb_util.Pool.recommended_jobs ()
           | n -> n
         in
-        let queue = pick queue file_config.Hb_sta.Config.serve_queue in
+        let queue = pick "serve-queue" queue file_config.Hb_sta.Config.serve_queue in
         let max_sessions =
-          pick max_sessions file_config.Hb_sta.Config.serve_max_sessions
+          pick "serve-max-sessions" max_sessions
+            file_config.Hb_sta.Config.serve_max_sessions
         in
         let memory_budget_mb =
-          pick memory_budget file_config.Hb_sta.Config.serve_memory_budget_mb
+          pick "serve-memory-budget-mb" memory_budget
+            file_config.Hb_sta.Config.serve_memory_budget_mb
         in
         (* Spans for --trace and observations for the metrics outputs
            both need the registry recording. *)

@@ -19,6 +19,29 @@ let polarity_field lineno value ~clock ~pulse =
   | "trailing" -> Hb_clock.Edge.trailing ~clock ~pulse
   | other -> fail_line lineno "expected 'leading' or 'trailing', got %S" other
 
+(* The serve-* directives: each one's lower bound and the field it
+   sets. The serve command checks its flags against the same bounds. *)
+let serve_settings =
+  [ ("serve-backlog", 1, fun c n -> { c with Config.serve_backlog = n });
+    ("serve-max-clients", 1, fun c n -> { c with Config.serve_max_clients = n });
+    (* 0 is "auto": the machine's recommended domain count. *)
+    ("serve-workers", 0, fun c n -> { c with Config.serve_workers = n });
+    ("serve-queue", 1, fun c n -> { c with Config.serve_queue = n });
+    (* 0 is "unlimited" for both. *)
+    ("serve-max-sessions", 0, fun c n -> { c with Config.serve_max_sessions = n });
+    ( "serve-memory-budget-mb", 0,
+      fun c n -> { c with Config.serve_memory_budget_mb = n } ) ]
+
+let serve_setting name =
+  List.find_opt (fun (key, _, _) -> key = name) serve_settings
+
+let check_serve_setting name n =
+  match serve_setting name with
+  | None -> invalid_arg ("Config_format.check_serve_setting: " ^ name)
+  | Some (_, lowest, _) ->
+    if n >= lowest then Ok n
+    else Error (Printf.sprintf "%s: must be >= %d" name lowest)
+
 let parse ?(base = Config.default) text =
   let config = ref base in
   let parse_line lineno line =
@@ -89,32 +112,17 @@ let parse ?(base = Config.default) text =
       in
       if jobs < 1 then fail_line lineno "parallel-jobs: must be >= 1";
       config := { !config with Config.parallel_jobs = jobs }
-    | [ "serve-backlog"; v ] ->
-      let backlog = int_field lineno "serve-backlog" v in
-      if backlog < 1 then fail_line lineno "serve-backlog: must be >= 1";
-      config := { !config with Config.serve_backlog = backlog }
-    | [ "serve-max-clients"; v ] ->
-      let n = int_field lineno "serve-max-clients" v in
-      if n < 1 then fail_line lineno "serve-max-clients: must be >= 1";
-      config := { !config with Config.serve_max_clients = n }
-    | [ "serve-workers"; v ] ->
-      let workers =
-        if v = "auto" then 0 else int_field lineno "serve-workers" v
-      in
-      if workers < 0 then fail_line lineno "serve-workers: must be >= 0";
-      config := { !config with Config.serve_workers = workers }
-    | [ "serve-queue"; v ] ->
-      let n = int_field lineno "serve-queue" v in
-      if n < 1 then fail_line lineno "serve-queue: must be >= 1";
-      config := { !config with Config.serve_queue = n }
-    | [ "serve-max-sessions"; v ] ->
-      let n = int_field lineno "serve-max-sessions" v in
-      if n < 0 then fail_line lineno "serve-max-sessions: must be >= 0";
-      config := { !config with Config.serve_max_sessions = n }
-    | [ "serve-memory-budget-mb"; v ] ->
-      let n = int_field lineno "serve-memory-budget-mb" v in
-      if n < 0 then fail_line lineno "serve-memory-budget-mb: must be >= 0";
-      config := { !config with Config.serve_memory_budget_mb = n }
+    | [ name; v ] when String.starts_with ~prefix:"serve-" name ->
+      (match serve_setting name with
+       | None -> fail_line lineno "unknown directive %S" name
+       | Some (_, _, set) ->
+         let n =
+           if name = "serve-workers" && v = "auto" then 0
+           else int_field lineno name v
+         in
+         (match check_serve_setting name n with
+          | Ok n -> config := set !config n
+          | Error message -> fail_line lineno "%s" message))
     | [ direction; port; "clock"; clock; polarity; "pulse"; pulse;
         "offset"; offset ]
       when direction = "input" || direction = "output" ->

@@ -26,6 +26,14 @@ val parse : ?base:Config.t -> string -> Config.t
 
 val parse_file : ?base:Config.t -> string -> Config.t
 
+(** [check_serve_setting directive n] is [Ok n] when [n] is in range for
+    the serve-* [directive] (for example ["serve-queue"]), else [Error]
+    with the message a timing file gets, such as
+    ["serve-queue: must be >= 1"]. The serve command checks its flags
+    with it.
+    @raise Invalid_argument when [directive] is not a serve-* directive. *)
+val check_serve_setting : string -> int -> (int, string) result
+
 (** [to_string config] renders a [.hbt] document that {!parse} reads back
     to an equivalent configuration. *)
 val to_string : Config.t -> string
