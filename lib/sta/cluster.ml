@@ -68,29 +68,43 @@ type table = {
 
 exception Cycle_error of string
 
-(* Union-find over global net ids. *)
+(* Union-find over global net ids: the root of [i]'s set, with the path
+   from [i] compressed onto it. Two loops and no local closure, so a find
+   allocates nothing. *)
 let find parent i =
-  let rec root i = if parent.(i) = i then i else root parent.(i) in
-  let r = root i in
-  (* Path compression. *)
-  let rec compress i =
-    if parent.(i) <> r then begin
-      let next = parent.(i) in
-      parent.(i) <- r;
-      compress next
-    end
-  in
-  compress i;
+  let root = ref i in
+  while parent.(!root) <> !root do
+    root := parent.(!root)
+  done;
+  let r = !root in
+  let i = ref i in
+  while parent.(!i) <> r do
+    let next = parent.(!i) in
+    parent.(!i) <- r;
+    i := next
+  done;
   r
 
 let union parent a b =
   let ra = find parent a and rb = find parent b in
   if ra <> rb then parent.(ra) <- rb
 
+(* Union every net of one instance's connection list with [first]. *)
+let rec union_all parent first = function
+  | [] -> ()
+  | (_, net) :: rest ->
+    union parent first net;
+    union_all parent first rest
+
 let extract ~design ~elements ?(delays = Delays.lumped) ?reuse () =
   let net_count = Hb_netlist.Design.net_count design in
   let parent = Array.init net_count (fun i -> i) in
-  (* Union all nets touching the same combinational instance. *)
+  (* Union all nets touching the same combinational instance. The
+     instance lists built here and for the arcs below, like the root
+     table, live long enough to be promoted, and promoted words pace the
+     major GC: walking instance ids instead left more of a parse's
+     garbage uncollected and raised the cold scale100k peak RSS
+     (EXPERIMENTS.md P7). *)
   List.iter
     (fun inst ->
        let connections =
@@ -98,8 +112,7 @@ let extract ~design ~elements ?(delays = Delays.lumped) ?reuse () =
        in
        match connections with
        | [] -> ()
-       | (_, first) :: rest ->
-         List.iter (fun (_, net) -> union parent first net) rest)
+       | (_, first) :: rest -> union_all parent first rest)
     (Hb_netlist.Design.comb_instances design);
   (* Assign dense cluster ids to roots. *)
   let cluster_id_of_root = Hashtbl.create 64 in
@@ -108,9 +121,9 @@ let extract ~design ~elements ?(delays = Delays.lumped) ?reuse () =
   for net = 0 to net_count - 1 do
     let root = find parent net in
     let id =
-      match Hashtbl.find_opt cluster_id_of_root root with
-      | Some id -> id
-      | None ->
+      match Hashtbl.find cluster_id_of_root root with
+      | id -> id
+      | exception Not_found ->
         let id = !cluster_count in
         incr cluster_count;
         Hashtbl.add cluster_id_of_root root id;
@@ -209,14 +222,17 @@ let extract ~design ~elements ?(delays = Delays.lumped) ?reuse () =
   (* Terminals from the element table. *)
   let rev_inputs = Array.make !cluster_count [] in
   let rev_outputs = Array.make !cluster_count [] in
+  let rec add_inputs e = function
+    | [] -> ()
+    | net :: rest ->
+      let c = cluster_of_net.(net) in
+      if fresh c then
+        rev_inputs.(c) <-
+          { element = e; net = local_of_net.(net) } :: rev_inputs.(c);
+      add_inputs e rest
+  in
   for e = 0 to Elements.count elements - 1 do
-    List.iter
-      (fun net ->
-         if fresh cluster_of_net.(net) then
-           rev_inputs.(cluster_of_net.(net)) <-
-             { element = e; net = local_of_net.(net) }
-             :: rev_inputs.(cluster_of_net.(net)))
-      elements.Elements.drives.(e);
+    add_inputs e elements.Elements.drives.(e);
     (match elements.Elements.reads.(e) with
      | Some net ->
        if fresh cluster_of_net.(net) then
@@ -385,19 +401,23 @@ let refresh_instance_delays table ~design ~insts ?(delays = Delays.lumped) () =
     table.clusters;
   List.rev !touched
 
-let reachable_outputs cluster ~input_terminal_index =
-  let start = cluster.inputs.(input_terminal_index).net in
-  let marked = Array.make (Array.length cluster.nets) false in
-  let rec walk net =
-    if not marked.(net) then begin
-      marked.(net) <- true;
-      iter_succ cluster net ~f:(fun i -> walk cluster.arcs.(i).to_net)
+(* Depth-first marking of every net reachable from [net]. *)
+let rec mark_from cluster marked net =
+  if Bytes.get marked net = '\000' then begin
+    Bytes.set marked net '\001';
+    for k = cluster.succ_off.(net) to cluster.succ_off.(net + 1) - 1 do
+      mark_from cluster marked cluster.arc_to.(cluster.succ_arc.(k))
+    done
+  end
+
+let reachable_outputs cluster ~input_terminal_index ~marked ~hits =
+  Bytes.fill marked 0 (Array.length cluster.nets) '\000';
+  mark_from cluster marked cluster.inputs.(input_terminal_index).net;
+  let count = ref 0 in
+  for i = 0 to Array.length cluster.outputs - 1 do
+    if Bytes.get marked cluster.outputs.(i).net <> '\000' then begin
+      hits.(!count) <- i;
+      incr count
     end
-  in
-  walk start;
-  let hits = ref [] in
-  Array.iteri
-    (fun i (terminal : terminal) ->
-       if marked.(terminal.net) then hits := i :: !hits)
-    cluster.outputs;
-  List.rev !hits
+  done;
+  !count

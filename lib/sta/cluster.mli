@@ -93,10 +93,14 @@ val extract :
   unit ->
   table
 
-(** [reachable_outputs cluster ~input_terminal_index] returns the indices
-    (into [cluster.outputs]) of output terminals reachable from the given
-    input terminal through the cluster graph. *)
-val reachable_outputs : t -> input_terminal_index:int -> int list
+(** [reachable_outputs cluster ~input_terminal_index ~marked ~hits]
+    writes into [hits], in ascending order, the indices (into
+    [cluster.outputs]) of the output terminals reachable from the given
+    input terminal through the cluster graph, and returns how many it
+    wrote. [marked] and [hits] are the caller's scratch, at least as long
+    as the cluster's nets and outputs; one pair serves every cluster. *)
+val reachable_outputs :
+  t -> input_terminal_index:int -> marked:Bytes.t -> hits:int array -> int
 
 (** [refresh_delays table ~design ~delays] re-evaluates every arc's
     delays against [design] (same topology, possibly different cells or a

@@ -24,26 +24,40 @@ type t = {
 (* Element → incident clusters: an element touches a cluster when it
    appears among the cluster's input or output terminals. Built once per
    context; [Slacks.compute] walks it to translate "element moved" into
-   "cluster is stale". *)
+   "cluster is stale". Clusters come in id order, so each element meets
+   its clusters in ascending order and [last] drops the repeats within one
+   cluster: a counting walk sizes every row, a second walk fills it. *)
 let incidence ~elements ~(table : Cluster.table) =
-  let lists = Array.make (Elements.count elements) [] in
-  let add e c =
-    match lists.(e) with
-    | c' :: _ when c' = c -> ()
-    | rest -> lists.(e) <- c :: rest
+  let count = Elements.count elements in
+  let clusters = table.Cluster.clusters in
+  let last = Array.make count (-1) in
+  (* [walk f] calls [f e id] once per element [e] and incident cluster
+     [id], ascending in [id] for each [e]. *)
+  let walk f =
+    Array.fill last 0 count (-1);
+    let visit id (terminals : Cluster.terminal array) =
+      for k = 0 to Array.length terminals - 1 do
+        let e = terminals.(k).Cluster.element in
+        if last.(e) <> id then begin
+          last.(e) <- id;
+          f e id
+        end
+      done
+    in
+    for c = 0 to Array.length clusters - 1 do
+      let cluster = clusters.(c) in
+      visit cluster.Cluster.id cluster.Cluster.inputs;
+      visit cluster.Cluster.id cluster.Cluster.outputs
+    done
   in
-  Array.iter
-    (fun (cluster : Cluster.t) ->
-       Array.iter
-         (fun (terminal : Cluster.terminal) ->
-            add terminal.Cluster.element cluster.Cluster.id)
-         cluster.Cluster.inputs;
-       Array.iter
-         (fun (terminal : Cluster.terminal) ->
-            add terminal.Cluster.element cluster.Cluster.id)
-         cluster.Cluster.outputs)
-    table.Cluster.clusters;
-  Array.map (fun l -> Array.of_list (List.sort_uniq compare l)) lists
+  let sizes = Array.make count 0 in
+  walk (fun e _ -> sizes.(e) <- sizes.(e) + 1);
+  let rows = Array.map (fun n -> Array.make n 0) sizes in
+  Array.fill sizes 0 count 0;
+  walk (fun e id ->
+      rows.(e).(sizes.(e)) <- id;
+      sizes.(e) <- sizes.(e) + 1);
+  rows
 
 let make ~design ~system ?(config = Config.default) ?delays () =
   let elements = Elements.build ~design ~system ~config in

@@ -30,9 +30,10 @@ let edge_table system =
   (edges, index)
 
 let node_lookup index edge =
-  match Hashtbl.find_opt index edge with
-  | Some i -> i
-  | None -> error "edge %s not in the clock system" (Hb_clock.Edge.to_string edge)
+  match Hashtbl.find index edge with
+  | i -> i
+  | exception Not_found ->
+    error "edge %s not in the clock system" (Hb_clock.Edge.to_string edge)
 
 (* Node 2i is the closure event of edge i, node 2i+1 its assertion event;
    closure sorts first at equal instants. *)
@@ -74,24 +75,38 @@ let element_nodes ~elements ~index =
   done;
   (assertion, closure)
 
-let plan_for ~assertion_node ~closure_node ~node_count (cluster : Cluster.t) =
+(* Walk scratch for [Cluster.reachable_outputs], sized to the largest
+   cluster: one pair serves every plan of a build. *)
+let reach_scratch (table : Cluster.table) =
+  let nets = ref 0 and outputs = ref 0 in
+  Array.iter
+    (fun (cluster : Cluster.t) ->
+       nets := Stdlib.max !nets (Array.length cluster.Cluster.nets);
+       outputs := Stdlib.max !outputs (Array.length cluster.Cluster.outputs))
+    table.Cluster.clusters;
+  (Bytes.create !nets, Array.make !outputs 0)
+
+let plan_for ~assertion_node ~closure_node ~node_count ~marked ~hits
+    (cluster : Cluster.t) =
   (* Requirements: one per connected input/output terminal pair. *)
   let requirements = ref [] in
-  Array.iteri
-    (fun input_index (input : Cluster.terminal) ->
-       let a_node = assertion_node.(input.Cluster.element) in
-       if a_node >= 0 then
-         List.iter
-           (fun output_index ->
-              let output = cluster.Cluster.outputs.(output_index) in
-              let c_node = closure_node.(output.Cluster.element) in
-              if c_node >= 0 then
-                requirements :=
-                  { Hb_clock.Break.before = a_node; after = c_node }
-                  :: !requirements)
-           (Cluster.reachable_outputs cluster
-              ~input_terminal_index:input_index))
-    cluster.Cluster.inputs;
+  let inputs = cluster.Cluster.inputs and outputs = cluster.Cluster.outputs in
+  for input_index = 0 to Array.length inputs - 1 do
+    let a_node = assertion_node.(inputs.(input_index).Cluster.element) in
+    if a_node >= 0 then begin
+      let reached =
+        Cluster.reachable_outputs cluster ~input_terminal_index:input_index
+          ~marked ~hits
+      in
+      for h = 0 to reached - 1 do
+        let c_node = closure_node.(outputs.(hits.(h)).Cluster.element) in
+        if c_node >= 0 then
+          requirements :=
+            { Hb_clock.Break.before = a_node; after = c_node }
+            :: !requirements
+      done
+    end
+  done;
   let cuts = Hb_clock.Break.solve ~node_count !requirements in
   let assignment =
     Array.map
@@ -99,7 +114,7 @@ let plan_for ~assertion_node ~closure_node ~node_count (cluster : Cluster.t) =
          let c_node = closure_node.(output.Cluster.element) in
          if c_node < 0 then -1
          else Hb_clock.Break.assign ~node_count ~cuts c_node)
-      cluster.Cluster.outputs
+      outputs
   in
   { cluster = cluster.Cluster.id; cuts; assignment }
 
@@ -112,19 +127,20 @@ let endpoint_maps ~elements ~table ~plans =
   let endpoint_cluster = Array.make element_count (-1) in
   let endpoint_output = Array.make element_count (-1) in
   let endpoint_cut = Array.make element_count (-1) in
-  Array.iter
-    (fun (cluster : Cluster.t) ->
-       let plan = plans.(cluster.Cluster.id) in
-       Array.iteri
-         (fun output_index (terminal : Cluster.terminal) ->
-            let e = terminal.Cluster.element in
-            if endpoint_cluster.(e) < 0 then begin
-              endpoint_cluster.(e) <- cluster.Cluster.id;
-              endpoint_output.(e) <- output_index;
-              endpoint_cut.(e) <- plan.assignment.(output_index)
-            end)
-         cluster.Cluster.outputs)
-    table.Cluster.clusters;
+  let clusters = table.Cluster.clusters in
+  for c = 0 to Array.length clusters - 1 do
+    let id = clusters.(c).Cluster.id in
+    let outputs = clusters.(c).Cluster.outputs in
+    let assignment = plans.(id).assignment in
+    for output_index = 0 to Array.length outputs - 1 do
+      let e = outputs.(output_index).Cluster.element in
+      if endpoint_cluster.(e) < 0 then begin
+        endpoint_cluster.(e) <- id;
+        endpoint_output.(e) <- output_index;
+        endpoint_cut.(e) <- assignment.(output_index)
+      end
+    done
+  done;
   (endpoint_cluster, endpoint_output, endpoint_cut)
 
 let build ~system ~elements ~table =
@@ -136,8 +152,10 @@ let build ~system ~elements ~table =
       Array.init node_count (fun node -> snd edges.(node / 2))
   in
   let assertion_node, closure_node = element_nodes ~elements ~index in
+  let marked, hits = reach_scratch table in
   let plans =
-    Array.map (plan_for ~assertion_node ~closure_node ~node_count)
+    Array.map
+      (plan_for ~assertion_node ~closure_node ~node_count ~marked ~hits)
       table.Cluster.clusters
   in
   let endpoint_cluster, endpoint_output, endpoint_cut =
@@ -154,6 +172,7 @@ let rebuild previous ~elements ~table ~reusable =
   let assertion_node, closure_node =
     element_nodes ~elements ~index:previous.edge_index
   in
+  let marked, hits = reach_scratch table in
   let plans =
     Array.map
       (fun (cluster : Cluster.t) ->
@@ -164,7 +183,7 @@ let rebuild previous ~elements ~table ~reusable =
            else { old with cluster = cluster.Cluster.id }
          | None ->
            plan_for ~assertion_node ~closure_node
-             ~node_count:previous.node_count cluster)
+             ~node_count:previous.node_count ~marked ~hits cluster)
       table.Cluster.clusters
   in
   let endpoint_cluster, endpoint_output, endpoint_cut =

@@ -166,6 +166,30 @@ let diff_slacks label (a : Hb_sta.Slacks.t) (b : Hb_sta.Slacks.t) =
              b.Hb_sta.Slacks.net_slack
          else None)
 
+(* First divergence between two hold-violation lists: element, label,
+   margin bits and order. *)
+let diff_hold label (a : Hb_sta.Holdcheck.violation list)
+    (b : Hb_sta.Holdcheck.violation list) =
+  let rec first i a b =
+    match a, b with
+    | [], [] -> None
+    | x :: a', y :: b' ->
+      if x.Hb_sta.Holdcheck.element = y.Hb_sta.Holdcheck.element
+      && String.equal x.Hb_sta.Holdcheck.label y.Hb_sta.Holdcheck.label
+      && feq x.Hb_sta.Holdcheck.margin y.Hb_sta.Holdcheck.margin
+      then first (i + 1) a' b'
+      else
+        Some
+          (Printf.sprintf "%s.hold[%d]: %s %s vs %s %s" label i
+             x.Hb_sta.Holdcheck.label (hex x.Hb_sta.Holdcheck.margin)
+             y.Hb_sta.Holdcheck.label (hex y.Hb_sta.Holdcheck.margin))
+    | _ ->
+      Some
+        (Printf.sprintf "%s.hold: %d vs %d violations" label (List.length a)
+           (List.length b))
+  in
+  first 0 a b
+
 let diff_outcomes label (a : Hb_sta.Algorithm1.outcome)
     (b : Hb_sta.Algorithm1.outcome) =
   if a.Hb_sta.Algorithm1.status <> b.Hb_sta.Algorithm1.status then
@@ -192,22 +216,27 @@ let diff_outcomes label (a : Hb_sta.Algorithm1.outcome)
 
 let analyse ~design ~system ~config ~delays =
   Hb_sta.Engine.analyse ~design ~system ~config ~delays
-    ~generate_constraints:false ~check_hold:false ()
+    ~generate_constraints:false ()
+
+(* The outcomes, then the hold-violation lists, of two reports. *)
+let diff_reports label (a : Hb_sta.Engine.report) (b : Hb_sta.Engine.report) =
+  match diff_outcomes label a.Hb_sta.Engine.outcome b.Hb_sta.Engine.outcome with
+  | Some _ as d -> d
+  | None ->
+    diff_hold label a.Hb_sta.Engine.hold_violations
+      b.Hb_sta.Engine.hold_violations
 
 (* Incremental + parallel vs sequential from-scratch. *)
 let check_engine_parity ~design ~system ~delays =
   let fast = analyse ~design ~system ~config:Hb_sta.Config.default ~delays in
   let slow = analyse ~design ~system ~config:Hb_sta.Config.sequential ~delays in
-  ( fast,
-    diff_outcomes "incremental-vs-sequential" fast.Hb_sta.Engine.outcome
-      slow.Hb_sta.Engine.outcome )
+  (fast, diff_reports "incremental-vs-sequential" fast slow)
 
 (* Timing-macro relaxation vs flat. *)
 let check_macro_parity ~design ~system ~delays (flat : Hb_sta.Engine.report) =
   let config = { Hb_sta.Config.default with Hb_sta.Config.macro = true } in
   let macro = analyse ~design ~system ~config ~delays in
-  diff_outcomes "macro-vs-flat" macro.Hb_sta.Engine.outcome
-    flat.Hb_sta.Engine.outcome
+  diff_reports "macro-vs-flat" macro flat
 
 (* A session surviving a random mutation script vs a fresh engine on the
    equivalently annotated design. *)
@@ -249,11 +278,9 @@ let check_session_parity params ~design ~system ~delays =
              (* Query between mutations so the incremental invalidation
                 path is exercised at every step, not just once. *)
              ignore
-               (Hb_sta.Session.analyse ~generate_constraints:false
-                  ~check_hold:false session)
+               (Hb_sta.Session.analyse ~generate_constraints:false session)
            done;
-           Hb_sta.Session.analyse ~generate_constraints:false ~check_hold:false
-             session)
+           Hb_sta.Session.analyse ~generate_constraints:false session)
     in
     let equivalent =
       Hb_sta.Annotation.of_entries
@@ -263,8 +290,7 @@ let check_session_parity params ~design ~system ~delays =
       analyse ~design ~system ~config:Hb_sta.Config.default
         ~delays:(Hb_sta.Annotation.apply equivalent ~base:delays)
     in
-    diff_outcomes "session-vs-fresh" final_report.Hb_sta.Engine.outcome
-      fresh.Hb_sta.Engine.outcome
+    diff_reports "session-vs-fresh" final_report fresh
   end
 
 (* k-worst enumerator vs the exhaustive DFS reference, on the worst
@@ -487,12 +513,10 @@ let check_structural_parity params ~design ~system ~delays =
              (* Query between edits so every step exercises the carried
                 caches, not just the last one. *)
              ignore
-               (Hb_sta.Session.analyse ~generate_constraints:false
-                  ~check_hold:false session)
+               (Hb_sta.Session.analyse ~generate_constraints:false session)
          done;
          let final =
-           Hb_sta.Session.analyse ~generate_constraints:false ~check_hold:false
-             session
+           Hb_sta.Session.analyse ~generate_constraints:false session
          in
          let edited =
            (Hb_sta.Session.context session).Hb_sta.Context.design
@@ -500,10 +524,7 @@ let check_structural_parity params ~design ~system ~delays =
          let fresh =
            analyse ~design:edited ~system ~config:Hb_sta.Config.default ~delays
          in
-         match
-           diff_outcomes "structural-session-vs-fresh"
-             final.Hb_sta.Engine.outcome fresh.Hb_sta.Engine.outcome
-         with
+         match diff_reports "structural-session-vs-fresh" final fresh with
          | Some _ as d -> d
          | None -> check_reference ~delays fresh)
   end

@@ -12,6 +12,8 @@
     - {b session-parity}: a session surviving a random mutation
       sequence vs a fresh engine run on the equivalently annotated
       design — bit-identical;
+    - {b structural-parity}: a session surviving a random structural
+      ECO script vs a fresh engine on the edited design — bit-identical;
     - {b path-parity}: the zero-allocation k-worst enumerator vs the
       exhaustive DFS reference — bit-identical rank slacks, enumerated
       paths a subset of the exhaustive set;
@@ -22,6 +24,10 @@
       flat-graph oracle ({!Hb_sta.Reference}) — equal within a small
       absolute tolerance (the two fold path delays in different
       orders).
+
+    The four report comparisons (engine, macro, session and structural
+    parity) cover the supplementary-constraint (hold) violation lists
+    too: element, label, margin bits and order.
 
     Every failure carries the full generator parameters, so one seed
     reproduces it locally: the CI artifact is the JSON rendering of the

@@ -478,6 +478,52 @@ let test_snapshot_allocation () =
     [ ("flat", false); ("macro", true) ]
 
 (* ------------------------------------------------------------------ *)
+(* Design-wide passes of an ECO round                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words of one call after a warm-up call. Arrays past the
+   minor-heap size limit go to the major heap and do not count: the
+   budget catches what a pass allocates per element, input or pair. *)
+let minor_words_of f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+let scale10k_context () =
+  let design, system = Hb_workload.Scale.scale10k () in
+  let config = { Hb_sta.Config.default with Hb_sta.Config.parallel_jobs = 1 } in
+  let ctx = Hb_sta.Context.make ~design ~system ~config () in
+  ignore (Hb_sta.Slacks.compute ctx : Hb_sta.Slacks.t);
+  ctx
+
+(* The hold check allocates one key per endpoint and one grouping-table
+   entry per connected input/output pair: about 37k minor words on
+   scale10k. With a reachability walk, a fresh table and boxed times per
+   input, as the check once had, it took 645k. *)
+let test_holdcheck_allocation () =
+  let ctx = scale10k_context () in
+  let words =
+    minor_words_of (fun () -> Hb_sta.Holdcheck.check ctx)
+  in
+  if words >= 60_000.0 then
+    Alcotest.failf "Holdcheck.check allocated %.0f minor words" words
+
+(* Committing a one-cluster structural edit shares every other cluster's
+   record, plan and cache row: about 74k minor words on scale10k, most of
+   them the two lists of combinational instances extraction walks. A
+   union-find that builds two closures per find takes it to 512k. *)
+let test_apply_structural_allocation () =
+  let ctx = scale10k_context () in
+  let design = ctx.Hb_sta.Context.design in
+  let words =
+    minor_words_of (fun () ->
+        Hb_sta.Context.apply_structural ctx ~design ~touched:[ 0 ] ())
+  in
+  if words >= 150_000.0 then
+    Alcotest.failf "Context.apply_structural allocated %.0f minor words" words
+
+(* ------------------------------------------------------------------ *)
 (* Pool                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -581,6 +627,12 @@ let () =
             test_cached_offsets;
           Alcotest.test_case "nothing-dirty snapshot allocation" `Quick
             test_snapshot_allocation;
+        ] );
+      ( "eco",
+        [ Alcotest.test_case "hold check allocation" `Quick
+            test_holdcheck_allocation;
+          Alcotest.test_case "one-cluster commit allocation" `Quick
+            test_apply_structural_allocation;
         ] );
       ( "pool",
         [ Alcotest.test_case "covers all indices" `Quick

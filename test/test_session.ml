@@ -72,10 +72,17 @@ let check_reports_equal label (a : Hb_sta.Engine.report)
     Alcotest.(array time)
     (label ^ ": net slacks")
     sa.Hb_sta.Slacks.net_slack sb.Hb_sta.Slacks.net_slack;
-  Alcotest.(check int)
-    (label ^ ": hold violations")
-    (List.length a.Hb_sta.Engine.hold_violations)
-    (List.length b.Hb_sta.Engine.hold_violations);
+  (* Element, label, margin bits and order. *)
+  let hold (r : Hb_sta.Engine.report) =
+    List.map
+      (fun (v : Hb_sta.Holdcheck.violation) ->
+         Printf.sprintf "%d %s %Lx" v.Hb_sta.Holdcheck.element
+           v.Hb_sta.Holdcheck.label
+           (Int64.bits_of_float v.Hb_sta.Holdcheck.margin))
+      r.Hb_sta.Engine.hold_violations
+  in
+  Alcotest.(check (list string)) (label ^ ": hold violations") (hold a)
+    (hold b);
   match a.Hb_sta.Engine.constraints, b.Hb_sta.Engine.constraints with
   | Some ca, Some cb ->
     Alcotest.check

@@ -315,8 +315,14 @@ let test_cluster_reachability () =
   let design = ff_chain_design ~gates:3 () in
   let ctx = context_of design (single_clock ()) in
   let cluster = find_cluster_with_member ctx (inst_id design "g0") in
+  let marked = Bytes.create (Array.length cluster.Hb_sta.Cluster.nets) in
+  let hits = Array.make (Array.length cluster.Hb_sta.Cluster.outputs) 0 in
+  let reached =
+    Hb_sta.Cluster.reachable_outputs cluster ~input_terminal_index:0 ~marked
+      ~hits
+  in
   Alcotest.(check (list int)) "input 0 reaches output 0" [ 0 ]
-    (Hb_sta.Cluster.reachable_outputs cluster ~input_terminal_index:0)
+    (Array.to_list (Array.sub hits 0 reached))
 
 let test_cluster_direct_wire () =
   (* FF feeding FF with no logic in between: a single-net cluster. *)
@@ -898,9 +904,8 @@ let test_hold_violation_injected () =
   let v = List.hd violations in
   Alcotest.(check string) "at the output port" "port late" v.Hb_sta.Holdcheck.label
 
-let test_hold_multirate_no_false_positive () =
-  (* Slow FF feeding a fast FF: each launch pairs with the next fast
-     closure only; later replicas must not flag hold violations. *)
+(* Slow FF feeding a fast FF, the fast clock at four times the rate. *)
+let multirate_hold_design () =
   let b = builder "mrh" in
   clock_port b "slow";
   clock_port b "fast";
@@ -914,9 +919,208 @@ let test_hold_multirate_no_false_positive () =
       [ Hb_clock.Waveform.make ~name:"slow" ~multiplier:1 ~rise:0.0 ~width:40.0;
         Hb_clock.Waveform.make ~name:"fast" ~multiplier:4 ~rise:0.0 ~width:10.0 ]
   in
+  (design, system)
+
+(* Data from a port into a flip-flop on each clock of
+   [multirate_hold_design]: endpoints whose own periods differ. *)
+let multirate_port_design () =
+  let _, system = multirate_hold_design () in
+  let b = builder "mrp" in
+  clock_port b "slow";
+  clock_port b "fast";
+  in_port b "d";
+  inst b "g1" "buf_x1" [ ("a", "d"); ("y", "n1") ];
+  inst b "ff1" "dff" [ ("d", "n1"); ("ck", "fast"); ("q", "q1") ];
+  inst b "g2" "buf_x1" [ ("a", "d"); ("y", "n2") ];
+  inst b "ff2" "dff" [ ("d", "n2"); ("ck", "slow"); ("q", "q2") ];
+  (Hb_netlist.Builder.freeze b, system)
+
+let test_hold_multirate_no_false_positive () =
+  (* Each launch pairs with the next fast closure only; later replicas
+     must not flag hold violations. *)
+  let design, system = multirate_hold_design () in
   let ctx = context_of design system in
   Alcotest.(check int) "no false hold violations" 0
     (List.length (Hb_sta.Holdcheck.check ctx))
+
+(* The hold check as first written, kept as the differential reference:
+   a graph walk per input for reachability, a fresh grouping table per
+   input, and edge times and endpoint periods looked up per pair. *)
+let reference_hold (ctx : Hb_sta.Context.t) =
+  let elements = ctx.Hb_sta.Context.elements in
+  let system = ctx.Hb_sta.Context.system in
+  let overall = system.Hb_clock.System.overall_period in
+  let element = Hb_sta.Elements.element elements in
+  let endpoint_period (e : Hb_sync.Element.t) =
+    match e.Hb_sync.Element.closure_edge with
+    | None -> overall
+    | Some edge ->
+      if Hb_sync.Element.is_boundary e then overall
+      else
+        (match Hb_clock.System.find system edge.Hb_clock.Edge.clock with
+         | Some w -> Hb_clock.Waveform.own_period w ~overall_period:overall
+         | None -> overall)
+  in
+  let ideal_constraint ~assertion_edge ~closure_edge =
+    let t_a = Hb_clock.System.edge_time system assertion_edge in
+    let t_c = Hb_clock.System.edge_time system closure_edge in
+    let delta = Hb_util.Time.modulo (t_c -. t_a) ~period:overall in
+    if Hb_util.Time.le delta 0.0 then overall else delta
+  in
+  let reachable (cluster : Hb_sta.Cluster.t) source =
+    let marked = Array.make (Array.length cluster.Hb_sta.Cluster.nets) false in
+    let rec walk net =
+      if not marked.(net) then begin
+        marked.(net) <- true;
+        Hb_sta.Cluster.iter_succ cluster net ~f:(fun i ->
+            walk cluster.Hb_sta.Cluster.arcs.(i).Hb_sta.Cluster.to_net)
+      end
+    in
+    walk source;
+    List.filter
+      (fun i ->
+         marked.(cluster.Hb_sta.Cluster.outputs.(i).Hb_sta.Cluster.net))
+      (List.init (Array.length cluster.Hb_sta.Cluster.outputs) Fun.id)
+  in
+  let min_delays (cluster : Hb_sta.Cluster.t) source =
+    let dmin =
+      Array.make (Array.length cluster.Hb_sta.Cluster.nets) Float.infinity
+    in
+    dmin.(source) <- 0.0;
+    Array.iter
+      (fun net ->
+         if Float.is_finite dmin.(net) then
+           Hb_sta.Cluster.iter_succ cluster net ~f:(fun j ->
+               let arc = cluster.Hb_sta.Cluster.arcs.(j) in
+               let t = dmin.(net) +. arc.Hb_sta.Cluster.dmin in
+               if t < dmin.(arc.Hb_sta.Cluster.to_net) then
+                 dmin.(arc.Hb_sta.Cluster.to_net) <- t))
+      cluster.Hb_sta.Cluster.topo;
+    dmin
+  in
+  let worst = Hashtbl.create 32 in
+  Array.iter
+    (fun (cluster : Hb_sta.Cluster.t) ->
+       Array.iter
+         (fun (input : Hb_sta.Cluster.terminal) ->
+            let source = element input.Hb_sta.Cluster.element in
+            match source.Hb_sync.Element.assertion_edge with
+            | None -> ()
+            | Some assertion_edge ->
+              let dmin = min_delays cluster input.Hb_sta.Cluster.net in
+              let o_x = Hb_sync.Element.assertion_offset source in
+              let nearest = Hashtbl.create 8 in
+              List.iter
+                (fun output_index ->
+                   let output = cluster.Hb_sta.Cluster.outputs.(output_index) in
+                   let sink = element output.Hb_sta.Cluster.element in
+                   match sink.Hb_sync.Element.closure_edge with
+                   | None -> ()
+                   | Some closure_edge ->
+                     let net = output.Hb_sta.Cluster.net in
+                     if Float.is_finite dmin.(net) then begin
+                       let d_p =
+                         ideal_constraint ~assertion_edge ~closure_edge
+                       in
+                       let key =
+                         if sink.Hb_sync.Element.inst >= 0 then
+                           (sink.Hb_sync.Element.inst, net)
+                         else (-1 - output.Hb_sta.Cluster.element, 0)
+                       in
+                       match Hashtbl.find_opt nearest key with
+                       | Some (_, existing) when existing <= d_p -> ()
+                       | Some _ | None ->
+                         Hashtbl.replace nearest key (output_index, d_p)
+                     end)
+                (reachable cluster input.Hb_sta.Cluster.net);
+              Hashtbl.iter
+                (fun _ (output_index, d_p) ->
+                   let output = cluster.Hb_sta.Cluster.outputs.(output_index) in
+                   let sink = element output.Hb_sta.Cluster.element in
+                   let path_dmin = dmin.(output.Hb_sta.Cluster.net) in
+                   let o_y = Hb_sync.Element.closure_offset sink in
+                   let bound = d_p -. endpoint_period sink +. o_y -. o_x in
+                   if Hb_util.Time.le path_dmin bound then begin
+                     let margin = bound -. path_dmin in
+                     let id = output.Hb_sta.Cluster.element in
+                     match Hashtbl.find_opt worst id with
+                     | Some existing when existing >= margin -> ()
+                     | Some _ | None -> Hashtbl.replace worst id margin
+                   end)
+                nearest)
+         cluster.Hb_sta.Cluster.inputs)
+    ctx.Hb_sta.Context.table.Hb_sta.Cluster.clusters;
+  Hashtbl.fold
+    (fun id margin acc ->
+       { Hb_sta.Holdcheck.element = id;
+         label = (element id).Hb_sync.Element.label;
+         margin }
+       :: acc)
+    worst []
+  |> List.sort (fun (a : Hb_sta.Holdcheck.violation) b ->
+      compare b.Hb_sta.Holdcheck.margin a.Hb_sta.Holdcheck.margin)
+
+(* Every data input port asserted [shift] ns later than its default
+   timing (negative = earlier): the early arrivals that make the
+   supplementary constraint bite. *)
+let shifted_inputs design system ~shift =
+  let ports = ref [] in
+  for p = Hb_netlist.Design.port_count design - 1 downto 0 do
+    let port = Hb_netlist.Design.port design p in
+    if port.Hb_netlist.Design.direction = Hb_netlist.Design.Port_in
+    && not port.Hb_netlist.Design.is_clock
+    then begin
+      let name = port.Hb_netlist.Design.port_name in
+      let timing =
+        Hb_sta.Config.port_timing Hb_sta.Config.default ~system ~port:name
+          ~direction:`Input
+      in
+      ports :=
+        (name, { timing with Hb_sta.Config.offset = timing.offset +. shift })
+        :: !ports
+    end
+  done;
+  { Hb_sta.Config.default with
+    Hb_sta.Config.port_overrides = !ports; parallel_jobs = 1 }
+
+let test_hold_matches_reference () =
+  let violations = ref 0 in
+  List.iter
+    (fun (name, build) ->
+       let design, system = build () in
+       List.iter
+         (fun shift ->
+            let config = shifted_inputs design system ~shift in
+            let ctx = context_of ~config design system in
+            let render (v : Hb_sta.Holdcheck.violation) =
+              Printf.sprintf "%d %s %h" v.Hb_sta.Holdcheck.element
+                v.Hb_sta.Holdcheck.label v.Hb_sta.Holdcheck.margin
+            in
+            let compare_at offsets =
+              let expected = reference_hold ctx in
+              let got = Hb_sta.Holdcheck.check ctx in
+              Alcotest.(check (list string))
+                (Printf.sprintf "%s shifted %g ns, %s offsets" name shift
+                   offsets)
+                (List.map render expected) (List.map render got);
+              violations := !violations + List.length got
+            in
+            compare_at "initial";
+            ignore (Hb_sta.Algorithm1.run ctx : Hb_sta.Algorithm1.outcome);
+            compare_at "relaxed")
+         [ 0.0; -10.0; -30.0; -45.0 ])
+    [ ("DES", fun () -> Hb_workload.Chips.des ());
+      ("ALU", fun () -> Hb_workload.Chips.alu ());
+      ("SM1F", fun () -> Hb_workload.Chips.sm1f ());
+      ("DSP", fun () -> Hb_workload.Chips.dsp ());
+      ("scale10k", fun () -> Hb_workload.Scale.scale10k ());
+      ("multirate", multirate_hold_design);
+      ("multirate ports", multirate_port_design);
+      ("soup 4-phase",
+       fun () -> Hb_workload.Soup.random ~seed:7L ~phases:4 ~gates:200 ());
+    ];
+  (* The early inputs do violate: the comparison is not over empty lists. *)
+  Alcotest.(check bool) "violations compared" true (!violations > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Engine & reports                                                   *)
@@ -1070,7 +1274,8 @@ let () =
       ("holdcheck",
        [ Alcotest.test_case "clean designs" `Quick test_hold_clean_designs;
          Alcotest.test_case "violation injected" `Quick test_hold_violation_injected;
-         Alcotest.test_case "multirate no false positive" `Quick test_hold_multirate_no_false_positive ]);
+         Alcotest.test_case "multirate no false positive" `Quick test_hold_multirate_no_false_positive;
+         Alcotest.test_case "matches the per-input walk" `Quick test_hold_matches_reference ]);
       ("engine",
        [ Alcotest.test_case "report" `Quick test_engine_report;
          Alcotest.test_case "hold rendering" `Quick
