@@ -354,7 +354,7 @@ let table1 () =
           let design, system = make () in
           let stats = Hb_netlist.Stats.compute design in
           let pre, _ =
-            timed (fun () -> Hb_sta.Engine.preprocess ~design ~system ())
+            timed (fun () -> Hb_sta.Context.make ~design ~system ())
           in
           let analysis, outcome =
             analysis_time (Hb_sta.Context.make ~design ~system ())
@@ -797,7 +797,7 @@ let scaling () =
           in
           let stats = Hb_netlist.Stats.compute design in
           let pre, _ =
-            timed (fun () -> Hb_sta.Engine.preprocess ~design ~system ())
+            timed (fun () -> Hb_sta.Context.make ~design ~system ())
           in
           let analysis, _ =
             analysis_time (Hb_sta.Context.make ~design ~system ())

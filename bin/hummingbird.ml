@@ -6,7 +6,15 @@
      passes    — show the per-cluster analysis-pass plan
      generate  — emit a built-in benchmark design as .hbn/.hbc files
      optimise  — run the Algorithm 3 analysis/re-design loop
-     whatif    — sweep the overall clock period and report worst slack *)
+     whatif    — sweep the overall clock period and report worst slack
+     minperiod — bisect the smallest clock period that meets timing
+     critical  — enumerate the K worst paths into one synchroniser
+     corners   — analyse at fast/nominal/slow delay corners
+     timing    — per-endpoint timing report (edges and hops)
+     lint      — design-rule checks
+     serve     — JSON-lines daemon over a registry of resident sessions
+     snapshot  — save a preprocessed session to a file, or restore one
+     validate  — golden QoR gate and differential fuzz *)
 
 open Cmdliner
 

@@ -160,5 +160,4 @@ let set_input t ~port value =
 
 let net_value t name = t.values.(find_net_exn t name)
 let output_value t ~port = net_value t port
-let toggle_count t name = t.toggles.(find_net_exn t name)
 let total_toggles t = Array.fold_left ( + ) 0 t.toggles

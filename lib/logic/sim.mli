@@ -37,9 +37,5 @@ val net_value : t -> string -> bool
 (** [output_value t ~port] reads a primary output. *)
 val output_value : t -> port:string -> bool
 
-(** [toggle_count t name] is how many times the net changed value across
-    all {!step}s so far. *)
-val toggle_count : t -> string -> int
-
 (** [total_toggles t] sums toggle counts over all nets. *)
 val total_toggles : t -> int

@@ -19,8 +19,6 @@ type result = {
   final_area : float;
 }
 
-(* QoR scalars of one analysis: TNS is the sum of the finite negative
-   element input slacks, slow endpoints their count. *)
 let qor (slacks : Hb_sta.Slacks.t) =
   let tns = ref 0.0 and slow = ref 0 in
   Array.iter

@@ -41,6 +41,11 @@ type result = {
   final_area : float;
 }
 
+(** [qor slacks] is the QoR scalars of one analysis, [(tns,
+    slow_endpoints)]: the sum of the finite negative element input
+    slacks and their count. The golden corpus records the same pair. *)
+val qor : Hb_sta.Slacks.t -> Hb_util.Time.t * int
+
 (** [optimise ~design ~system ~library ?config ?max_iterations ()] runs the
     loop. [max_iterations] defaults to 50. *)
 val optimise :

@@ -55,11 +55,6 @@ let iter_succ cluster net ~f =
     f cluster.succ_arc.(k)
   done
 
-let iter_pred cluster net ~f =
-  for k = cluster.pred_off.(net) to cluster.pred_off.(net + 1) - 1 do
-    f cluster.pred_arc.(k)
-  done
-
 type table = {
   clusters : t array;
   cluster_of_net : int array;

@@ -57,10 +57,9 @@ type t = {
 }
 
 (** [iter_succ cluster net ~f] applies [f] to the index of every arc
-    leaving local [net]; [iter_pred] to every arc entering it. The flat
-    offset/target pairs can also be indexed directly in hot loops. *)
+    leaving local [net]. The flat offset/target pairs can also be
+    indexed directly in hot loops. *)
 val iter_succ : t -> int -> f:(int -> unit) -> unit
-val iter_pred : t -> int -> f:(int -> unit) -> unit
 
 type table = {
   clusters : t array;

@@ -15,10 +15,6 @@ type t =
   | Remove_gate of { instance : string }
   | Rewire_net of { instance : string; pin : string; net : string }
 
-let is_structural = function
-  | Set_delay _ | Scale_delay _ | Annotate _ | Set_offset _ -> false
-  | Insert_buffer _ | Resize_gate _ | Remove_gate _ | Rewire_net _ -> true
-
 let op_name = function
   | Set_delay _ -> "set_delay"
   | Scale_delay _ -> "scale_delay"
@@ -28,23 +24,6 @@ let op_name = function
   | Resize_gate _ -> "resize_gate"
   | Remove_gate _ -> "remove_gate"
   | Rewire_net _ -> "rewire_net"
-
-let describe = function
-  | Set_delay { instance; rise; fall } ->
-    Printf.sprintf "set_delay %s rise=%g fall=%g" instance rise fall
-  | Scale_delay { instance; factor } ->
-    Printf.sprintf "scale_delay %s factor=%g" instance factor
-  | Annotate a ->
-    Printf.sprintf "annotate (%d entries)" (List.length (Annotation.entries a))
-  | Set_offset { element; offset } ->
-    Printf.sprintf "set_offset element=%d offset=%g" element offset
-  | Insert_buffer { net; cell; _ } ->
-    Printf.sprintf "insert_buffer %s on net %s" cell.Hb_cell.Cell.name net
-  | Resize_gate { instance; cell } ->
-    Printf.sprintf "resize_gate %s to %s" instance cell.Hb_cell.Cell.name
-  | Remove_gate { instance } -> Printf.sprintf "remove_gate %s" instance
-  | Rewire_net { instance; pin; net } ->
-    Printf.sprintf "rewire_net %s.%s to %s" instance pin net
 
 (* Conservative superset of the nets whose delays or capacitances feed
    some synchroniser's control-delay trace (Control.cone_of_net walks

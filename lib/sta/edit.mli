@@ -36,15 +36,9 @@ type t =
   | Rewire_net of { instance : string; pin : string; net : string }
       (** Move input [pin] of [instance] onto [net]. *)
 
-(** [is_structural c] is true for the four ECO commands. *)
-val is_structural : t -> bool
-
 (** Short operation name, e.g. ["insert_buffer"]; stable, used in wire
     replies. *)
 val op_name : t -> string
-
-(** One-line human description for logs and error messages. *)
-val describe : t -> string
 
 (** [control_nets design] marks a conservative superset of the nets
     that feed some synchroniser's control cone (clock trees, enable

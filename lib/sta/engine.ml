@@ -16,30 +16,6 @@ type report = Session.report = {
   timings : timings;
 }
 
-(* Both clocks per phase: [Sys.time] counts cpu seconds summed over all
-   domains (the paper's Table 1 unit), [Unix.gettimeofday] counts wall
-   seconds — the figure that actually shrinks when cluster evaluation
-   runs in parallel. *)
-let timed f =
-  let start_cpu = Sys.time () in
-  let start_wall = Unix.gettimeofday () in
-  let result = f () in
-  (result, Sys.time () -. start_cpu, Unix.gettimeofday () -. start_wall)
-
-let preprocess ~design ~system ?config ?delays () =
-  let context, cpu, wall =
-    timed (fun () -> Context.make ~design ~system ?config ?delays ())
-  in
-  ( context,
-    { preprocess_seconds = cpu;
-      analysis_seconds = 0.0;
-      constraints_seconds = 0.0;
-      preprocess_wall_seconds = wall;
-      analysis_wall_seconds = 0.0;
-      constraints_wall_seconds = 0.0;
-      peak_rss_bytes = Hb_util.Rss.peak_bytes ();
-    } )
-
 (* One-shot runs are a session with a single query: the session path is
    the only implementation of the analysis flow, so the incremental and
    batch front ends cannot drift apart. The session is not closed — the
@@ -49,9 +25,3 @@ let analyse ~design ~system ?config ?delays ?generate_constraints
     ?check_hold () =
   let session = Session.create ~design ~system ?config ?delays () in
   Session.analyse ?generate_constraints ?check_hold session
-
-let analyse_r ~design ~system ?config ?delays ?generate_constraints
-    ?check_hold () =
-  Error.wrap (fun () ->
-      analyse ~design ~system ?config ?delays ?generate_constraints
-        ?check_hold ())

@@ -56,25 +56,3 @@ val analyse :
   ?check_hold:bool ->
   unit ->
   report
-
-(** Result-typed [analyse]; see {!Error.wrap}. *)
-val analyse_r :
-  design:Hb_netlist.Design.t ->
-  system:Hb_clock.System.t ->
-  ?config:Config.t ->
-  ?delays:Delays.t ->
-  ?generate_constraints:bool ->
-  ?check_hold:bool ->
-  unit ->
-  (report, Error.t) result
-
-(** [preprocess ~design ~system ?config ()] builds just the context,
-    returning it with a {!timings} record whose [preprocess_*] fields
-    carry the cost (both clocks) and whose other phases are 0. *)
-val preprocess :
-  design:Hb_netlist.Design.t ->
-  system:Hb_clock.System.t ->
-  ?config:Config.t ->
-  ?delays:Delays.t ->
-  unit ->
-  Context.t * timings

@@ -7,9 +7,9 @@
     [Sys_error] and, with the daemon, [Hb_util.Timeout.Timeout].
     Embedders — the CLI, the serve loop, library users of {!Session} —
     want one closed type to match on and one stable machine-readable
-    code per failure class. The raising APIs remain; {!of_exn} folds
-    their exceptions into this variant and the [_r] entry points of
-    {!Session} return it directly. *)
+    code per failure class. The raising APIs are the interface;
+    {!of_exn} folds their exceptions into this variant and {!wrap}
+    turns any call into a [result]. *)
 
 type t =
   | Parse of { file : string option; line : int; message : string }

@@ -1,18 +1,4 @@
-let escape_string s =
-  let buffer = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buffer "\\\""
-       | '\\' -> Buffer.add_string buffer "\\\\"
-       | '\n' -> Buffer.add_string buffer "\\n"
-       | '\t' -> Buffer.add_string buffer "\\t"
-       | '\r' -> Buffer.add_string buffer "\\r"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.contents buffer
+module Json = Hb_util.Json
 
 let number f =
   if Float.is_finite f then
@@ -31,7 +17,7 @@ let report ?(paths = 0) (r : Engine.report) =
   add "{\n";
   add "  \"schema_version\": %d,\n" schema_version;
   add "  \"design\": \"%s\",\n"
-    (escape_string ctx.Context.design.Hb_netlist.Design.design_name);
+    (Json.escape ctx.Context.design.Hb_netlist.Design.design_name);
   add "  \"period\": %s,\n"
     (number ctx.Context.system.Hb_clock.System.overall_period);
   add "  \"verdict\": \"%s\",\n"
@@ -58,13 +44,13 @@ let report ?(paths = 0) (r : Engine.report) =
     (fun i (label, slack) ->
        add "%s\n    {\"element\": \"%s\", \"slack\": %s}"
          (if i = 0 then "" else ",")
-         (escape_string label) (number slack))
+         (Json.escape label) (number slack))
     endpoints;
   add "\n  ],\n";
   add "  \"slow_nets\": [";
   List.iteri
     (fun i net ->
-       add "%s\"%s\"" (if i = 0 then "" else ", ") (escape_string net))
+       add "%s\"%s\"" (if i = 0 then "" else ", ") (Json.escape net))
     (Report.slow_nets ctx slacks);
   add "],\n";
   add "  \"hold_violations\": [";
@@ -72,7 +58,7 @@ let report ?(paths = 0) (r : Engine.report) =
     (fun i (v : Holdcheck.violation) ->
        add "%s\n    {\"element\": \"%s\", \"margin\": %s}"
          (if i = 0 then "" else ",")
-         (escape_string v.Holdcheck.label)
+         (Json.escape v.Holdcheck.label)
          (number v.Holdcheck.margin))
     r.Engine.hold_violations;
   add "\n  ],\n";
@@ -87,8 +73,8 @@ let report ?(paths = 0) (r : Engine.report) =
          add "%s\n    {\"start\": \"%s\", \"end\": \"%s\", \"slack\": %s, \
               \"cluster\": %d, \"cut\": %d, \"hops\": ["
            (if i = 0 then "" else ",")
-           (escape_string (element_label p.Paths.start_element))
-           (escape_string (element_label p.Paths.end_element))
+           (Json.escape (element_label p.Paths.start_element))
+           (Json.escape (element_label p.Paths.end_element))
            (number p.Paths.slack) p.Paths.cluster p.Paths.cut;
          List.iteri
            (fun j (hop : Paths.hop) ->
@@ -101,13 +87,13 @@ let report ?(paths = 0) (r : Engine.report) =
                 | None -> "null"
                 | Some inst ->
                   Printf.sprintf "\"%s\""
-                    (escape_string
+                    (Json.escape
                        (Hb_netlist.Design.instance design inst)
                          .Hb_netlist.Design.inst_name)
               in
               add "%s{\"net\": \"%s\", \"via\": %s, \"at\": %s}"
                 (if j = 0 then "" else ", ")
-                (escape_string net_name) via (number hop.Paths.at))
+                (Json.escape net_name) via (number hop.Paths.at))
            p.Paths.hops;
          add "]}")
       (Paths.worst_paths ctx slacks ~limit:paths);
@@ -139,7 +125,7 @@ let report ?(paths = 0) (r : Engine.report) =
          add "%s\n    {\"endpoint\": \"%s\", \"count\": %d, \
               \"worst_slack\": %s, \"kth_slack\": %s}"
            (if i = 0 then "" else ",")
-           (escape_string (element_label endpoint))
+           (Json.escape (element_label endpoint))
            (List.length enumerated) (opt worst) (opt kth))
       (List.combine endpoints enumerations);
     add "\n  ],\n"
@@ -151,14 +137,14 @@ let report ?(paths = 0) (r : Engine.report) =
     List.iteri
       (fun i (name, v) ->
          add "%s\n      \"%s\": %d" (if i = 0 then "" else ",")
-           (escape_string name) v)
+           (Json.escape name) v)
       snapshot.Hb_util.Telemetry.counters;
     add "\n    },\n";
     add "    \"gauges\": {";
     List.iteri
       (fun i (name, v) ->
          add "%s\n      \"%s\": %s" (if i = 0 then "" else ",")
-           (escape_string name) (number v))
+           (Json.escape name) (number v))
       snapshot.Hb_util.Telemetry.gauges;
     add "\n    },\n";
     add "    \"spans\": [";
@@ -167,7 +153,7 @@ let report ?(paths = 0) (r : Engine.report) =
          add "%s\n      {\"name\": \"%s\", \"count\": %d, \"wall_s\": %s, \
               \"cpu_s\": %s}"
            (if i = 0 then "" else ",")
-           (escape_string name) count (number wall) (number cpu))
+           (Json.escape name) count (number wall) (number cpu))
       (Hb_util.Telemetry.aggregate_spans snapshot);
     add "\n    ]\n";
     add "  },\n"

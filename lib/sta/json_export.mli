@@ -42,7 +42,3 @@ val report : ?paths:int -> Engine.report -> string
 (** Version stamped into every report (and every serve-loop reply);
     consumers reject or warn on versions they don't know. *)
 val schema_version : int
-
-(** [escape_string s] is the JSON string escaping used throughout
-    (exposed for tests). *)
-val escape_string : string -> string

@@ -196,6 +196,3 @@ let rebuild previous ~elements ~table ~reusable =
 
 let total_passes t =
   Array.fold_left (fun acc plan -> acc + List.length plan.cuts) 0 t.plans
-
-let max_passes t =
-  Array.fold_left (fun acc plan -> Stdlib.max acc (List.length plan.cuts)) 0 t.plans

@@ -94,6 +94,3 @@ val rebuild :
 (** [total_passes t] sums pass counts over clusters — the figure the
     paper's "minimum number of settling times" feature minimises. *)
 val total_passes : t -> int
-
-(** [max_passes t] is the largest per-cluster pass count. *)
-val max_passes : t -> int

@@ -83,17 +83,6 @@ let paths_report ctx slacks ~limit =
       (List.map (fun p -> Format.asprintf "%a" (Paths.pp ctx) p) paths)
     ^ "\n"
 
-let near_critical_report ctx ~endpoint ~limit =
-  let paths = Paths.enumerate ctx ~endpoint ~limit in
-  if paths = [] then "endpoint has no constrained path\n"
-  else
-    String.concat "\n"
-      (List.mapi
-         (fun rank p ->
-            Format.asprintf "#%d %a" (rank + 1) (Paths.pp ctx) p)
-         paths)
-    ^ "\n"
-
 let constraints_report ctx times ~limit =
   let constraints = Algorithm2.module_constraints ctx times in
   let rec take n = function

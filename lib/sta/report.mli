@@ -8,12 +8,6 @@ val summary : Engine.report -> string
     paths with full hop detail. *)
 val paths_report : Context.t -> Slacks.t -> limit:int -> string
 
-(** [near_critical_report ctx ~endpoint ~limit] renders the [limit]
-    worst paths into one element's data input, ranked worst slack first —
-    the "what is behind the critical path" view backed by
-    {!Paths.enumerate}. *)
-val near_critical_report : Context.t -> endpoint:int -> limit:int -> string
-
 (** [constraints_report ctx times ~limit] tabulates the re-synthesis
     constraints of the [limit] worst combinational modules on slow paths:
     instance, slack, per-pin ready and required times. *)

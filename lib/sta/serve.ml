@@ -204,16 +204,6 @@ let bad_request fmt =
     (fun message -> raise (Request_error { code = "bad_request"; message }))
     fmt
 
-(* Unwrap a session [_r] result into the handler's return value, or
-   surface its structured error as the reply envelope's error object.
-   Handlers call only the [_r] forms — the exception forms exist for
-   embedders, not the daemon. *)
-let ok_or_error = function
-  | Ok v -> v
-  | Error err ->
-    raise
-      (Request_error { code = Error.code err; message = Error.to_string err })
-
 (* Apply an edit batch, folding a rejection's failing index and op name
    into the error message so a client can repair the batch. *)
 let apply_edits s edits =
@@ -563,7 +553,7 @@ let handle_load t c p =
           let fresh =
             match source with
             | `Snapshot path ->
-              let s = ok_or_error (Session.of_snapshot_r ~path) in
+              let s = Session.of_snapshot ~path in
               if t.serialize_pool
                  && (Session.context s).Context.config.Config.parallel_jobs > 1
               then begin
@@ -623,8 +613,7 @@ let handle_load t c p =
             | None -> config
             | Some macro -> { config with Config.macro }
           in
-          ok_or_error
-            (Session.create_r ~design ~system ~config ~delays ())
+          Session.create ~design ~system ~config ~delays ()
           in
           let e =
             { e_key = key;
@@ -667,9 +656,7 @@ let handle_analyse c p =
   let paths = Option.value ~default:0 (opt_int "paths" p) in
   with_session_read ~constraints:generate_constraints ~hold:check_hold c
     (fun s ->
-      let report =
-        ok_or_error (Session.analyse_r ~generate_constraints ~check_hold s)
-      in
+      let report = Session.analyse ~generate_constraints ~check_hold s in
       (* The report renderer emits a multi-line document; re-parse so it
          nests compactly inside the one-line reply envelope. *)
       Json.parse (Json_export.report ~paths report))
@@ -796,7 +783,7 @@ let handle_paths c p =
   let limit = Option.value ~default:5 (opt_int "limit" p) in
   let paths, elements =
     with_session_read c (fun s ->
-        ( ok_or_error (Session.worst_paths_r s ~limit),
+        ( Session.worst_paths s ~limit,
           (Session.context s).Context.elements ))
   in
   Telemetry.observe h_paths (float_of_int (List.length paths));
@@ -821,8 +808,7 @@ let handle_paths c p =
 
 let handle_constraints c =
   let times =
-    with_session_read ~constraints:true c (fun s ->
-        ok_or_error (Session.constraints_r s))
+    with_session_read ~constraints:true c Session.constraints
   in
   let finite a =
     Array.fold_left
@@ -840,7 +826,7 @@ let handle_constraints c =
 
 let handle_hold c =
   let violations =
-    with_session_read ~hold:true c (fun s -> ok_or_error (Session.hold_r s))
+    with_session_read ~hold:true c Session.hold
   in
   Json.Obj
     [ ( "violations",

@@ -113,20 +113,12 @@ let create ~design ~system ?(config = Config.default)
     closed = false;
   }
 
-let create_r ~design ~system ?config ?delays () =
-  Error.wrap (fun () -> create ~design ~system ?config ?delays ())
-
 let context t = t.ctx
 
 let drop_queries t =
   t.analysed <- None;
   t.constraints_cache <- None;
   t.hold_cache <- None
-
-let invalidate t =
-  check_open t;
-  drop_queries t;
-  Context.invalidate_cache t.ctx
 
 type apply_result = {
   applied : int;
@@ -589,9 +581,6 @@ let analyse ?(generate_constraints = true) ?(check_hold = true) t =
       };
   }
 
-let analyse_r ?generate_constraints ?check_hold t =
-  Error.wrap (fun () -> analyse ?generate_constraints ?check_hold t)
-
 let worst_paths t ~limit =
   check_open t;
   let reused = t.analysed <> None in
@@ -599,20 +588,14 @@ let worst_paths t ~limit =
   if reused then Hb_util.Telemetry.incr c_report_reuses;
   Paths.worst_paths t.ctx a.outcome.Algorithm1.final ~limit
 
-let worst_paths_r t ~limit = Error.wrap (fun () -> worst_paths t ~limit)
-
 let constraints t =
   check_open t;
   let times, _, _ = ensure_constraints t in
   times
 
-let constraints_r t = Error.wrap (fun () -> constraints t)
-
 let hold t =
   check_open t;
   ensure_hold t
-
-let hold_r t = Error.wrap (fun () -> hold t)
 
 let is_cached ?(constraints = false) ?(hold = false) t =
   (not t.closed)
@@ -672,8 +655,6 @@ let save_snapshot t ~path =
       [ ("path", Hb_util.Log.String path);
         ("bytes", Hb_util.Log.Int (String.length payload)) ]
 
-let save_snapshot_r t ~path = Error.wrap (fun () -> save_snapshot t ~path)
-
 let of_snapshot ~path =
   match Snapshot.read ~path with
   | Error e -> raise (Error.Error e)
@@ -710,13 +691,17 @@ let of_snapshot ~path =
       overrides;
       baseline = state.sp_baseline;
       pending_preprocess = (0.0, 0.0);
-      analysed = state.sp_analysed;
+      (* The cached run carries the saver's preprocess cost; this
+         process paid none. *)
+      analysed =
+        Option.map
+          (fun a ->
+             { a with preprocess_seconds = 0.0; preprocess_wall_seconds = 0.0 })
+          state.sp_analysed;
       constraints_cache = state.sp_constraints;
       hold_cache = state.sp_hold;
       closed = false;
     }
-
-let of_snapshot_r ~path = Error.wrap (fun () -> of_snapshot ~path)
 
 let close ?(shutdown_pool = false) t =
   if not t.closed then begin

@@ -22,8 +22,8 @@
     resizing/removal, net rewiring) swap in the edited design and
     rebuild only the clusters they touch, carrying every other
     cluster's graph, plan, cached slacks and timing macro across
-    unchanged. Queries ({!analyse_r}, {!worst_paths_r},
-    {!constraints_r}, {!hold_r}) share one cached Algorithm 1 state —
+    unchanged. Queries ({!analyse}, {!worst_paths}, {!constraints},
+    {!hold}) share one cached Algorithm 1 state —
     repeated queries without intervening edits are served from cache,
     and after an edit the next query re-runs analysis through the
     dirty-cluster path, re-evaluating only what the edit disturbed.
@@ -36,13 +36,14 @@
 
     {2 Errors}
 
-    The [_r] forms are the primary API: they return
-    [(_, Error.t) result] and raise nothing the classifier knows
-    about. The plain forms are thin wrappers that raise
-    {!Error.Error}. Exceptions thrown mid-analysis (including
-    {!Hb_util.Timeout.Timeout}) leave the session usable: the slack
-    cache is dropped and offsets restored before the exception
-    propagates.
+    The raising forms are the API: they raise {!Error.Error} or one of
+    the exceptions {!Error.of_exn} classifies, and [Error.wrap (fun ()
+    -> ...)] turns any call into a [(_, Error.t) result]. The one
+    result-typed form, {!apply_r}, exists because its rejection carries
+    the index of the failing command. Exceptions thrown mid-analysis
+    (including {!Hb_util.Timeout.Timeout}) leave the session usable:
+    the slack cache is dropped and offsets restored before the
+    exception propagates.
 
     {2 Telemetry}
 
@@ -76,21 +77,12 @@ type report = {
 
 type t
 
-(** [create_r ~design ~system ?config ?delays ()] preprocesses the
+(** [create ~design ~system ?config ?delays ()] preprocesses the
     design (element table, clusters, pass plans) and returns the live
     handle. [delays] is the {e base} provider; the session wraps it so
     later delay overrides apply on top, exactly as {!Annotation.apply}
     would. Honours [config.telemetry] the same way {!Engine.analyse}
     does. *)
-val create_r :
-  design:Hb_netlist.Design.t ->
-  system:Hb_clock.System.t ->
-  ?config:Config.t ->
-  ?delays:Delays.t ->
-  unit ->
-  (t, Error.t) result
-
-(** Exception form of {!create_r}. *)
 val create :
   design:Hb_netlist.Design.t ->
   system:Hb_clock.System.t ->
@@ -146,44 +138,24 @@ val apply : t -> Edit.t list -> apply_result
     fallback for changes {!apply} cannot express. *)
 val update_design : t -> design:Hb_netlist.Design.t -> unit
 
-(** [invalidate t] drops every cached query result and the slack cache —
-    the escape hatch for timing data changed behind the session's back. *)
-val invalidate : t -> unit
-
 (** {2 Queries} *)
 
-(** [analyse_r ?generate_constraints ?check_hold t] returns the same
+(** [analyse ?generate_constraints ?check_hold t] returns the same
     report {!Engine.analyse} would: Algorithm 1 (cached across calls),
     optionally Algorithm 2 (offsets snapshotted around it) and the hold
     checks. Repeated calls without intervening edits reuse every
     cached phase. *)
-val analyse_r :
-  ?generate_constraints:bool ->
-  ?check_hold:bool ->
-  t ->
-  (report, Error.t) result
-
-(** Exception form of {!analyse_r}. *)
 val analyse : ?generate_constraints:bool -> ?check_hold:bool -> t -> report
 
-(** [worst_paths_r t ~limit] traces the [limit] worst slack paths of
+(** [worst_paths t ~limit] traces the [limit] worst slack paths of
     the current analysis (running it if needed). *)
-val worst_paths_r : t -> limit:int -> (Paths.path list, Error.t) result
-
-(** Exception form of {!worst_paths_r}. *)
 val worst_paths : t -> limit:int -> Paths.path list
 
-(** [constraints_r t] returns Algorithm 2's constraint times (cached). *)
-val constraints_r : t -> (Algorithm2.constraint_times, Error.t) result
-
-(** Exception form of {!constraints_r}. *)
+(** [constraints t] returns Algorithm 2's constraint times (cached). *)
 val constraints : t -> Algorithm2.constraint_times
 
-(** [hold_r t] returns the supplementary minimum-delay check results
+(** [hold t] returns the supplementary minimum-delay check results
     (cached). *)
-val hold_r : t -> (Holdcheck.violation list, Error.t) result
-
-(** Exception form of {!hold_r}. *)
 val hold : t -> Holdcheck.violation list
 
 (** [is_cached ?constraints ?hold t] is [true] when a query needing the
@@ -210,21 +182,15 @@ val is_cached : ?constraints:bool -> ?hold:bool -> t -> bool
     default [rc] delay providers can be saved — providers are closures,
     rebuilt by name on restore. *)
 
-(** [save_snapshot_r t ~path] writes the session's state atomically to
+(** [save_snapshot t ~path] writes the session's state atomically to
     [path]. Fails with [Error.Invalid] on a non-restorable delay
     provider, [Error.Io] on filesystem trouble. *)
-val save_snapshot_r : t -> path:string -> (unit, Error.t) result
-
-(** Exception form of {!save_snapshot_r}. *)
 val save_snapshot : t -> path:string -> unit
 
-(** [of_snapshot_r ~path] restores a session from a snapshot file.
+(** [of_snapshot ~path] restores a session from a snapshot file.
     Fails with [Error.Invalid] on a corrupt, truncated,
     version-mismatched or foreign-build snapshot (see
     {!Snapshot.read}), [Error.Io] when the file cannot be read. *)
-val of_snapshot_r : path:string -> (t, Error.t) result
-
-(** Exception form of {!of_snapshot_r}. *)
 val of_snapshot : path:string -> t
 
 (** [close ?shutdown_pool t] releases the session's caches; further use

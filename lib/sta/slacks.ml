@@ -382,6 +382,3 @@ let all_positive t =
     done;
     !e = Array.length output
   end
-
-let element_slack t e =
-  Hb_util.Time.min t.element_input_slack.(e) t.element_output_slack.(e)

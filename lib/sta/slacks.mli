@@ -88,7 +88,3 @@ val compute_transfer :
 (** [all_positive t] is true when every terminal slack is strictly
     positive — the system "behaves as intended". *)
 val all_positive : t -> bool
-
-(** [element_slack t e] is the minimum of the element's two terminal
-    slacks. *)
-val element_slack : t -> int -> Hb_util.Time.t

@@ -32,6 +32,14 @@ val parse_result : string -> (t, string) result
     without a fractional part; non-finite numbers print as [null]. *)
 val to_string : t -> string
 
+(** [escape s] is the body of the JSON string literal for [s], without
+    its quotes: double quote, backslash, newline, tab and carriage return
+    get their two-character escapes, every other byte below 0x20 a
+    [\u00XX] escape, and all other bytes pass through. Shared by
+    {!to_string}, {!Log}'s JSON lines, {!Telemetry.trace_json} and the
+    analysis report writer. *)
+val escape : string -> string
+
 (** {1 Accessors} *)
 
 (** [member name v] is the value of field [name] when [v] is an object

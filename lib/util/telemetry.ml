@@ -261,6 +261,32 @@ type snapshot = {
   spans : span_record list;
 }
 
+(* Shards in domain-id order: float sums are merged in this fixed order
+   so a result never depends on shard registration order. Callers hold
+   the registry lock. *)
+let ordered_shards () =
+  List.sort (fun a b -> compare a.shard_domain b.shard_domain) !shards
+
+(* Histogram [h] summed over [shards]. Callers hold the registry lock. *)
+let merge_histogram shards h =
+  let upper_bounds = Array.copy !histogram_bounds.(h) in
+  let bucket_counts = Array.make (Array.length upper_bounds + 1) 0 in
+  let sum = ref 0.0 in
+  List.iter
+    (fun shard ->
+      if h < Array.length shard.histo_counts then begin
+        let sc = shard.histo_counts.(h) in
+        for b = 0 to Array.length bucket_counts - 1 do
+          if b < Array.length sc then
+            bucket_counts.(b) <- bucket_counts.(b) + sc.(b)
+        done;
+        sum := !sum +. shard.histo_sums.(h)
+      end)
+    shards;
+  let total = Array.fold_left ( + ) 0 bucket_counts in
+  { h_name = !histogram_names.(h); upper_bounds; bucket_counts;
+    sum = !sum; total }
+
 let snapshot () =
   locked (fun () ->
       let n_counters = !counter_count
@@ -269,11 +295,7 @@ let snapshot () =
       let counts = Array.make n_counters 0 in
       let gauge_values = Array.make n_gauges nan in
       let spans = ref [] in
-      (* Float sums are merged in fixed (domain-id) order so the result
-         is deterministic regardless of shard registration order. *)
-      let ordered_shards =
-        List.sort (fun a b -> compare a.shard_domain b.shard_domain) !shards
-      in
+      let ordered_shards = ordered_shards () in
       List.iter
         (fun shard ->
           for c = 0 to min n_counters (Array.length shard.counts) - 1 do
@@ -289,24 +311,7 @@ let snapshot () =
           spans := List.rev_append shard.spans !spans)
         ordered_shards;
       let histograms =
-        List.init n_histograms (fun h ->
-            let upper_bounds = Array.copy !histogram_bounds.(h) in
-            let bucket_counts = Array.make (Array.length upper_bounds + 1) 0 in
-            let sum = ref 0.0 in
-            List.iter
-              (fun shard ->
-                if h < Array.length shard.histo_counts then begin
-                  let sc = shard.histo_counts.(h) in
-                  for b = 0 to Array.length bucket_counts - 1 do
-                    if b < Array.length sc then
-                      bucket_counts.(b) <- bucket_counts.(b) + sc.(b)
-                  done;
-                  sum := !sum +. shard.histo_sums.(h)
-                end)
-              ordered_shards;
-            let total = Array.fold_left ( + ) 0 bucket_counts in
-            { h_name = !histogram_names.(h); upper_bounds; bucket_counts;
-              sum = !sum; total })
+        List.init n_histograms (merge_histogram ordered_shards)
         |> List.sort (fun a b -> String.compare a.h_name b.h_name)
       in
       let counters =
@@ -330,26 +335,7 @@ let read_histogram h =
   locked (fun () ->
       if h >= !histogram_count then
         invalid_arg "Telemetry.read_histogram: unregistered histogram";
-      let upper_bounds = Array.copy !histogram_bounds.(h) in
-      let bucket_counts = Array.make (Array.length upper_bounds + 1) 0 in
-      let sum = ref 0.0 in
-      let ordered_shards =
-        List.sort (fun a b -> compare a.shard_domain b.shard_domain) !shards
-      in
-      List.iter
-        (fun shard ->
-          if h < Array.length shard.histo_counts then begin
-            let sc = shard.histo_counts.(h) in
-            for b = 0 to Array.length bucket_counts - 1 do
-              if b < Array.length sc then
-                bucket_counts.(b) <- bucket_counts.(b) + sc.(b)
-            done;
-            sum := !sum +. shard.histo_sums.(h)
-          end)
-        ordered_shards;
-      let total = Array.fold_left ( + ) 0 bucket_counts in
-      { h_name = !histogram_names.(h); upper_bounds; bucket_counts;
-        sum = !sum; total })
+      merge_histogram (ordered_shards ()) h)
 
 (* Quantile by linear interpolation inside the bucket the target
    observation falls in. The +Inf bucket has no upper edge; it reports
@@ -604,17 +590,7 @@ let trace_json snapshot =
   let buf = Buffer.create 4096 in
   let escape s =
     Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
+    Buffer.add_string buf (Json.escape s);
     Buffer.add_char buf '"'
   in
   let origin =

@@ -29,19 +29,6 @@ let default_designs =
     (fun name -> name = "scale10k" || not (is_scale name))
     Catalog.names
 
-(* TNS / slow-endpoint fold — same definition as Hb_resynth.Loop's QoR
-   scalars: finite negative element input slacks only. *)
-let qor_scalars (slacks : Hb_sta.Slacks.t) =
-  let tns = ref 0.0 and slow = ref 0 in
-  Array.iter
-    (fun s ->
-       if Hb_util.Time.is_finite s && s < 0.0 then begin
-         tns := !tns +. s;
-         incr slow
-       end)
-    slacks.Hb_sta.Slacks.element_input_slack;
-  (!tns, !slow)
-
 let status_string = function
   | Hb_sta.Algorithm1.Meets_timing -> "meets_timing"
   | Hb_sta.Algorithm1.Slow_paths -> "slow_paths"
@@ -52,7 +39,7 @@ let of_report ~name ~path_limit ~qor (report : Hb_sta.Engine.report) =
   let design = report.Hb_sta.Engine.context.Hb_sta.Context.design in
   let outcome = report.Hb_sta.Engine.outcome in
   let slacks = outcome.Hb_sta.Algorithm1.final in
-  let tns, slow_endpoints = qor_scalars slacks in
+  let tns, slow_endpoints = Hb_resynth.Loop.qor slacks in
   let paths =
     Hb_sta.Paths.worst_paths report.Hb_sta.Engine.context slacks
       ~limit:path_limit

@@ -416,9 +416,18 @@ let test_corners_scaled_provider () =
 (* ------------------------------------------------------------------ *)
 
 let test_json_escaping () =
+  let escape = Hb_util.Json.escape in
   Alcotest.(check string) "quotes and backslash" "a\\\"b\\\\c"
-    (Hb_sta.Json_export.escape_string "a\"b\\c");
-  Alcotest.(check string) "newline" "x\\ny" (Hb_sta.Json_export.escape_string "x\ny")
+    (escape "a\"b\\c");
+  Alcotest.(check string) "newline" "x\\ny" (escape "x\ny");
+  (* Every ASCII byte, escaped and read back, comes back unchanged. *)
+  for code = 0x00 to 0x7f do
+    let s = String.make 1 (Char.chr code) in
+    match Hb_util.Json.parse ("\"" ^ escape s ^ "\"") with
+    | Hb_util.Json.String back ->
+      Alcotest.(check string) (Printf.sprintf "byte 0x%02x" code) s back
+    | _ -> Alcotest.fail (Printf.sprintf "byte 0x%02x: not a string" code)
+  done
 
 let test_json_report_shape () =
   let design = diamond_design () in

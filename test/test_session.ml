@@ -472,7 +472,7 @@ let test_snapshot_round_trip () =
     snapshot_designs
 
 let expect_snapshot_error label path =
-  match Hb_sta.Session.of_snapshot_r ~path with
+  match Hb_sta.Error.wrap (fun () -> Hb_sta.Session.of_snapshot ~path) with
   | Ok session ->
     Hb_sta.Session.close session;
     Alcotest.fail (label ^ ": corrupt snapshot restored")
@@ -515,7 +515,9 @@ let test_snapshot_corruption () =
        in
        (* Sanity: the pristine copy restores. *)
        write_mutant original;
-       (match Hb_sta.Session.of_snapshot_r ~path:mutant with
+       (match
+          Hb_sta.Error.wrap (fun () -> Hb_sta.Session.of_snapshot ~path:mutant)
+        with
         | Ok s -> Hb_sta.Session.close s
         | Error e ->
           Alcotest.fail ("pristine copy rejected: " ^ Hb_sta.Error.to_string e));
@@ -554,7 +556,7 @@ let test_session_errors () =
   expect_invalid "offset out of range" (fun () ->
       Hb_sta.Session.apply session
         [ Hb_sta.Edit.Set_offset { element = 99999; offset = 0.0 } ]);
-  (match Hb_sta.Session.analyse_r session with
+  (match Hb_sta.Error.wrap (fun () -> Hb_sta.Session.analyse session) with
    | Ok _ -> ()
    | Error e -> Alcotest.fail (Hb_sta.Error.to_string e));
   Hb_sta.Session.close session;
@@ -654,6 +656,14 @@ let reply_error_code reply =
      | _ -> Alcotest.fail ("error without code: " ^ reply))
   | None -> Alcotest.fail ("expected an error reply: " ^ reply)
 
+let reply_error_message reply =
+  match Json.member "error" (Json.parse reply) with
+  | Some error ->
+    (match Json.member "message" error with
+     | Some (Json.String message) -> message
+     | _ -> Alcotest.fail ("error without message: " ^ reply))
+  | None -> Alcotest.fail ("expected an error reply: " ^ reply)
+
 let reply_result reply =
   match Json.member "result" (Json.parse reply) with
   | Some result -> result
@@ -733,9 +743,36 @@ let test_serve_transcript () =
             {|{"id":11,"method":"sleep","params":{"seconds":10},"timeout":0.2}|});
        ignore (ok {|{"id":12,"method":"analyse"}|});
        ignore (ok {|{"id":13,"method":"metrics"}|});
+       (* An analysis that runs out of time is answered like any other
+          timed-out request. The edit first makes the next analysis a
+          real run instead of a cache hit. *)
+       let instance =
+         let design, _ = pipeline ~period:3.0 () in
+         (Hb_netlist.Design.instance design 0).Hb_netlist.Design.inst_name
+       in
+       ignore
+         (ok
+            (Printf.sprintf
+               {|{"id":14,"method":"scale_delay","params":{"instance":"%s","factor":1.1}}|}
+               instance));
+       let timeout_message line =
+         reply_error_message (error ~code:"timeout" line)
+       in
+       let analysis_timeout =
+         timeout_message {|{"id":15,"method":"analyse","timeout":1e-6}|}
+       in
+       let sleep_timeout =
+         timeout_message
+           {|{"id":16,"method":"sleep","params":{"seconds":10},"timeout":1e-6}|}
+       in
+       Alcotest.(check string) "sleep timeout message"
+         "request exceeded its 1e-06s budget" sleep_timeout;
+       Alcotest.(check string) "analysis timeout message" sleep_timeout
+         analysis_timeout;
+       ignore (ok {|{"id":17,"method":"analyse"}|});
        Alcotest.(check bool) "not finished before shutdown" false
          (Hb_sta.Serve.finished daemon);
-       ignore (ok {|{"id":14,"method":"shutdown"}|});
+       ignore (ok {|{"id":18,"method":"shutdown"}|});
        Alcotest.(check bool) "finished after shutdown" true
          (Hb_sta.Serve.finished daemon))
 
@@ -1306,7 +1343,7 @@ let test_serve_single_edit_replies () =
        ignore (batch {|{"id":6,"method":"shutdown"}|}))
 
 (* ------------------------------------------------------------------ *)
-(* Error, Timeout, Engine.preprocess, Json                             *)
+(* Error, Timeout, preprocess timings, Json                           *)
 (* ------------------------------------------------------------------ *)
 
 let test_error_classifier () =
@@ -1388,18 +1425,38 @@ let test_timeout_helper () =
   Alcotest.(check int) "reusable after nested firing" 4
     (Hb_util.Timeout.with_timeout ~seconds:5.0 (fun () -> 4))
 
+(* The preprocess cost is charged to the first report of the process
+   that paid it: a warm restore and a re-analysis after an edit report
+   0 on both clocks. *)
 let test_preprocess_shape () =
   let design, system = pipeline () in
-  let ctx, timings = Hb_sta.Engine.preprocess ~design ~system () in
-  Alcotest.(check bool) "context built" true
-    (Hb_sta.Elements.count ctx.Hb_sta.Context.elements > 0);
-  Alcotest.(check bool) "preprocess time recorded" true
-    (timings.Hb_sta.Engine.preprocess_seconds >= 0.0
-     && timings.Hb_sta.Engine.preprocess_wall_seconds >= 0.0);
-  Alcotest.check time "no analysis cost" 0.0
-    timings.Hb_sta.Engine.analysis_seconds;
-  Alcotest.check time "no constraints cost" 0.0
-    timings.Hb_sta.Engine.constraints_seconds
+  let session = Hb_sta.Session.create ~design ~system () in
+  let check_unpaid label (report : Hb_sta.Session.report) =
+    let timings = report.Hb_sta.Session.timings in
+    Alcotest.(check (float 0.0)) (label ^ ": cpu") 0.0
+      timings.Hb_sta.Session.preprocess_seconds;
+    Alcotest.(check (float 0.0)) (label ^ ": wall") 0.0
+      timings.Hb_sta.Session.preprocess_wall_seconds
+  in
+  let first = (Hb_sta.Session.analyse session).Hb_sta.Session.timings in
+  Alcotest.(check bool) "first report carries the preprocess cost" true
+    (first.Hb_sta.Session.preprocess_wall_seconds > 0.0
+     && first.Hb_sta.Session.preprocess_seconds >= 0.0);
+  let path = Filename.temp_file "hb_snap" ".hbs" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+       Hb_sta.Session.save_snapshot session ~path;
+       let restored = Hb_sta.Session.of_snapshot ~path in
+       check_unpaid "warm restore" (Hb_sta.Session.analyse restored);
+       Hb_sta.Session.close restored);
+  let instance = path_instance session in
+  let _ : Hb_sta.Session.apply_result =
+    Hb_sta.Session.apply session
+      [ Hb_sta.Edit.Scale_delay { instance; factor = 0.9 } ]
+  in
+  check_unpaid "after an edit" (Hb_sta.Session.analyse session);
+  Hb_sta.Session.close session
 
 let test_json_round_trip () =
   let text =
