@@ -9,10 +9,11 @@ test: build
 	dune runtest
 
 # Tier-1 gate plus the bench smoke: nine sections on small inputs
-# (P1 slack engine, P2 k-worst paths, P3 telemetry, P4 session, S2
-# scale, P5 snapshot, S3 serve, O1 monitor, V1 fuzz), which exits 1
-# after listing every failed gate. The validate step replays the frozen
-# golden QoR corpus and a small fixed-seed differential fuzz batch.
+# (P1 slack engine, P2 k-worst path prefix parity across k, P3
+# telemetry, P4 session, S2 scale, P5 snapshot, S3 serve, O1 monitor,
+# V1 fuzz), which exits 1 after listing every failed gate. The validate
+# step replays the frozen golden QoR corpus and a small fixed-seed
+# differential fuzz batch.
 check:
 	dune build
 	dune runtest

@@ -281,7 +281,10 @@ let passes_cmd =
         let design = load_design netlist in
         let system = load_clocks clocks in
         let ctx = Hb_sta.Context.make ~design ~system () in
-        let settling = Hb_sta.Baseline.settling_times ctx in
+        let settling =
+          Hb_sta.Passes.settling_times ctx.Hb_sta.Context.passes
+            ~table:ctx.Hb_sta.Context.table
+        in
         let rows =
           List.map
             (fun (id, minimized, naive) ->
@@ -294,14 +297,14 @@ let passes_cmd =
                  string_of_int (Array.length cluster.Hb_sta.Cluster.outputs);
                  string_of_int minimized;
                  string_of_int naive ])
-            settling.Hb_sta.Baseline.per_cluster
+            settling.Hb_sta.Passes.per_cluster
         in
         Hb_util.Table.print
           ~header:[ "cluster"; "gates"; "inputs"; "outputs"; "passes"; "per-edge" ]
           rows;
         Printf.printf "total: %d minimum passes (per-edge accounting: %d)\n"
-          settling.Hb_sta.Baseline.minimized_passes
-          settling.Hb_sta.Baseline.naive_settling_times)
+          settling.Hb_sta.Passes.minimized_passes
+          settling.Hb_sta.Passes.naive_settling_times)
   in
   Cmd.v
     (Cmd.info "passes"

@@ -20,7 +20,10 @@ let () =
 
   (* Per-cluster pass accounting: the shared cone is the cluster with four
      input terminals. *)
-  let settling = Hb_sta.Baseline.settling_times ctx in
+  let settling =
+    Hb_sta.Passes.settling_times ctx.Hb_sta.Context.passes
+      ~table:ctx.Hb_sta.Context.table
+  in
   print_endline "cluster        passes(min)  settling-times(per-edge)";
   List.iter
     (fun (id, minimized, naive) ->
@@ -30,10 +33,10 @@ let () =
          (List.length cluster.Hb_sta.Cluster.members)
          (Array.length cluster.Hb_sta.Cluster.inputs)
          (Array.length cluster.Hb_sta.Cluster.outputs))
-    settling.Hb_sta.Baseline.per_cluster;
+    settling.Hb_sta.Passes.per_cluster;
   Printf.printf "total: %d minimum passes vs %d per-edge settling times\n\n"
-    settling.Hb_sta.Baseline.minimized_passes
-    settling.Hb_sta.Baseline.naive_settling_times;
+    settling.Hb_sta.Passes.minimized_passes
+    settling.Hb_sta.Passes.naive_settling_times;
 
   (* Show the two passes of the shared cone: which closure is analysed in
      which broken-open order. *)

@@ -25,9 +25,11 @@ let report ?(paths = 0) (r : Engine.report) =
      | Algorithm1.Meets_timing -> "meets_timing"
      | Algorithm1.Slow_paths -> "slow_paths");
   add "  \"worst_slack\": %s,\n" (number slacks.Slacks.worst);
-  let settling = Baseline.settling_times ctx in
+  let settling =
+    Passes.settling_times ctx.Context.passes ~table:ctx.Context.table
+  in
   add "  \"passes\": {\"minimum\": %d, \"per_edge\": %d},\n"
-    settling.Baseline.minimized_passes settling.Baseline.naive_settling_times;
+    settling.Passes.minimized_passes settling.Passes.naive_settling_times;
   (* Endpoints ascending by slack. *)
   let endpoints = ref [] in
   Array.iteri
@@ -102,7 +104,7 @@ let report ?(paths = 0) (r : Engine.report) =
        compete within the top [paths], and how far the k-th sits behind
        the worst. Uses the bounded enumeration, so with telemetry on the
        paths.* counters below reflect this very block. *)
-    let endpoints = Paths.worst_endpoints ctx slacks ~limit:paths in
+    let endpoints = Paths.worst_endpoints slacks ~limit:paths in
     let enumerations =
       Paths.enumerate_many ctx
         ~endpoints:(List.map fst endpoints) ~limit:paths

@@ -196,3 +196,41 @@ let rebuild previous ~elements ~table ~reusable =
 
 let total_passes t =
   Array.fold_left (fun acc plan -> acc + List.length plan.cuts) 0 t.plans
+
+type settling_report = {
+  minimized_passes : int;
+  naive_settling_times : int;
+  per_cluster : (int * int * int) list;
+}
+
+let settling_times t ~(table : Cluster.table) =
+  (* [seen.(node)] is the last cluster that counted assertion node
+     [node]: one settling time per distinct input assertion edge. *)
+  let seen = Array.make t.node_count (-1) in
+  let per_cluster = ref [] in
+  Array.iter
+    (fun (cluster : Cluster.t) ->
+       if Array.length cluster.Cluster.inputs > 0
+       && Array.length cluster.Cluster.outputs > 0 then begin
+         let id = cluster.Cluster.id in
+         let edges = ref 0 in
+         Array.iter
+           (fun (terminal : Cluster.terminal) ->
+              let node = t.element_assertion_node.(terminal.Cluster.element) in
+              if node >= 0 && seen.(node) <> id then begin
+                seen.(node) <- id;
+                incr edges
+              end)
+           cluster.Cluster.inputs;
+         per_cluster :=
+           (id, List.length t.plans.(id).cuts, Stdlib.max 1 !edges)
+           :: !per_cluster
+       end)
+    table.Cluster.clusters;
+  let per_cluster = List.rev !per_cluster in
+  { minimized_passes =
+      List.fold_left (fun acc (_, m, _) -> acc + m) 0 per_cluster;
+    naive_settling_times =
+      List.fold_left (fun acc (_, _, n) -> acc + n) 0 per_cluster;
+    per_cluster;
+  }

@@ -94,3 +94,23 @@ val rebuild :
 (** [total_passes t] sums pass counts over clusters — the figure the
     paper's "minimum number of settling times" feature minimises. *)
 val total_passes : t -> int
+
+(** Per-source-edge settling times — the Wallace/Séquin-style
+    accounting ([8] in the paper) in which every node receives one
+    settling time per distinct clock edge that can cause a transition at
+    it. The pre-processing above instead computes the {e minimum} number
+    of analysis passes; {!settling_times} reports both counts. *)
+type settling_report = {
+  minimized_passes : int;
+      (** total analysis passes chosen by the Section 7 pre-processing *)
+  naive_settling_times : int;
+      (** total passes a per-source-edge method would need: one per
+          distinct input assertion edge per cluster *)
+  per_cluster : (int * int * int) list;
+      (** cluster id, minimized, naive — clusters with logic only *)
+}
+
+(** [settling_times t ~table] compares the plans of [t] with per-edge
+    accounting over the clusters of [table], the table [t] was built
+    from. *)
+val settling_times : t -> table:Cluster.table -> settling_report

@@ -19,36 +19,109 @@ type path = {
   hops : hop list;
 }
 
-(* Bounded k-worst selection: a max-heap (on negated slack) of at most
-   [limit] entries replaces the seed's full sort + quadratic take. The
-   eviction rule reproduces the seed's ordering exactly — ascending
-   slack, equal slacks in descending element order (the stable sort saw
-   elements consed in descending order). *)
-let worst_endpoints (_ctx : Context.t) (slacks : Slacks.t) ~limit =
+(* Same-file finiteness test: {!Hb_util.Time.is_finite} crosses a
+   library boundary, which boxes its float argument on every call on the
+   non-flambda compiler; this runs two or three times per explored arc.
+   [x -. x] is zero exactly for finite [x] (nan or infinite otherwise). *)
+let[@inline] finite (x : float) = x -. x = 0.0
+
+(* Allocation-free min-heap over (float priority, int payload) pairs,
+   stored as two parallel arrays. Ordering is lexicographic on
+   (priority, payload). It lives in this file because on the
+   non-flambda compiler a float argument crossing a compilation-unit
+   boundary is boxed even under [@inline] (measured 16 B per push), and
+   the enumeration loop below pushes once per explored arc; within one
+   unit the attribute does inline and the priorities stay unboxed. *)
+type iheap = {
+  mutable hprio : float array;
+  mutable hpayload : int array;
+  mutable hsize : int;
+}
+
+let[@inline] hless h i j =
+  h.hprio.(i) < h.hprio.(j)
+  || (h.hprio.(i) = h.hprio.(j) && h.hpayload.(i) < h.hpayload.(j))
+
+let rec hsift_up h i =
+  if i > 0 then begin
+    let parent = (i - 1) / 2 in
+    if hless h i parent then begin
+      let p = h.hprio.(i) and v = h.hpayload.(i) in
+      h.hprio.(i) <- h.hprio.(parent);
+      h.hpayload.(i) <- h.hpayload.(parent);
+      h.hprio.(parent) <- p;
+      h.hpayload.(parent) <- v;
+      hsift_up h parent
+    end
+  end
+
+let[@inline] hpush h ~priority value =
+  if h.hsize = Array.length h.hprio then begin
+    let capacity = Stdlib.max 16 (2 * h.hsize) in
+    let prio = Array.make capacity 0.0 in
+    let payload = Array.make capacity 0 in
+    Array.blit h.hprio 0 prio 0 h.hsize;
+    Array.blit h.hpayload 0 payload 0 h.hsize;
+    h.hprio <- prio;
+    h.hpayload <- payload
+  end;
+  h.hprio.(h.hsize) <- priority;
+  h.hpayload.(h.hsize) <- value;
+  h.hsize <- h.hsize + 1;
+  hsift_up h (h.hsize - 1)
+
+let rec hsift_down h i =
+  let left = (2 * i) + 1 and right = (2 * i) + 2 in
+  let smallest = ref i in
+  if left < h.hsize && hless h left !smallest then smallest := left;
+  if right < h.hsize && hless h right !smallest then smallest := right;
+  if !smallest <> i then begin
+    let j = !smallest in
+    let p = h.hprio.(i) and v = h.hpayload.(i) in
+    h.hprio.(i) <- h.hprio.(j);
+    h.hpayload.(i) <- h.hpayload.(j);
+    h.hprio.(j) <- p;
+    h.hpayload.(j) <- v;
+    hsift_down h j
+  end
+
+let[@inline] hpop h =
+  let value = h.hpayload.(0) in
+  h.hsize <- h.hsize - 1;
+  if h.hsize > 0 then begin
+    h.hprio.(0) <- h.hprio.(h.hsize);
+    h.hpayload.(0) <- h.hpayload.(h.hsize);
+    hsift_down h 0
+  end;
+  value
+
+(* Bounded k-worst selection: a min-heap on (negated slack, element) of
+   at most [limit] entries replaces the seed's full sort + quadratic
+   take. The eviction rule reproduces the seed's ordering exactly —
+   ascending slack, equal slacks in descending element order (the
+   stable sort saw elements consed in descending order). *)
+let worst_endpoints (slacks : Slacks.t) ~limit =
   if limit <= 0 then []
   else begin
-    let heap = Hb_util.Heap.Ints.create () in
+    let heap = { hprio = [||]; hpayload = [||]; hsize = 0 } in
     Array.iteri
       (fun e slack ->
          if Hb_util.Time.is_finite slack then begin
-           if Hb_util.Heap.Ints.length heap < limit then
-             Hb_util.Heap.Ints.push heap ~priority:(-.slack) e
-           else begin
-             (* Root = the kept entry ordered last: largest slack, ties
-                on the smallest element id. *)
-             let top_s = -.Hb_util.Heap.Ints.top_priority heap in
-             let top_e = Hb_util.Heap.Ints.top heap in
-             if slack < top_s || (slack = top_s && e > top_e) then begin
-               ignore (Hb_util.Heap.Ints.pop heap);
-               Hb_util.Heap.Ints.push heap ~priority:(-.slack) e
-             end
+           if heap.hsize < limit then hpush heap ~priority:(-.slack) e
+           (* Root = the kept entry ordered last: largest slack, ties
+              on the smallest element id. *)
+           else if slack < -.heap.hprio.(0)
+                || (slack = -.heap.hprio.(0) && e > heap.hpayload.(0))
+           then begin
+             ignore (hpop heap);
+             hpush heap ~priority:(-.slack) e
            end
          end)
       slacks.Slacks.element_input_slack;
     let acc = ref [] in
-    while not (Hb_util.Heap.Ints.is_empty heap) do
-      let s = -.Hb_util.Heap.Ints.top_priority heap in
-      let e = Hb_util.Heap.Ints.pop heap in
+    while heap.hsize > 0 do
+      let s = -.heap.hprio.(0) in
+      let e = hpop heap in
       acc := (e, s) :: !acc
     done;
     !acc
@@ -179,7 +252,7 @@ let map_endpoints (ctx : Context.t) endpoints f =
       ~count (fun i -> f endpoints.(i))
 
 let worst_paths ctx slacks ~limit =
-  let endpoints = Array.of_list (worst_endpoints ctx slacks ~limit) in
+  let endpoints = Array.of_list (worst_endpoints slacks ~limit) in
   let paths =
     map_endpoints ctx endpoints (fun (endpoint, _) ->
         critical_path ctx ~endpoint)
@@ -191,7 +264,7 @@ let slow_paths ctx slacks ~limit =
     Array.of_list
       (List.filter
          (fun (_, slack) -> Hb_util.Time.le slack 0.0)
-         (worst_endpoints ctx slacks ~limit))
+         (worst_endpoints slacks ~limit))
   in
   let paths =
     map_endpoints ctx endpoints (fun (endpoint, _) ->
@@ -201,9 +274,9 @@ let slow_paths ctx slacks ~limit =
 
 (* K-worst path enumeration by best-first search over partial paths: each
    state's priority is its arrival so far plus the longest remaining delay
-   to the endpoint, so states pop in exact order of final arrival and the
-   first [limit] completed paths are the worst [limit] paths. Uses the
-   scalar (worst-delay) arrival view.
+   to the endpoint, so states pop in order of final arrival up to
+   rounding (see the margin below) and the first completed paths are the
+   worst paths. Uses the scalar (worst-delay) arrival view.
 
    Three things keep the hot loop allocation-free where the seed consed a
    hop list per push:
@@ -213,103 +286,56 @@ let slow_paths ctx slacks ~limit =
      are materialised only for the [limit] surviving completions by
      walking the parent chain.
 
-   - Per-domain scratch. The pool arrays, both heaps and the [remaining]
-     buffer live in a [Domain.DLS] slot backed by an {!Hb_util.Arena}, so
-     repeated calls — including parallel fan-out from
-     {!enumerate_many} — reuse their high-water-mark buffers.
+   - Per-domain scratch. The pool arrays, the three heaps and the
+     [remaining] buffer live in a [Domain.DLS] slot backed by an
+     {!Hb_util.Arena}, so repeated calls — including parallel fan-out
+     from {!enumerate_many} — reuse their high-water-mark buffers.
 
    - Admissible-bound pruning. [arrival + remaining] is an *achievable*
      completion bound (realised by an actual suffix), so a min-heap of
      the [limit] best bounds of distinct completions gives a sound
-     threshold: a push whose bound is strictly below the k-th best is
-     skipped, keeping the frontier O(live states) instead of O(all
-     partial paths). Distinctness uses a canonical-child rule — when a
-     state expands, the child realising the largest bound continues the
-     completion already counted (at the state's root or first
-     divergence), so only the other children offer new bounds — and that
-     child is pushed without the admissibility test, since its chain is
-     exactly what the threshold is made of. Ties survive the strict
-     comparison, so the first [limit] completions are identical to the
-     unpruned search. *)
-(* Same-file finiteness test: {!Hb_util.Time.is_finite} crosses a
-   library boundary, which boxes its float argument on every call on the
-   non-flambda compiler; this runs two or three times per explored arc.
-   [x -. x] is zero exactly for finite [x] (nan or infinite otherwise). *)
-let[@inline] finite (x : float) = x -. x = 0.0
+     threshold: a push whose bound is below the k-th best by more than
+     the margin is skipped, keeping the frontier O(live states) instead
+     of O(all partial paths). Distinctness uses a canonical-child rule —
+     when a state expands, the child realising the largest bound
+     continues the completion already counted (at the state's root or
+     first divergence), so only the other children offer new bounds —
+     and that child is pushed without the admissibility test, since its
+     chain is exactly what the threshold is made of.
 
-(* Same-file copy of {!Hb_util.Heap.Ints}: on the non-flambda compiler,
-   a float argument crossing a compilation-unit boundary is boxed even
-   under [@inline] (measured 16 B per push), and the enumeration loop
-   below pushes once per explored arc. Within one unit the attribute
-   does inline and the priorities stay unboxed, so the hot loop keeps
-   these private clones instead of the shared module. *)
-type iheap = {
-  mutable hprio : float array;
-  mutable hpayload : int array;
-  mutable hsize : int;
-}
+   The margin makes the search exact. A bound [a +. r] and the arrival
+   its completion reaches, [(a +. d1) +. ... +. dn], are two roundings of
+   one real sum: [r] folds the suffix delays right to left, the arrival
+   folds them left to right. Delays are non-negative, so every partial
+   sum of either fold lies within [scale], the largest [|launch| +.
+   remaining] over the roots, and each n-hop fold is off by at most
+   [n * 2^-53 * scale]. A bound can thus sit below its completion's
+   arrival by two such errors, and the threshold above the k-th
+   arrival by as much again. [margin = 1e-9 *. scale] covers all of it
+   for paths of up to a million hops, and admits little beyond exact
+   ties. With it, no pruned state and no state left on the frontier can
+   complete above the k-th arrival. *)
 
-let[@inline] hless h i j =
-  h.hprio.(i) < h.hprio.(j)
-  || (h.hprio.(i) = h.hprio.(j) && h.hpayload.(i) < h.hpayload.(j))
-
-let rec hsift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if hless h i parent then begin
-      let p = h.hprio.(i) and v = h.hpayload.(i) in
-      h.hprio.(i) <- h.hprio.(parent);
-      h.hpayload.(i) <- h.hpayload.(parent);
-      h.hprio.(parent) <- p;
-      h.hpayload.(parent) <- v;
-      hsift_up h parent
-    end
+(* [hoffer h ~limit x] keeps the [limit] largest priorities offered to
+   [h], whose root is then the smallest kept; returns whether one was
+   evicted. *)
+let[@inline] hoffer h ~limit priority =
+  if h.hsize < limit then begin
+    hpush h ~priority 0;
+    false
   end
-
-let[@inline] hpush h ~priority value =
-  if h.hsize = Array.length h.hprio then begin
-    let capacity = Stdlib.max 16 (2 * h.hsize) in
-    let prio = Array.make capacity 0.0 in
-    let payload = Array.make capacity 0 in
-    Array.blit h.hprio 0 prio 0 h.hsize;
-    Array.blit h.hpayload 0 payload 0 h.hsize;
-    h.hprio <- prio;
-    h.hpayload <- payload
-  end;
-  h.hprio.(h.hsize) <- priority;
-  h.hpayload.(h.hsize) <- value;
-  h.hsize <- h.hsize + 1;
-  hsift_up h (h.hsize - 1)
-
-let rec hsift_down h i =
-  let left = (2 * i) + 1 and right = (2 * i) + 2 in
-  let smallest = ref i in
-  if left < h.hsize && hless h left !smallest then smallest := left;
-  if right < h.hsize && hless h right !smallest then smallest := right;
-  if !smallest <> i then begin
-    let j = !smallest in
-    let p = h.hprio.(i) and v = h.hpayload.(i) in
-    h.hprio.(i) <- h.hprio.(j);
-    h.hpayload.(i) <- h.hpayload.(j);
-    h.hprio.(j) <- p;
-    h.hpayload.(j) <- v;
-    hsift_down h j
+  else if priority > h.hprio.(0) then begin
+    ignore (hpop h);
+    hpush h ~priority 0;
+    true
   end
-
-let[@inline] hpop h =
-  let value = h.hpayload.(0) in
-  h.hsize <- h.hsize - 1;
-  if h.hsize > 0 then begin
-    h.hprio.(0) <- h.hprio.(h.hsize);
-    h.hpayload.(0) <- h.hpayload.(h.hsize);
-    hsift_down h 0
-  end;
-  value
+  else false
 
 type scratch = {
   arena : Hb_util.Arena.t;
   frontier : iheap;                 (* live states, by negated bound *)
   topk : iheap;                     (* best completion bounds seen *)
+  kth : iheap;                      (* best completion arrivals found *)
   mutable state_net : int array;
   mutable state_parent : int array; (* -1 for root states *)
   mutable state_tag : int array;    (* root: element id; else arc index *)
@@ -321,6 +347,7 @@ let scratch_key : scratch Domain.DLS.key =
       { arena = Hb_util.Arena.create ();
         frontier = { hprio = [||]; hpayload = [||]; hsize = 0 };
         topk = { hprio = [||]; hpayload = [||]; hsize = 0 };
+        kth = { hprio = [||]; hpayload = [||]; hsize = 0 };
         state_net = [||];
         state_parent = [||];
         state_tag = [||];
@@ -374,6 +401,7 @@ let enumerate (ctx : Context.t) ~endpoint ~limit =
           done;
           s.frontier.hsize <- 0;
           s.topk.hsize <- 0;
+          s.kth.hsize <- 0;
           let states = ref 0 in
           (* The arrival is written by the caller straight into
              [state_arrival]: a float parameter here would be boxed on
@@ -405,76 +433,45 @@ let enumerate (ctx : Context.t) ~endpoint ~limit =
             incr states;
             i
           in
-          (* [offer] and [admissible] are spelled out inline below where
-             they run per arc; as local closures their float argument
-             would be boxed on every call. *)
-          let topk = s.topk in
-          Array.iter
-            (fun (terminal : Cluster.terminal) ->
-               let net = terminal.Cluster.net in
-               if finite remaining.(net) then begin
-                 let source =
-                   Elements.element elements terminal.Cluster.element
-                 in
-                 match Block.assertion_time passes source ~cut with
-                 | None -> ()
-                 | Some t ->
-                   let bound = t +. remaining.(net) in
-                   (* offer bound *)
-                   if topk.hsize < limit then hpush topk ~priority:bound 0
-                   else if bound > topk.hprio.(0) then begin
-                     ignore (hpop topk);
-                     if t_on then Stdlib.incr n_evictions;
-                     hpush topk ~priority:bound 0
-                   end;
-                   (* admissible bound *)
-                   if topk.hsize < limit || bound >= topk.hprio.(0)
-                   then begin
-                     let i =
-                       add_state ~net ~parent:(-1)
-                         ~tag:terminal.Cluster.element
-                     in
-                     s.state_arrival.(i) <- t;
-                     if t_on then Stdlib.incr n_pushes;
-                     hpush s.frontier ~priority:(-.bound) i
-                   end
-                   else if t_on then Stdlib.incr n_prunes
-               end)
-            cluster.Cluster.inputs;
-          let results = ref [] in
-          let found = ref 0 in
-          while !found < limit && s.frontier.hsize > 0 do
+          let topk = s.topk and kth = s.kth in
+          (* Every root is pushed: the margin needs the scale of all of
+             them first, and a root costs one push. *)
+          let scale = ref 0.0 in
+          let inputs = cluster.Cluster.inputs in
+          for x = 0 to Array.length inputs - 1 do
+            let { Cluster.element = source; net } = inputs.(x) in
+            let r = remaining.(net) in
+            if finite r then begin
+              match
+                Block.assertion_time passes
+                  (Elements.element elements source) ~cut
+              with
+              | None -> ()
+              | Some t ->
+                let bound = t +. r in
+                if Float.abs t +. r > !scale then scale := Float.abs t +. r;
+                if hoffer topk ~limit bound && t_on then
+                  Stdlib.incr n_evictions;
+                let i = add_state ~net ~parent:(-1) ~tag:source in
+                s.state_arrival.(i) <- t;
+                if t_on then Stdlib.incr n_pushes;
+                hpush s.frontier ~priority:(-.bound) i
+            end
+          done;
+          let margin = 1e-9 *. !scale in
+          let completions = ref [] in
+          (* After [limit] completions, states whose bound is within the
+             margin of the k-th arrival may still complete above it. *)
+          while s.frontier.hsize > 0
+                && (kth.hsize < limit
+                    || -.s.frontier.hprio.(0) +. margin >= kth.hprio.(0)) do
             let i = hpop s.frontier in
             if t_on then Stdlib.incr n_expanded;
             let net = s.state_net.(i) in
             let arrival = s.state_arrival.(i) in
             if net = end_net then begin
-              incr found;
-              let rec build j acc =
-                let hop =
-                  { net = cluster.Cluster.nets.(s.state_net.(j));
-                    via =
-                      (if s.state_parent.(j) < 0 then None
-                       else
-                         Some
-                           cluster.Cluster.arcs.(s.state_tag.(j)).Cluster.inst);
-                    at = s.state_arrival.(j);
-                  }
-                in
-                let acc = hop :: acc in
-                if s.state_parent.(j) < 0 then (s.state_tag.(j), acc)
-                else build s.state_parent.(j) acc
-              in
-              let start_element, hops = build i [] in
-              results :=
-                { start_element;
-                  end_element = endpoint;
-                  cluster = cluster_id;
-                  cut;
-                  slack = closure -. arrival;
-                  hops;
-                }
-                :: !results
+              ignore (hoffer kth ~limit arrival);
+              completions := i :: !completions
             end
             else begin
               (* The canonical child continues the completion this state
@@ -504,26 +501,20 @@ let enumerate (ctx : Context.t) ~endpoint ~limit =
                 if finite r then begin
                   let t = arrival +. arc.Cluster.dmax in
                   let b = t +. r in
-                  (* offer b — only non-canonical children count a new
+                  (* Only non-canonical children count a new
                      completion. *)
-                  if k <> !canonical then begin
-                    if topk.hsize < limit then hpush topk ~priority:b 0
-                    else if b > topk.hprio.(0) then begin
-                      ignore (hpop topk);
-                      if t_on then Stdlib.incr n_evictions;
-                      hpush topk ~priority:b 0
-                    end
-                  end;
+                  if k <> !canonical && hoffer topk ~limit b && t_on then
+                    Stdlib.incr n_evictions;
                   (* The canonical child is pushed unconditionally: it
                      continues a completion already counted in [topk],
                      and its recomputed bound can sit a ulp below the
-                     bound that was counted (the two sums associate
-                     differently), so testing it against the threshold
-                     could starve the very chains the threshold is made
-                     of. Others face the admissibility test. *)
+                     bound that was counted, so testing it against the
+                     threshold could starve the very chains the
+                     threshold is made of. Others face the admissibility
+                     test. *)
                   if k = !canonical
                   || topk.hsize < limit
-                  || b >= topk.hprio.(0)
+                  || b +. margin >= topk.hprio.(0)
                   then begin
                     let j =
                       add_state ~net:arc.Cluster.to_net ~parent:i
@@ -548,13 +539,38 @@ let enumerate (ctx : Context.t) ~endpoint ~limit =
               (float_of_int (Array.length s.state_net))
           end;
           (* Completions pop in bound order, which can invert two
-             near-equal paths by a ulp: a child bound [(a +. d) +. r]
-             and its parent's [a +. (d +. r)] associate differently. A
-             final stable sort over the <= limit survivors makes "worst
-             slack first" exact; equal slacks keep pop order. *)
-          List.stable_sort
-            (fun (a : path) (b : path) -> Float.compare a.slack b.slack)
-            (List.rev !results)
+             near-equal paths by a ulp. A stable sort on slack makes
+             "worst slack first" exact; equal slacks keep pop order.
+             Hops are materialised for the [limit] survivors only. *)
+          let ranked =
+            List.stable_sort
+              (fun i j ->
+                 Float.compare
+                   (closure -. s.state_arrival.(i))
+                   (closure -. s.state_arrival.(j)))
+              (List.rev !completions)
+          in
+          let rec build j acc =
+            let hop =
+              { net = cluster.Cluster.nets.(s.state_net.(j));
+                via =
+                  (if s.state_parent.(j) < 0 then None
+                   else Some cluster.Cluster.arcs.(s.state_tag.(j)).Cluster.inst);
+                at = s.state_arrival.(j);
+              }
+            in
+            if s.state_parent.(j) < 0 then (s.state_tag.(j), hop :: acc)
+            else build s.state_parent.(j) (hop :: acc)
+          in
+          let rec take rank = function
+            | i :: rest when rank < limit ->
+              let start_element, hops = build i [] in
+              { start_element; end_element = endpoint; cluster = cluster_id;
+                cut; slack = closure -. s.state_arrival.(i); hops }
+              :: take (rank + 1) rest
+            | _ -> []
+          in
+          take 0 ranked
       end
 
 let enumerate_many (ctx : Context.t) ~endpoints ~limit =

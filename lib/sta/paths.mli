@@ -23,10 +23,11 @@ type path = {
   hops : hop list;      (** launching net first *)
 }
 
-(** [worst_endpoints ctx slacks ~limit] lists up to [limit] element ids
-    with the smallest data-input slacks, ascending. Selected with a
-    bounded heap (no full sort); [limit <= 0] yields []. *)
-val worst_endpoints : Context.t -> Slacks.t -> limit:int -> (int * Hb_util.Time.t) list
+(** [worst_endpoints slacks ~limit] lists up to [limit] element ids
+    with the smallest data-input slacks, ascending; equal slacks list
+    the larger element id first. Selected with a bounded heap (no full
+    sort); [limit <= 0] yields []. *)
+val worst_endpoints : Slacks.t -> limit:int -> (int * Hb_util.Time.t) list
 
 (** [critical_path ctx ~endpoint] traces the single worst path converging
     on the element's data input, at the current offsets. [None] when the
@@ -52,10 +53,12 @@ val slow_paths : Context.t -> Slacks.t -> limit:int -> path list
     designer asks right after fixing the first violation.
 
     Search states live in a per-domain predecessor pool (hops are
-    materialised only for the surviving paths) and pushes whose
-    arrival-plus-remaining bound falls strictly below the k-th best known
-    completion are pruned, so the frontier stays proportional to the live
-    states actually competing for the [limit] slots. *)
+    materialised only for the returned paths) and pushes whose
+    arrival-plus-remaining bound falls below the k-th best known
+    completion by more than a rounding margin are pruned, so the frontier
+    stays proportional to the live states actually competing for the
+    [limit] slots. The rank slacks equal those of the first [limit]
+    paths of {!Reference.paths} bit for bit. *)
 val enumerate : Context.t -> endpoint:int -> limit:int -> path list
 
 (** [enumerate_many ctx ~endpoints ~limit] is [enumerate] for each

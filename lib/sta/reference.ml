@@ -16,6 +16,7 @@ exception Budget_exhausted
 type flat_arc = {
   to_net : int;
   dmax : Hb_util.Time.t;
+  inst : int;
 }
 
 let flat_arcs ~(design : Hb_netlist.Design.t) ~(delays : Delays.t) =
@@ -43,7 +44,8 @@ let flat_arcs ~(design : Hb_netlist.Design.t) ~(delays : Delays.t) =
                          ~out_net
                      in
                      succ.(in_net) <-
-                       { to_net = out_net; dmax = Hb_util.Time.max rise fall }
+                       { to_net = out_net; dmax = Hb_util.Time.max rise fall;
+                         inst }
                        :: succ.(in_net))
                 (Hb_cell.Cell.arcs_to cell ~output:out_name))
          (Hb_cell.Cell.output_pins cell))
@@ -126,3 +128,68 @@ let evaluate ?(delays = Delays.lumped) ?(max_paths = 2_000_000)
     paths_walked = !paths;
     truncated = !truncated;
   }
+
+let paths ?(delays = Delays.lumped) ?(max_paths = 1_000_000) (ctx : Context.t)
+    ~endpoint =
+  let elements = ctx.Context.elements in
+  let passes = ctx.Context.passes in
+  let cut = passes.Passes.endpoint_cut.(endpoint) in
+  match elements.Elements.reads.(endpoint) with
+  | None -> []
+  | Some _ when cut < 0 -> []
+  | Some end_net ->
+    match Block.closure_time passes (Elements.element elements endpoint) ~cut with
+    | None -> []
+    | Some closure ->
+      let succ = flat_arcs ~design:ctx.Context.design ~delays in
+      (* Reverse mark: the nets from which [end_net] can be reached. *)
+      let pred = Array.make (Array.length succ) [] in
+      Array.iteri
+        (fun net arcs ->
+           List.iter (fun arc -> pred.(arc.to_net) <- net :: pred.(arc.to_net))
+             arcs)
+        succ;
+      let reaches = Array.make (Array.length succ) false in
+      let rec mark net =
+        if not reaches.(net) then begin
+          reaches.(net) <- true;
+          List.iter mark pred.(net)
+        end
+      in
+      mark end_net;
+      let cluster = ctx.Context.table.Cluster.cluster_of_net.(end_net) in
+      let found = ref [] in
+      let count = ref 0 in
+      let rec walk start_element net arrival hops =
+        if net = end_net then begin
+          incr count;
+          if !count > max_paths then raise Budget_exhausted;
+          found :=
+            { Paths.start_element; end_element = endpoint; cluster; cut;
+              slack = closure -. arrival; hops = List.rev hops }
+            :: !found
+        end
+        else
+          List.iter
+            (fun arc ->
+               if reaches.(arc.to_net) then begin
+                 let at = arrival +. arc.dmax in
+                 walk start_element arc.to_net at
+                   ({ Paths.net = arc.to_net; via = Some arc.inst; at } :: hops)
+               end)
+            succ.(net)
+      in
+      for e = 0 to Elements.count elements - 1 do
+        match Block.assertion_time passes (Elements.element elements e) ~cut with
+        | None -> ()
+        | Some t ->
+          List.iter
+            (fun net ->
+               if reaches.(net) then
+                 walk e net t [ { Paths.net; via = None; at = t } ])
+            elements.Elements.drives.(e)
+      done;
+      List.stable_sort
+        (fun (a : Paths.path) (b : Paths.path) ->
+           Float.compare a.Paths.slack b.Paths.slack)
+        !found

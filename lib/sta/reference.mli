@@ -1,18 +1,23 @@
 (** Naive exhaustive reference evaluator — the differential-fuzzing
-    oracle.
+    oracle, and the "computationally expensive" exact path enumeration
+    the paper weighs the block method against (Section 7).
 
     Recomputes the design's terminal slacks by plain longest-path walks
     over the {e flat} netlist graph: timing arcs are re-derived directly
     from the design's instances through the delay provider, and every
     complete source-to-endpoint path is walked depth-first, left to
-    right. None of the optimised machinery is involved — no cluster
-    CSR/topology arrays, no incremental cache, no timing macros, no
-    domain pools, no arenas. Only the semantic front-end is shared with
-    the engine under test: the element table (so the verdict reflects
-    the {e current} element offsets), and the pass plan's
-    assertion/closure placement ({!Block.assertion_time} /
-    {!Block.closure_time}, {!Passes.t}[.endpoint_cut]) — those define
-    what the paper's timing model {e means}, not how it is evaluated.
+    right. {!evaluate} folds the walk into per-terminal slacks;
+    {!paths} returns the paths into one endpoint themselves, the
+    reference {!Paths.enumerate} is checked against. None of the
+    optimised machinery is involved — no cluster CSR/topology arrays, no
+    incremental cache, no timing macros, no domain pools, no arenas;
+    {!paths} reads the cluster table only to label each path with its
+    cluster. Only the semantic front-end is shared with the engine under
+    test: the element table (so the verdict reflects the {e current}
+    element offsets), and the pass plan's assertion/closure placement
+    ({!Block.assertion_time} / {!Block.closure_time},
+    {!Passes.t}[.endpoint_cut]) — those define what the paper's timing
+    model {e means}, not how it is evaluated.
 
     Because the walk folds delays strictly left to right while the
     engine's block evaluation uses source-tagged (base, accumulated)
@@ -20,8 +25,9 @@
     bit-exact; differential drivers compare with a small absolute
     tolerance (see {!Hb_workload.Fuzz}).
 
-    Path counts are exponential in the worst case; the walk is budgeted
-    and reports truncation rather than running forever. *)
+    Path counts are exponential in the worst case; both walks are
+    budgeted: {!evaluate} reports truncation, {!paths} raises
+    {!Budget_exhausted}. *)
 
 type verdict = {
   status : [ `Meets_timing | `Slow_paths ];
@@ -40,8 +46,8 @@ type verdict = {
   truncated : bool;    (** true when the [max_paths] budget ran out *)
 }
 
-(** Raised internally when the path budget runs out; {!evaluate} catches
-    it and reports [truncated = true] instead of letting it escape. *)
+(** Raised when the path budget runs out. {!evaluate} catches it and
+    reports [truncated = true]; {!paths} lets it escape. *)
 exception Budget_exhausted
 
 (** [evaluate ?delays ?max_paths ctx] walks every complete path of the
@@ -50,3 +56,17 @@ exception Budget_exhausted
     [max_paths] (default [2_000_000]) bounds the number of complete
     paths before the verdict is declared truncated. *)
 val evaluate : ?delays:Delays.t -> ?max_paths:int -> Context.t -> verdict
+
+(** [paths ?delays ?max_paths ctx ~endpoint] walks every complete path
+    into the element's data input in its assigned pass, taking only arcs
+    whose head still reaches the endpoint's read net, and returns them
+    worst slack first (tie order among equal slacks unspecified). Hops
+    and arrivals are those {!Paths.enumerate} reports for the same path,
+    bit for bit; [cluster] is read from the context's cluster table.
+    [delays] is as for {!evaluate}. [[]] when the endpoint reads no net
+    or has no pass.
+    @raise Budget_exhausted past [max_paths] (default [1_000_000])
+    complete paths. *)
+val paths :
+  ?delays:Delays.t -> ?max_paths:int -> Context.t -> endpoint:int ->
+  Paths.path list

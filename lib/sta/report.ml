@@ -25,7 +25,9 @@ let summary (report : Engine.report) =
   let ctx = report.Engine.context in
   let outcome = report.Engine.outcome in
   let stats = Hb_netlist.Stats.compute ctx.Context.design in
-  let settling = Baseline.settling_times ctx in
+  let settling =
+    Passes.settling_times ctx.Context.passes ~table:ctx.Context.table
+  in
   let buffer = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buffer) fmt in
   add "design: %s\n" ctx.Context.design.Hb_netlist.Design.design_name;
@@ -39,7 +41,7 @@ let summary (report : Engine.report) =
     (Elements.count ctx.Context.elements)
     (Array.length ctx.Context.table.Cluster.clusters);
   add "analysis passes: %d minimum (per-source-edge accounting would need %d)\n"
-    settling.Baseline.minimized_passes settling.Baseline.naive_settling_times;
+    settling.Passes.minimized_passes settling.Passes.naive_settling_times;
   (match outcome.Algorithm1.status with
    | Algorithm1.Meets_timing -> add "verdict: system behaves as intended\n"
    | Algorithm1.Slow_paths -> add "verdict: TOO-SLOW paths present\n");

@@ -293,12 +293,12 @@ let check_session_parity params ~design ~system ~delays =
     diff_reports "session-vs-fresh" final_report fresh
   end
 
-(* k-worst enumerator vs the exhaustive DFS reference, on the worst
+(* k-worst enumerator vs the exhaustive reference walk, on the worst
    endpoints of the settled analysis. *)
-let check_path_parity (report : Hb_sta.Engine.report) =
+let check_path_parity ~delays (report : Hb_sta.Engine.report) =
   let ctx = report.Hb_sta.Engine.context in
   let slacks = report.Hb_sta.Engine.outcome.Hb_sta.Algorithm1.final in
-  let endpoints = Hb_sta.Paths.worst_endpoints ctx slacks ~limit:3 in
+  let endpoints = Hb_sta.Paths.worst_endpoints slacks ~limit:3 in
   let limit = 5 in
   List.fold_left
     (fun acc (endpoint, _) ->
@@ -306,9 +306,9 @@ let check_path_parity (report : Hb_sta.Engine.report) =
        | Some _ -> acc
        | None ->
          (match
-            Hb_sta.Baseline.exhaustive_paths ctx ~endpoint ~max_paths:200_000 ()
+            Hb_sta.Reference.paths ~delays ~max_paths:200_000 ctx ~endpoint
           with
-          | exception Hb_sta.Baseline.Budget_exhausted -> None
+          | exception Hb_sta.Reference.Budget_exhausted -> None
           | exhaustive ->
             let enumerated = Hb_sta.Paths.enumerate ctx ~endpoint ~limit in
             if List.length enumerated
@@ -590,7 +590,7 @@ let run_seed ?(inject = false) seed =
   record "session-parity" (check_session_parity params ~design ~system ~delays);
   record "structural-parity"
     (check_structural_parity params ~design ~system ~delays);
-  record "path-parity" (check_path_parity flat);
+  record "path-parity" (check_path_parity ~delays flat);
   record "reference" (check_reference ~delays flat);
   (* Last: it rewrites the context's arc tables in place. *)
   record "cache-coherence"

@@ -15,8 +15,9 @@
     - {b structural-parity}: a session surviving a random structural
       ECO script vs a fresh engine on the edited design — bit-identical;
     - {b path-parity}: the zero-allocation k-worst enumerator vs the
-      exhaustive DFS reference — bit-identical rank slacks, enumerated
-      paths a subset of the exhaustive set;
+      exhaustive walk of {!Hb_sta.Reference.paths} under the same
+      annotated delays — the same path count and bit-identical rank
+      slacks;
     - {b cache-coherence}: targeted cluster invalidation after an
       in-place delay edit vs a forced full recompute — bit-identical
       (the check the [inject] sabotage makes fail);

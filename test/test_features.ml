@@ -193,7 +193,7 @@ let test_enumerate_ordering_random () =
        let paths = Hb_sta.Paths.enumerate ctx ~endpoint ~limit:20 in
        let ss = List.map (fun p -> p.Hb_sta.Paths.slack) paths in
        Alcotest.(check (list (float 1e-9))) "sorted" (List.sort compare ss) ss)
-    (Hb_sta.Paths.worst_endpoints ctx slacks ~limit:5)
+    (Hb_sta.Paths.worst_endpoints slacks ~limit:5)
 
 (* ------------------------------------------------------------------ *)
 (* Dot export                                                         *)

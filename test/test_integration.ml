@@ -78,11 +78,14 @@ let test_file_round_trip_analysis () =
 let test_figure1_settling_times () =
   let design, system = Hb_workload.Figures.figure1 () in
   let ctx = Hb_sta.Context.make ~design ~system () in
-  let settling = Hb_sta.Baseline.settling_times ctx in
+  let settling =
+    Hb_sta.Passes.settling_times ctx.Hb_sta.Context.passes
+      ~table:ctx.Hb_sta.Context.table
+  in
   let main =
     List.fold_left
       (fun acc (_, m, n) -> if n > snd acc then (m, n) else acc)
-      (0, 0) settling.Hb_sta.Baseline.per_cluster
+      (0, 0) settling.Hb_sta.Passes.per_cluster
   in
   Alcotest.(check (pair int int))
     "time-multiplexed cone: 2 passes instead of 4" (2, 4) main
@@ -280,8 +283,11 @@ let prop_soups_passes_minimal =
          Hb_workload.Soup.random ~seed:(Int64.of_int seed) ~phases ()
        in
        let ctx = Hb_sta.Context.make ~design ~system () in
-       let s = Hb_sta.Baseline.settling_times ctx in
-       s.Hb_sta.Baseline.minimized_passes <= s.Hb_sta.Baseline.naive_settling_times)
+       let s =
+         Hb_sta.Passes.settling_times ctx.Hb_sta.Context.passes
+           ~table:ctx.Hb_sta.Context.table
+       in
+       s.Hb_sta.Passes.minimized_passes <= s.Hb_sta.Passes.naive_settling_times)
 
 let prop_transfer_monotone =
   (* The proposition behind Algorithm 1: a complete slack transfer never

@@ -397,7 +397,7 @@ let test_endpoint_report () =
   let ctx = Hb_sta.Context.make ~design ~system () in
   let _ = Hb_sta.Algorithm1.run ctx in
   let slacks = Hb_sta.Slacks.compute ctx in
-  match Hb_sta.Paths.worst_endpoints ctx slacks ~limit:1 with
+  match Hb_sta.Paths.worst_endpoints slacks ~limit:1 with
   | [ (endpoint, _) ] ->
     let text = Hb_sta.Report.endpoint_report ctx ~endpoint in
     Alcotest.(check bool) "has endpoint header" true

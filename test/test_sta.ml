@@ -379,13 +379,16 @@ let test_passes_same_edge_full_period () =
 let test_passes_figure1 () =
   let design, system = Hb_workload.Figures.figure1 () in
   let ctx = context_of design system in
-  let settling = Hb_sta.Baseline.settling_times ctx in
+  let settling =
+    Hb_sta.Passes.settling_times ctx.Hb_sta.Context.passes
+      ~table:ctx.Hb_sta.Context.table
+  in
   (* The shared-cone cluster needs 2 passes where per-edge accounting
      needs 4. *)
   let best = ref (0, 0) in
   List.iter
     (fun (_, m, n) -> if n > snd !best then best := (m, n))
-    settling.Hb_sta.Baseline.per_cluster;
+    settling.Hb_sta.Passes.per_cluster;
   Alcotest.(check (pair int int)) "figure 1 cluster passes" (2, 4) !best
 
 (* ------------------------------------------------------------------ *)
@@ -774,9 +777,12 @@ let test_settling_minimized_never_worse () =
   List.iter
     (fun (design, system) ->
        let ctx = context_of design system in
-       let s = Hb_sta.Baseline.settling_times ctx in
+       let s =
+         Hb_sta.Passes.settling_times ctx.Hb_sta.Context.passes
+           ~table:ctx.Hb_sta.Context.table
+       in
        Alcotest.(check bool) "minimized <= naive" true
-         (s.Hb_sta.Baseline.minimized_passes <= s.Hb_sta.Baseline.naive_settling_times))
+         (s.Hb_sta.Passes.minimized_passes <= s.Hb_sta.Passes.naive_settling_times))
     [ Hb_workload.Figures.figure1 ();
       Hb_workload.Pipelines.two_phase ~width:4 ~stages:4 ~gates_per_stage:20 ();
       Hb_workload.Chips.sm1f ();
@@ -865,6 +871,36 @@ let test_reference_matches_block () =
       Hb_workload.Pipelines.two_phase ~width:3 ~stages:3 ~gates_per_stage:12 ();
       (ff_chain_design ~gates:4 (), single_clock ());
     ]
+
+(* [Reference.paths] folds every path as [Reference.evaluate] does, so at
+   each endpoint of a catalog chip its worst path's slack is evaluate's
+   input slack, bit for bit. DES is left out: it has over 200M paths,
+   far past any test budget. Endpoints with more than 20k paths are
+   skipped. *)
+let test_reference_paths_match_evaluate () =
+  List.iter
+    (fun name ->
+       let design, system = (Option.get (Hb_workload.Catalog.find name)) () in
+       let ctx, _ = run_algorithm1 design system in
+       let verdict = Hb_sta.Reference.evaluate ~max_paths:4_000_000 ctx in
+       Alcotest.(check bool) (name ^ ": not truncated") false
+         verdict.Hb_sta.Reference.truncated;
+       for endpoint = 0 to Hb_sta.Elements.count ctx.Hb_sta.Context.elements - 1 do
+         match Hb_sta.Reference.paths ~max_paths:20_000 ctx ~endpoint with
+         | exception Hb_sta.Reference.Budget_exhausted -> ()
+         | paths ->
+           let worst =
+             match paths with
+             | [] -> infinity
+             | p :: _ -> p.Hb_sta.Paths.slack
+           in
+           Alcotest.(check string)
+             (Printf.sprintf "%s endpoint %d" name endpoint)
+             (Printf.sprintf "%h"
+                verdict.Hb_sta.Reference.element_input_slack.(endpoint))
+             (Printf.sprintf "%h" worst)
+       done)
+    [ "alu"; "sm1f"; "sm1h"; "dsp"; "figure1"; "pipeline"; "ring" ]
 
 (* ------------------------------------------------------------------ *)
 (* Hold checks                                                        *)
@@ -1270,7 +1306,9 @@ let () =
       ("reference",
        [ Alcotest.test_case "golden ff chain" `Quick test_reference_ff_chain_golden;
          Alcotest.test_case "too slow detected" `Quick test_reference_too_slow_golden;
-         Alcotest.test_case "oracle = block" `Quick test_reference_matches_block ]);
+         Alcotest.test_case "oracle = block" `Quick test_reference_matches_block;
+         Alcotest.test_case "paths = evaluate on chips" `Quick
+           test_reference_paths_match_evaluate ]);
       ("holdcheck",
        [ Alcotest.test_case "clean designs" `Quick test_hold_clean_designs;
          Alcotest.test_case "violation injected" `Quick test_hold_violation_injected;

@@ -163,39 +163,6 @@ let prop_topo_random_dag =
        | Hb_util.Topo.Cycle _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Heap                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_heap_order () =
-  let h = Hb_util.Heap.create () in
-  List.iter (fun p -> Hb_util.Heap.push h ~priority:p p)
-    [ 5.0; 1.0; 4.0; 2.0; 3.0 ];
-  let out = List.init 5 (fun _ -> fst (Hb_util.Heap.pop h)) in
-  Alcotest.(check (list (float 0.0))) "sorted ascending"
-    [ 1.0; 2.0; 3.0; 4.0; 5.0 ] out;
-  Alcotest.(check bool) "empty after" true (Hb_util.Heap.is_empty h)
-
-let test_heap_peek () =
-  let h = Hb_util.Heap.create () in
-  Hb_util.Heap.push h ~priority:2.0 "b";
-  Hb_util.Heap.push h ~priority:1.0 "a";
-  Alcotest.(check string) "peek min" "a" (snd (Hb_util.Heap.peek h));
-  Alcotest.(check int) "length" 2 (Hb_util.Heap.length h)
-
-let test_heap_empty_pop () =
-  let h : int Hb_util.Heap.t = Hb_util.Heap.create () in
-  Alcotest.check_raises "pop raises" Not_found (fun () -> ignore (Hb_util.Heap.pop h))
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"Heap pops in priority order" ~count:200
-    QCheck.(list (float_range (-100.0) 100.0))
-    (fun priorities ->
-       let h = Hb_util.Heap.create () in
-       List.iter (fun p -> Hb_util.Heap.push h ~priority:p ()) priorities;
-       let out = List.init (List.length priorities) (fun _ -> fst (Hb_util.Heap.pop h)) in
-       out = List.sort compare priorities)
-
-(* ------------------------------------------------------------------ *)
 (* Interval                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -266,30 +233,6 @@ let test_time_boundary_comparisons () =
   Alcotest.(check bool) "le within eps" true (Hb_util.Time.le (1.0 +. 5e-10) 1.0);
   Alcotest.(check bool) "infinite not finite" false (Hb_util.Time.is_finite infinity);
   Alcotest.(check bool) "nan not finite" false (Hb_util.Time.is_finite Float.nan)
-
-let prop_heap_interleaved =
-  (* Pops interleaved with pushes always return the current minimum. *)
-  QCheck.Test.make ~name:"Heap pop returns current minimum" ~count:200
-    QCheck.(list (float_range 0.0 100.0))
-    (fun priorities ->
-       let h = Hb_util.Heap.create () in
-       let reference = ref [] in
-       List.for_all
-         (fun p ->
-            Hb_util.Heap.push h ~priority:p p;
-            reference := p :: !reference;
-            (* pop one when the count is even *)
-            if Hb_util.Heap.length h mod 2 = 0 then begin
-              let got, _ = Hb_util.Heap.pop h in
-              let expected = List.fold_left min infinity !reference in
-              reference := List.filter (fun x -> x <> expected) !reference
-                           @ List.init
-                               (List.length (List.filter (fun x -> x = expected) !reference) - 1)
-                               (fun _ -> expected);
-              Float.abs (got -. expected) < 1e-12
-            end
-            else true)
-         priorities)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry                                                          *)
@@ -785,8 +728,7 @@ let test_runtime_sampler () =
 
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest
-      [ prop_modulo_in_range; prop_topo_random_dag; prop_heap_sorts;
-        prop_heap_interleaved ]
+      [ prop_modulo_in_range; prop_topo_random_dag ]
   in
   Alcotest.run "hb_util"
     [ ("time",
@@ -805,10 +747,6 @@ let () =
          Alcotest.test_case "cycle" `Quick test_topo_cycle;
          Alcotest.test_case "self loop" `Quick test_topo_self_loop;
          Alcotest.test_case "empty" `Quick test_topo_empty ]);
-      ("heap",
-       [ Alcotest.test_case "order" `Quick test_heap_order;
-         Alcotest.test_case "peek" `Quick test_heap_peek;
-         Alcotest.test_case "empty pop" `Quick test_heap_empty_pop ]);
       ("interval",
        [ Alcotest.test_case "basics" `Quick test_interval_basics;
          Alcotest.test_case "point" `Quick test_interval_point;
