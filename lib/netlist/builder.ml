@@ -1,5 +1,3 @@
-module String_map = Map.Make (String)
-
 type pending_instance = {
   p_name : string;
   p_cell : Hb_cell.Cell.t;
@@ -18,8 +16,9 @@ type t = {
   lib : Hb_cell.Library.t;
   mutable ports : pending_port list;    (* reversed *)
   mutable instances : pending_instance list;  (* reversed *)
-  mutable port_names : unit String_map.t;
-  mutable instance_names : unit String_map.t;
+  (* Names seen so far, for the duplicate checks; only ever probed. *)
+  port_names : (string, unit) Hashtbl.t;
+  instance_names : (string, unit) Hashtbl.t;
   mutable wire_cap : float;
 }
 
@@ -28,21 +27,21 @@ let create ~name ~library =
     lib = library;
     ports = [];
     instances = [];
-    port_names = String_map.empty;
-    instance_names = String_map.empty;
+    port_names = Hashtbl.create 64;
+    instance_names = Hashtbl.create 1024;
     wire_cap = 0.015;
   }
 
 let library t = t.lib
 
 let add_port t ~name ~direction ~is_clock =
-  if String_map.mem name t.port_names then
+  if Hashtbl.mem t.port_names name then
     invalid_arg (Printf.sprintf "Builder.add_port: duplicate port %s" name);
-  t.port_names <- String_map.add name () t.port_names;
+  Hashtbl.replace t.port_names name ();
   t.ports <- { q_name = name; q_direction = direction; q_is_clock = is_clock } :: t.ports
 
 let add_instance_of_cell t ?(module_path = "") ~name ~cell ~connections () =
-  if String_map.mem name t.instance_names then
+  if Hashtbl.mem t.instance_names name then
     invalid_arg (Printf.sprintf "Builder.add_instance: duplicate instance %s" name);
   List.iter
     (fun (pin, _) ->
@@ -53,7 +52,7 @@ let add_instance_of_cell t ?(module_path = "") ~name ~cell ~connections () =
            (Printf.sprintf "Builder.add_instance: %s has no pin %s"
               cell.Hb_cell.Cell.name pin))
     connections;
-  t.instance_names <- String_map.add name () t.instance_names;
+  Hashtbl.replace t.instance_names name ();
   t.instances <-
     { p_name = name; p_cell = cell; p_connections = connections;
       p_module_path = module_path }
@@ -68,6 +67,15 @@ let set_wire_capacitance_per_load t cap =
   if cap < 0.0 then invalid_arg "Builder.set_wire_capacitance_per_load: negative";
   t.wire_cap <- cap
 
+(* The cell's own string for pin [name], which [add_instance] checked it
+   has: every instance of a cell then shares one string per pin name,
+   where a parsed netlist would hold a copy per connection. *)
+let rec own_pin name = function
+  | [] -> name
+  | (p : Hb_cell.Cell.pin) :: rest ->
+    if String.equal p.Hb_cell.Cell.pin_name name then p.Hb_cell.Cell.pin_name
+    else own_pin name rest
+
 type net_accum = {
   mutable drivers : Design.endpoint list;
   mutable loads : Design.endpoint list;
@@ -79,16 +87,16 @@ let freeze t =
   let ports = Array.of_list (List.rev t.ports) in
   let pending = Array.of_list (List.rev t.instances) in
   (* Assign net ids in first-mention order. *)
-  let net_ids = ref String_map.empty in
+  let net_ids = Hashtbl.create (2 * Array.length pending + 16) in
   let net_names = ref [] in
   let net_count = ref 0 in
   let net_id name =
-    match String_map.find_opt name !net_ids with
-    | Some id -> id
-    | None ->
+    match Hashtbl.find net_ids name with
+    | id -> id
+    | exception Not_found ->
       let id = !net_count in
       incr net_count;
-      net_ids := String_map.add name id !net_ids;
+      Hashtbl.add net_ids name id;
       net_names := name :: !net_names;
       id
   in
@@ -99,7 +107,11 @@ let freeze t =
       (fun p ->
          { Design.inst_name = p.p_name;
            cell = p.p_cell;
-           connections = List.map (fun (pin, net) -> (pin, net_id net)) p.p_connections;
+           connections =
+             List.map
+               (fun (pin, net) ->
+                  (own_pin pin p.p_cell.Hb_cell.Cell.pins, net_id net))
+               p.p_connections;
            module_path = p.p_module_path;
          })
       pending

@@ -29,6 +29,7 @@ type t = {
   instances : instance array;
   nets : net array;
   ports : port array;
+  port_net : int array;
 }
 
 let instance_count t = Array.length t.instances
@@ -42,18 +43,10 @@ let net_of_pin t ~inst ~pin =
   List.assoc_opt pin t.instances.(inst).connections
 
 let net_of_port t port_id =
-  let matches = function
-    | Port p -> p = port_id
-    | Pin _ -> false
-  in
-  let found = ref None in
-  Array.iteri
-    (fun i n ->
-       if !found = None
-       && (List.exists matches n.drivers || List.exists matches n.loads)
-       then found := Some i)
-    t.nets;
-  !found
+  if port_id < 0 || port_id >= Array.length t.port_net then None
+  else
+    let net = t.port_net.(port_id) in
+    if net < 0 then None else Some net
 
 let find_by_name get count t name =
   let rec loop i =
@@ -96,5 +89,23 @@ let pp_endpoint t ppf = function
 
 let endpoint_to_string t e = Format.asprintf "%a" (pp_endpoint t) e
 
+(* Record net [i] against every port among [endpoints] that no lower net
+   claimed. *)
+let rec claim_ports port_net i = function
+  | [] -> ()
+  | Port p :: rest ->
+    if port_net.(p) < 0 then port_net.(p) <- i;
+    claim_ports port_net i rest
+  | Pin _ :: rest -> claim_ports port_net i rest
+
 let unsafe_make ~design_name ~instances ~nets ~ports =
-  { design_name; instances; nets; ports }
+  (* One walk in net order, so a port on several nets maps to the lowest,
+     as a first-match scan over the nets would find it. *)
+  let port_net = Array.make (Array.length ports) (-1) in
+  for i = 0 to Array.length nets - 1 do
+    claim_ports port_net i nets.(i).drivers;
+    claim_ports port_net i nets.(i).loads
+  done;
+  { design_name; instances; nets; ports; port_net }
+
+let unsafe_update t ~instances ~nets = { t with instances; nets }

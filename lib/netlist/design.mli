@@ -46,6 +46,9 @@ type t = private {
   instances : instance array;
   nets : net array;
   ports : port array;
+  port_net : int array;
+      (** port id → the lowest net with the port among its endpoints, or
+          [-1]; filled by {!unsafe_make} in one walk over the nets *)
 }
 
 (** [instance_count t], [net_count t], [port_count t]. *)
@@ -60,7 +63,9 @@ val port : t -> int -> port
 (** [net_of_pin t ~inst ~pin] is the net connected to the pin, if any. *)
 val net_of_pin : t -> inst:int -> pin:string -> int option
 
-(** [net_of_port t port_id] is the net attached to the port, if any. *)
+(** [net_of_port t port_id] is the net attached to the port, if any
+    (the lowest-numbered one should several list it). O(1): a lookup in
+    [port_net]. *)
 val net_of_port : t -> int -> int option
 
 (** [find_instance t name] / [find_port t name] look up by name. *)
@@ -82,10 +87,15 @@ val pp_endpoint : t -> Format.formatter -> endpoint -> unit
 
 val endpoint_to_string : t -> endpoint -> string
 
-(** Used by {!Builder} only. *)
+(** Used by {!Builder} only. Walks the nets once to fill [port_net]. *)
 val unsafe_make :
   design_name:string ->
   instances:instance array ->
   nets:net array ->
   ports:port array ->
   t
+
+(** Used by {!Structural} only: [t] with new instance and net arrays, for
+    an edit that leaves every port on the nets it was on. [ports] and
+    [port_net] are kept, so an edit costs no walk over the nets. *)
+val unsafe_update : t -> instances:instance array -> nets:net array -> t

@@ -4,7 +4,9 @@
    the input. Instance and net ids never shift: new instances and nets
    are appended, removed instances become tombstones (empty connection
    list, endpoints stripped from their nets). Keeping ids stable is what
-   lets the analysis layer rebuild only the clusters an edit touched. *)
+   lets the analysis layer rebuild only the clusters an edit touched.
+   No edit adds, drops or moves a [Port] endpoint, so every result keeps
+   its input's port table ([Design.unsafe_update]). *)
 
 (* Builder's default wire estimate; every design in the system is frozen
    through Builder, so recomputing a net's load with this formula
@@ -156,8 +158,7 @@ let insert_buffer design ~net ~cell ?inst_name ?net_name () =
         [ Design.Pin { inst = inst_id;
                        pin = out_pin.Hb_cell.Cell.pin_name } ] };
   refresh_caps instances nets [ new_net_id ];
-  Design.unsafe_make ~design_name:design.Design.design_name
-    ~instances ~nets ~ports:design.Design.ports
+  Design.unsafe_update design ~instances ~nets
 
 let resize_gate design ~inst ~cell =
   let record = check_instance "resize_gate" design inst in
@@ -205,8 +206,7 @@ let resize_gate design ~inst ~cell =
       record.Design.connections
   in
   refresh_caps instances nets touched;
-  Design.unsafe_make ~design_name:design.Design.design_name
-    ~instances ~nets ~ports:design.Design.ports
+  Design.unsafe_update design ~instances ~nets
 
 let remove_gate design ~inst =
   let record = check_instance "remove_gate" design inst in
@@ -227,20 +227,22 @@ let remove_gate design ~inst =
            loads = List.filter keep net.Design.loads })
     (List.sort_uniq compare touched);
   refresh_caps instances nets touched;
-  Design.unsafe_make ~design_name:design.Design.design_name
-    ~instances ~nets ~ports:design.Design.ports
+  Design.unsafe_update design ~instances ~nets
 
 let rewire_pin design ~inst ~pin ~net =
   let record = check_instance "rewire_pin" design inst in
   ignore (check_net "rewire_pin" design net : Design.net);
-  let role =
+  let cell_pin =
     match Hb_cell.Cell.find_pin record.Design.cell pin with
-    | Some p -> p.Hb_cell.Cell.role
+    | Some p -> p
     | None ->
       fail "Structural.rewire_pin: %s has no pin %s" record.Design.inst_name
         pin
   in
-  if role = Hb_cell.Cell.Data_out then
+  (* The cell's own string names the moved endpoint, as Builder names
+     every other one. *)
+  let pin = cell_pin.Hb_cell.Cell.pin_name in
+  if cell_pin.Hb_cell.Cell.role = Hb_cell.Cell.Data_out then
     fail "Structural.rewire_pin: %s.%s is an output pin"
       record.Design.inst_name pin;
   let old_net =
@@ -270,5 +272,4 @@ let rewire_pin design ~inst ~pin ~net =
   let into = nets.(net) in
   nets.(net) <- { into with Design.loads = into.Design.loads @ [ endpoint ] };
   refresh_caps instances nets [ old_net; net ];
-  Design.unsafe_make ~design_name:design.Design.design_name
-    ~instances ~nets ~ports:design.Design.ports
+  Design.unsafe_update design ~instances ~nets

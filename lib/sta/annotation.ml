@@ -56,14 +56,14 @@ let parse_file path =
 let empty = []
 let count t = List.length t
 
-let apply t ~base =
-  { Delays.name = base.Delays.name ^ "+annotations";
+let overlay ~suffix overrides ~base =
+  { Delays.name = base.Delays.name ^ suffix;
     evaluate =
       (fun ~design ~inst ~arc ~out_net ->
          let inst_name =
            (Hb_netlist.Design.instance design inst).Hb_netlist.Design.inst_name
          in
-         match List.assoc_opt inst_name t with
+         match Hashtbl.find_opt overrides inst_name with
          | Some (Fixed { rise; fall }) -> (rise, fall)
          | Some (Scaled f) ->
            let rise, fall =
@@ -73,11 +73,22 @@ let apply t ~base =
          | None -> base.Delays.evaluate ~design ~inst ~arc ~out_net);
   }
 
+(* Entries go into the table last to first, so the first entry for an
+   instance wins, as a list lookup would find it. *)
+let apply t ~base =
+  let overrides = Hashtbl.create (2 * List.length t + 1) in
+  List.iter (fun (name, entry) -> Hashtbl.replace overrides name entry)
+    (List.rev t);
+  overlay ~suffix:"+annotations" overrides ~base
+
 let unused t ~design =
+  let names = Hashtbl.create (2 * Hb_netlist.Design.instance_count design + 1) in
+  for i = 0 to Hb_netlist.Design.instance_count design - 1 do
+    Hashtbl.replace names
+      (Hb_netlist.Design.instance design i).Hb_netlist.Design.inst_name ()
+  done;
   List.filter_map
     (fun (inst_name, _) ->
-       match Hb_netlist.Design.find_instance design inst_name with
-       | Some _ -> None
-       | None -> Some inst_name)
+       if Hashtbl.mem names inst_name then None else Some inst_name)
     t
   |> List.sort_uniq String.compare

@@ -47,9 +47,19 @@ val empty : t
 val count : t -> int
 
 (** [apply t ~base] wraps [base] so annotated instances get their
-    overridden delays. *)
+    overridden delays; the first entry for an instance wins. The entries
+    go into one name table when the provider is made, so an arc
+    evaluation costs one lookup whatever the number of entries. *)
 val apply : t -> base:Delays.t -> Delays.t
 
+(** [overlay ~suffix overrides ~base] is the provider {!apply} makes,
+    over a table the caller owns and may keep editing: an instance named
+    in [overrides] gets its entry's delays, read on every evaluation.
+    The provider's name is [base]'s plus [suffix]. *)
+val overlay :
+  suffix:string -> (string, entry) Hashtbl.t -> base:Delays.t -> Delays.t
+
 (** [unused t ~design] lists annotated instance names that do not occur in
-    [design] — usually a sign of a stale annotation file. *)
+    [design] — usually a sign of a stale annotation file. One name table
+    of the design serves every entry. *)
 val unused : t -> design:Hb_netlist.Design.t -> string list

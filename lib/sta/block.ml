@@ -70,7 +70,9 @@ let evaluate_into ~passes ~elements ~(cluster : Cluster.t) ~cut ~mode
   let arc_from = cluster.Cluster.arc_from in
   let arc_dmax = cluster.Cluster.arc_dmax in
   let arc_dmin = cluster.Cluster.arc_dmin in
-  let arcs = cluster.Cluster.arcs in
+  let arc_rise = cluster.Cluster.arc_rise in
+  let arc_fall = cluster.Cluster.arc_fall in
+  let arc_sense = cluster.Cluster.arc_sense in
   let topo = cluster.Cluster.topo in
   let inputs = cluster.Cluster.inputs in
   let outputs = cluster.Cluster.outputs in
@@ -193,26 +195,26 @@ let evaluate_into ~passes ~elements ~(cluster : Cluster.t) ~cut ~mode
       let worst = if rise >= fall then rise else fall in
       if Float.is_finite rise || Float.is_finite fall then
         for k = succ_off.(net) to succ_off.(net + 1) - 1 do
-          let arc = arcs.(succ_arc.(k)) in
-          let to_net = arc.Cluster.to_net in
+          let j = succ_arc.(k) in
+          let to_net = arc_to.(j) in
           let in_for_rise =
-            match arc.Cluster.sense with
+            match arc_sense.(j) with
             | `Positive -> rise
             | `Negative -> fall
             | `Non_unate -> worst
           in
           let in_for_fall =
-            match arc.Cluster.sense with
+            match arc_sense.(j) with
             | `Positive -> fall
             | `Negative -> rise
             | `Non_unate -> worst
           in
           if Float.is_finite in_for_rise then begin
-            let t = in_for_rise +. arc.Cluster.rise in
+            let t = in_for_rise +. arc_rise.(j) in
             if t > ready_rise.(to_net) then ready_rise.(to_net) <- t
           end;
           if Float.is_finite in_for_fall then begin
-            let t = in_for_fall +. arc.Cluster.fall in
+            let t = in_for_fall +. arc_fall.(j) in
             if t > ready_fall.(to_net) then ready_fall.(to_net) <- t
           end
         done

@@ -1,31 +1,24 @@
-type arc = {
-  from_net : int;
-  to_net : int;
-  dmax : Hb_util.Time.t;
-  dmin : Hb_util.Time.t;
-  rise : Hb_util.Time.t;
-  fall : Hb_util.Time.t;
-  sense : [ `Positive | `Negative | `Non_unate ];
-  inst : int;
-}
-
 type terminal = {
   element : int;
   net : int;
 }
 
+(* Arcs are held as flat arrays indexed by arc id, one per attribute: a
+   float array stores its floats unboxed, so an arc costs eight words and
+   no heap block of its own, and the sweeps in Block, Macro, Holdcheck
+   and Paths read them without chasing a pointer. *)
 type t = {
   id : int;
   nets : int array;
   members : int list;
-  arcs : arc array;
-  (* Structure-of-arrays mirror of [arcs], indexed by arc id. The hot
-     sweeps in Block and Macro read these flat arrays instead of chasing
-     boxed arc records; every arc mutation must write both views. *)
   arc_from : int array;
   arc_to : int array;
   arc_dmax : float array;
   arc_dmin : float array;
+  arc_rise : float array;
+  arc_fall : float array;
+  arc_sense : [ `Positive | `Negative | `Non_unate ] array;
+  arc_inst : int array;
   succ_off : int array;
   succ_arc : int array;
   pred_off : int array;
@@ -34,21 +27,6 @@ type t = {
   inputs : terminal array;
   outputs : terminal array;
 }
-
-let soa_of_arcs (arcs : arc array) =
-  let m = Array.length arcs in
-  let arc_from = Array.make m 0 in
-  let arc_to = Array.make m 0 in
-  let arc_dmax = Array.make m 0.0 in
-  let arc_dmin = Array.make m 0.0 in
-  for i = 0 to m - 1 do
-    let arc = arcs.(i) in
-    arc_from.(i) <- arc.from_net;
-    arc_to.(i) <- arc.to_net;
-    arc_dmax.(i) <- arc.dmax;
-    arc_dmin.(i) <- arc.dmin
-  done;
-  (arc_from, arc_to, arc_dmax, arc_dmin)
 
 let iter_succ cluster net ~f =
   for k = cluster.succ_off.(net) to cluster.succ_off.(net + 1) - 1 do
@@ -90,6 +68,106 @@ let rec union_all parent first = function
   | (_, net) :: rest ->
     union parent first net;
     union_all parent first rest
+
+(* The net [pin] is on in an instance's connection list, or [-1]:
+   [Design.net_of_pin] without its option. *)
+let rec pin_net pin = function
+  | [] -> -1
+  | (p, net) :: rest -> if String.equal p pin then net else pin_net pin rest
+
+(* Apply [f inst arc in_net out_net] (global nets) to every graph arc
+   instance [inst] contributes, in extraction order: each connected
+   output pin in the cell's pin order, then each of the cell's timing
+   arcs into that pin whose input pin is connected, in the cell's arc
+   order. The walk reads the cell's own lists and allocates nothing. *)
+let rec arcs_into f inst connections out_pin out_net = function
+  | [] -> ()
+  | (arc : Hb_cell.Cell.timing_arc) :: rest ->
+    if String.equal arc.Hb_cell.Cell.to_pin out_pin then begin
+      let in_net = pin_net arc.Hb_cell.Cell.from_pin connections in
+      if in_net >= 0 then f inst arc in_net out_net
+    end;
+    arcs_into f inst connections out_pin out_net rest
+
+let rec outputs_of f inst connections timing_arcs = function
+  | [] -> ()
+  | (pin : Hb_cell.Cell.pin) :: rest ->
+    (match pin.Hb_cell.Cell.role with
+     | Hb_cell.Cell.Data_out ->
+       let out_net = pin_net pin.Hb_cell.Cell.pin_name connections in
+       if out_net >= 0 then
+         arcs_into f inst connections pin.Hb_cell.Cell.pin_name out_net
+           timing_arcs
+     | Hb_cell.Cell.Data_in | Hb_cell.Cell.Control_in -> ());
+    outputs_of f inst connections timing_arcs rest
+
+let iter_instance_arcs f inst (record : Hb_netlist.Design.instance) =
+  let cell = record.Hb_netlist.Design.cell in
+  match cell.Hb_cell.Cell.timing with
+  | Hb_cell.Cell.Sync_timing _ -> ()
+  | Hb_cell.Cell.Comb_timing timing_arcs ->
+    outputs_of f inst record.Hb_netlist.Design.connections timing_arcs
+      cell.Hb_cell.Cell.pins
+
+let cell_sense (cell : Hb_cell.Cell.t) =
+  match cell.Hb_cell.Cell.kind with
+  | Hb_cell.Kind.Comb comb -> Hb_cell.Kind.unate_sense comb
+  | Hb_cell.Kind.Sync _ -> `Non_unate
+
+(* The arc arrays of one cluster while {!extract} fills them. *)
+type arc_arrays = {
+  a_from : int array;
+  a_to : int array;
+  a_dmax : float array;
+  a_dmin : float array;
+  a_rise : float array;
+  a_fall : float array;
+  a_sense : [ `Positive | `Negative | `Non_unate ] array;
+  a_inst : int array;
+}
+
+let arc_arrays m =
+  { a_from = Array.make m 0;
+    a_to = Array.make m 0;
+    a_dmax = Array.make m 0.0;
+    a_dmin = Array.make m 0.0;
+    a_rise = Array.make m 0.0;
+    a_fall = Array.make m 0.0;
+    a_sense = Array.make m `Non_unate;
+    a_inst = Array.make m 0;
+  }
+
+let no_arcs = arc_arrays 0
+
+(* The cluster of an instance's first connection, or [-1]. *)
+let instance_cluster cluster_of_net (record : Hb_netlist.Design.instance) =
+  match record.Hb_netlist.Design.connections with
+  | (_, net) :: _ -> cluster_of_net.(net)
+  | [] -> -1
+
+(* Flat compressed-sparse-row adjacency over [n] local nets, keyed by
+   [key] (an arc's source or sink net): [off] has [n + 1] entries and the
+   arc ids adjacent to local net [v] sit in [idx] at
+   [off.(v) .. off.(v + 1) - 1]. Buckets are filled from the back, so
+   within a net the order is descending arc id — the order the former
+   cons-built adjacency lists were traversed in. *)
+let csr ~n ~key =
+  let m = Array.length key in
+  let off = Array.make (n + 1) 0 in
+  for i = 0 to m - 1 do
+    off.(key.(i) + 1) <- off.(key.(i) + 1) + 1
+  done;
+  for v = 1 to n do
+    off.(v) <- off.(v) + off.(v - 1)
+  done;
+  let idx = Array.make m 0 in
+  let cursor = Array.sub off 0 (Stdlib.max n 1) in
+  for i = m - 1 downto 0 do
+    let v = key.(i) in
+    idx.(cursor.(v)) <- i;
+    cursor.(v) <- cursor.(v) + 1
+  done;
+  (off, idx)
 
 let extract ~design ~elements ?(delays = Delays.lumped) ?reuse () =
   let net_count = Hb_netlist.Design.net_count design in
@@ -162,58 +240,58 @@ let extract ~design ~elements ?(delays = Delays.lumped) ?reuse () =
        end
      done);
   let fresh c = reused.(c) = None in
-  (* Members and arcs. *)
+  (* Members and arcs of the clusters built afresh, in two walks over
+     their instances: the first counts each cluster's arcs, the second
+     writes every arc straight into its cluster's arrays, with
+     [arc_count] reset to serve as the write cursor. Every arc of an
+     instance lies in the instance's cluster, the cluster of its output
+     net. A kept cluster costs neither walk anything. *)
+  let comb_instances = Hb_netlist.Design.comb_instances design in
   let members = Array.make !cluster_count [] in
-  let rev_arcs = Array.make !cluster_count [] in
+  let arc_count = Array.make !cluster_count 0 in
+  let count_arc _ _ _ out_net =
+    let c = cluster_of_net.(out_net) in
+    arc_count.(c) <- arc_count.(c) + 1
+  in
   List.iter
     (fun inst ->
        let record = Hb_netlist.Design.instance design inst in
-       let cell = record.Hb_netlist.Design.cell in
-       let cluster =
-         match record.Hb_netlist.Design.connections with
-         | (_, net) :: _ -> cluster_of_net.(net)
-         | [] -> -1
-       in
-       if cluster >= 0 && fresh cluster then begin
-         members.(cluster) <- inst :: members.(cluster);
-         let sense =
-           match cell.Hb_cell.Cell.kind with
-           | Hb_cell.Kind.Comb comb -> Hb_cell.Kind.unate_sense comb
-           | Hb_cell.Kind.Sync _ -> `Non_unate
-         in
-         List.iter
-           (fun out_pin ->
-              let out_name = out_pin.Hb_cell.Cell.pin_name in
-              match Hb_netlist.Design.net_of_pin design ~inst ~pin:out_name with
-              | None -> ()
-              | Some out_net ->
-                List.iter
-                  (fun (cell_arc : Hb_cell.Cell.timing_arc) ->
-                     match
-                       Hb_netlist.Design.net_of_pin design ~inst
-                         ~pin:cell_arc.Hb_cell.Cell.from_pin
-                     with
-                     | None -> ()
-                     | Some in_net ->
-                       let rise, fall =
-                         delays.Delays.evaluate ~design ~inst ~arc:cell_arc
-                           ~out_net
-                       in
-                       rev_arcs.(cluster) <-
-                         { from_net = local_of_net.(in_net);
-                           to_net = local_of_net.(out_net);
-                           dmax = Hb_util.Time.max rise fall;
-                           dmin = Hb_util.Time.min rise fall;
-                           rise;
-                           fall;
-                           sense;
-                           inst;
-                         }
-                         :: rev_arcs.(cluster))
-                  (Hb_cell.Cell.arcs_to cell ~output:out_name))
-           (Hb_cell.Cell.output_pins cell)
+       let c = instance_cluster cluster_of_net record in
+       if c >= 0 && fresh c then begin
+         members.(c) <- inst :: members.(c);
+         iter_instance_arcs count_arc inst record
        end)
-    (Hb_netlist.Design.comb_instances design);
+    comb_instances;
+  let arcs = Array.make !cluster_count no_arcs in
+  for c = 0 to !cluster_count - 1 do
+    if fresh c then begin
+      arcs.(c) <- arc_arrays arc_count.(c);
+      arc_count.(c) <- 0
+    end
+  done;
+  let write_arc inst arc in_net out_net =
+    let c = cluster_of_net.(out_net) in
+    let a = arcs.(c) and j = arc_count.(c) in
+    let rise, fall = delays.Delays.evaluate ~design ~inst ~arc ~out_net in
+    a.a_from.(j) <- local_of_net.(in_net);
+    a.a_to.(j) <- local_of_net.(out_net);
+    a.a_rise.(j) <- rise;
+    a.a_fall.(j) <- fall;
+    (* Hb_util.Time.max and min, spelled out: a call across modules
+       would box both results under [-opaque]. *)
+    a.a_dmax.(j) <- (if rise >= fall then rise else fall);
+    a.a_dmin.(j) <- (if rise <= fall then rise else fall);
+    a.a_sense.(j) <-
+      cell_sense (Hb_netlist.Design.instance design inst).Hb_netlist.Design.cell;
+    a.a_inst.(j) <- inst;
+    arc_count.(c) <- j + 1
+  in
+  List.iter
+    (fun inst ->
+       let record = Hb_netlist.Design.instance design inst in
+       let c = instance_cluster cluster_of_net record in
+       if c >= 0 && fresh c then iter_instance_arcs write_arc inst record)
+    comb_instances;
   (* Terminals from the element table. *)
   let rev_inputs = Array.make !cluster_count [] in
   let rev_outputs = Array.make !cluster_count [] in
@@ -236,42 +314,22 @@ let extract ~design ~elements ?(delays = Delays.lumped) ?reuse () =
            :: rev_outputs.(cluster_of_net.(net))
      | None -> ())
   done;
-  (* Flat compressed-sparse-row adjacency: [off] has [n + 1] entries and
-     arc indices adjacent to local net [v] sit in [idx] at
-     [off.(v) .. off.(v + 1) - 1]. Buckets are filled from the back so
-     the within-net order is descending arc index — the same order the
-     former cons-built adjacency lists were traversed in. *)
-  let csr ~n ~(arcs : arc array) ~key =
-    let m = Array.length arcs in
-    let off = Array.make (n + 1) 0 in
-    Array.iter (fun arc -> off.(key arc + 1) <- off.(key arc + 1) + 1) arcs;
-    for v = 1 to n do
-      off.(v) <- off.(v) + off.(v - 1)
-    done;
-    let idx = Array.make m 0 in
-    let cursor = Array.sub off 0 (Stdlib.max n 1) in
-    for i = m - 1 downto 0 do
-      let v = key arcs.(i) in
-      idx.(cursor.(v)) <- i;
-      cursor.(v) <- cursor.(v) + 1
-    done;
-    (off, idx)
-  in
   let clusters =
     Array.init !cluster_count (fun c ->
         match reused.(c) with
         | Some cluster -> cluster
         | None ->
-        let arcs = Array.of_list (List.rev rev_arcs.(c)) in
         let n = sizes.(c) in
-        let succ_off, succ_arc = csr ~n ~arcs ~key:(fun arc -> arc.from_net) in
-        let pred_off, pred_arc = csr ~n ~arcs ~key:(fun arc -> arc.to_net) in
+        let a = arcs.(c) in
+        let arc_to = a.a_to in
+        let succ_off, succ_arc = csr ~n ~key:a.a_from in
+        let pred_off, pred_arc = csr ~n ~key:arc_to in
         let topo =
           match
             Hb_util.Topo.sort ~nodes:n
               ~successors:(fun v ->
                   List.init (succ_off.(v + 1) - succ_off.(v)) (fun k ->
-                      arcs.(succ_arc.(succ_off.(v) + k)).to_net))
+                      arc_to.(succ_arc.(succ_off.(v) + k))))
           with
           | Hb_util.Topo.Sorted order -> order
           | Hb_util.Topo.Cycle cycle ->
@@ -288,15 +346,17 @@ let extract ~design ~elements ?(delays = Delays.lumped) ?reuse () =
                  (Printf.sprintf
                     "combinational cycle in cluster %d: %s" c path))
         in
-        let arc_from, arc_to, arc_dmax, arc_dmin = soa_of_arcs arcs in
         { id = c;
           nets = nets.(c);
           members = List.rev members.(c);
-          arcs;
-          arc_from;
+          arc_from = a.a_from;
           arc_to;
-          arc_dmax;
-          arc_dmin;
+          arc_dmax = a.a_dmax;
+          arc_dmin = a.a_dmin;
+          arc_rise = a.a_rise;
+          arc_fall = a.a_fall;
+          arc_sense = a.a_sense;
+          arc_inst = a.a_inst;
           succ_off;
           succ_arc;
           pred_off;
@@ -308,13 +368,18 @@ let extract ~design ~elements ?(delays = Delays.lumped) ?reuse () =
   in
   { clusters; cluster_of_net; local_of_net }
 
-let refresh_arc ~caller ~design ~delays (cluster : t) arc =
-  if arc.inst < 0 || arc.inst >= Hb_netlist.Design.instance_count design
+(* Re-evaluate arc [j] of [cluster] against [design] and write its delays
+   at index [j] of [rise], [fall], [dmax] and [dmin] (the cluster's own
+   arrays, or fresh copies of them). *)
+let refresh_arc ~caller ~design ~delays (cluster : t) j ~rise:rise_out
+    ~fall:fall_out ~dmax ~dmin =
+  let inst = cluster.arc_inst.(j) in
+  if inst < 0 || inst >= Hb_netlist.Design.instance_count design
   then invalid_arg (Printf.sprintf "Cluster.%s: instance out of range" caller);
-  let record = Hb_netlist.Design.instance design arc.inst in
+  let record = Hb_netlist.Design.instance design inst in
   let cell = record.Hb_netlist.Design.cell in
-  let from_global = cluster.nets.(arc.from_net) in
-  let to_global = cluster.nets.(arc.to_net) in
+  let from_global = cluster.nets.(cluster.arc_from.(j)) in
+  let to_global = cluster.nets.(cluster.arc_to.(j)) in
   (* Every timing arc of the instance joining the same net pair;
      with several (a net feeding two pins) take the worst — equal
      to extraction's effect of emitting one graph arc per pin. *)
@@ -323,20 +388,20 @@ let refresh_arc ~caller ~design ~delays (cluster : t) arc =
   List.iter
     (fun out_pin ->
        if
-         Hb_netlist.Design.net_of_pin design ~inst:arc.inst
+         Hb_netlist.Design.net_of_pin design ~inst
            ~pin:out_pin.Hb_cell.Cell.pin_name
          = Some to_global
        then
          List.iter
            (fun (cell_arc : Hb_cell.Cell.timing_arc) ->
               if
-                Hb_netlist.Design.net_of_pin design ~inst:arc.inst
+                Hb_netlist.Design.net_of_pin design ~inst
                   ~pin:cell_arc.Hb_cell.Cell.from_pin
                 = Some from_global
               then begin
                 let r, f =
-                  delays.Delays.evaluate ~design ~inst:arc.inst
-                    ~arc:cell_arc ~out_net:to_global
+                  delays.Delays.evaluate ~design ~inst ~arc:cell_arc
+                    ~out_net:to_global
                 in
                 if r > !rise then rise := r;
                 if f > !fall then fall := f
@@ -344,27 +409,29 @@ let refresh_arc ~caller ~design ~delays (cluster : t) arc =
            (Hb_cell.Cell.arcs_to cell
               ~output:out_pin.Hb_cell.Cell.pin_name))
     (Hb_cell.Cell.output_pins cell);
-  if not (Hb_util.Time.is_finite !rise && Hb_util.Time.is_finite !fall)
+  let rise = !rise and fall = !fall in
+  if not (Hb_util.Time.is_finite rise && Hb_util.Time.is_finite fall)
   then
     invalid_arg
       (Printf.sprintf "Cluster.%s: arc of %s no longer present" caller
          record.Hb_netlist.Design.inst_name);
-  { arc with
-    rise = !rise;
-    fall = !fall;
-    dmax = Hb_util.Time.max !rise !fall;
-    dmin = Hb_util.Time.min !rise !fall;
-  }
+  rise_out.(j) <- rise;
+  fall_out.(j) <- fall;
+  (* Hb_util.Time.max and min, spelled out as in [extract]. *)
+  dmax.(j) <- (if rise >= fall then rise else fall);
+  dmin.(j) <- (if rise <= fall then rise else fall)
 
 let refresh_delays table ~design ?(delays = Delays.lumped) () =
   let refresh_cluster (cluster : t) =
-    let arcs =
-      Array.map
-        (refresh_arc ~caller:"refresh_delays" ~design ~delays cluster)
-        cluster.arcs
-    in
-    let arc_from, arc_to, arc_dmax, arc_dmin = soa_of_arcs arcs in
-    { cluster with arcs; arc_from; arc_to; arc_dmax; arc_dmin }
+    let m = Array.length cluster.arc_inst in
+    let rise = Array.make m 0.0 and fall = Array.make m 0.0 in
+    let dmax = Array.make m 0.0 and dmin = Array.make m 0.0 in
+    for j = 0 to m - 1 do
+      refresh_arc ~caller:"refresh_delays" ~design ~delays cluster j ~rise
+        ~fall ~dmax ~dmin
+    done;
+    { cluster with
+      arc_rise = rise; arc_fall = fall; arc_dmax = dmax; arc_dmin = dmin }
   in
   if Array.length table.cluster_of_net <> Hb_netlist.Design.net_count design
   then invalid_arg "Cluster.refresh_delays: net count mismatch";
@@ -379,19 +446,14 @@ let refresh_instance_delays table ~design ~insts ?(delays = Delays.lumped) () =
   Array.iter
     (fun (cluster : t) ->
        let hit = ref false in
-       Array.iteri
-         (fun i arc ->
-            if Hashtbl.mem wanted arc.inst then begin
-              let fresh =
-                refresh_arc ~caller:"refresh_instance_delays" ~design ~delays
-                  cluster arc
-              in
-              cluster.arcs.(i) <- fresh;
-              cluster.arc_dmax.(i) <- fresh.dmax;
-              cluster.arc_dmin.(i) <- fresh.dmin;
-              hit := true
-            end)
-         cluster.arcs;
+       for j = 0 to Array.length cluster.arc_inst - 1 do
+         if Hashtbl.mem wanted cluster.arc_inst.(j) then begin
+           refresh_arc ~caller:"refresh_instance_delays" ~design ~delays
+             cluster j ~rise:cluster.arc_rise ~fall:cluster.arc_fall
+             ~dmax:cluster.arc_dmax ~dmin:cluster.arc_dmin;
+           hit := true
+         end
+       done;
        if !hit then touched := cluster.id :: !touched)
     table.clusters;
   List.rev !touched

@@ -11,19 +11,14 @@
     the driven net's load. Nets driven by clock generator ports carry no
     signal-arrival information (their ready time stays [-inf]); the gates
     they feed are enable/control logic whose data-side inputs are the real
-    timing sources. *)
+    timing sources.
 
-type arc = {
-  from_net : int;  (** local net index *)
-  to_net : int;    (** local net index *)
-  dmax : Hb_util.Time.t;  (** max(rise, fall) *)
-  dmin : Hb_util.Time.t;  (** min(rise, fall) *)
-  rise : Hb_util.Time.t;  (** output-rising propagation delay *)
-  fall : Hb_util.Time.t;  (** output-falling propagation delay *)
-  sense : [ `Positive | `Negative | `Non_unate ];
-      (** unateness of the arc, for rise/fall-separated sweeps *)
-  inst : int;      (** netlist instance carrying the arc *)
-}
+    A cluster holds its arcs only as flat arrays indexed by arc id, one
+    array per attribute ([arc_from] .. [arc_inst], all of one length):
+    float arrays keep their floats unboxed, so an arc costs eight words
+    and no heap block of its own. Arc ids follow extraction order:
+    member instances in id order, then each connected output pin in the
+    cell's pin order, then the cell's timing arcs into that pin. *)
 
 (** An element touching the cluster boundary. *)
 type terminal = {
@@ -35,21 +30,25 @@ type t = {
   id : int;
   nets : int array;                (** local index → global net id *)
   members : int list;              (** combinational instance ids *)
-  arcs : arc array;
-  arc_from : int array;            (** SoA mirror of [arcs]: source local net *)
-  arc_to : int array;              (** SoA mirror of [arcs]: sink local net *)
-  arc_dmax : float array;          (** SoA mirror of [arcs]: max(rise, fall).
-                                       The scalar sweeps in {!Block} and
-                                       {!Macro} read the SoA views only;
-                                       arc mutations keep both in sync *)
-  arc_dmin : float array;          (** SoA mirror of [arcs]: min(rise, fall) *)
+  arc_from : int array;            (** per arc id: source local net *)
+  arc_to : int array;              (** per arc id: sink local net *)
+  arc_dmax : float array;          (** per arc id: max(rise, fall) *)
+  arc_dmin : float array;          (** per arc id: min(rise, fall) *)
+  arc_rise : float array;          (** per arc id: output-rising
+                                       propagation delay *)
+  arc_fall : float array;          (** per arc id: output-falling
+                                       propagation delay *)
+  arc_sense : [ `Positive | `Negative | `Non_unate ] array;
+      (** per arc id: unateness, for rise/fall-separated sweeps *)
+  arc_inst : int array;            (** per arc id: netlist instance
+                                       carrying the arc *)
   succ_off : int array;            (** CSR row offsets, length [nets + 1]:
                                        arcs out of local net [v] are
                                        [succ_arc.(succ_off.(v)) ..
                                         succ_arc.(succ_off.(v + 1) - 1)] *)
-  succ_arc : int array;            (** CSR targets: arc indices by source net *)
+  succ_arc : int array;            (** CSR targets: arc ids by source net *)
   pred_off : int array;            (** CSR row offsets for incoming arcs *)
-  pred_arc : int array;            (** CSR targets: arc indices by sink net *)
+  pred_arc : int array;            (** CSR targets: arc ids by sink net *)
   topo : int array;                (** local nets, topologically sorted *)
   inputs : terminal array;         (** elements asserting onto cluster nets *)
   outputs : terminal array;        (** elements whose closure constrains

@@ -161,21 +161,21 @@ let critical_path (ctx : Context.t) ~endpoint =
          in
          (* The source polarity and delay of an arc that could realise the
             given output polarity. *)
-         let arc_step (arc : Cluster.arc) pol =
+         let arc_step j pol =
            match mode, pol with
-           | `Scalar, _ | _, `Worst -> (`Worst, arc.Cluster.dmax)
+           | `Scalar, _ | _, `Worst -> (`Worst, cluster.Cluster.arc_dmax.(j))
            | `Rise_fall, `Rise ->
-             ((match arc.Cluster.sense with
+             ((match cluster.Cluster.arc_sense.(j) with
                | `Positive -> `Rise
                | `Negative -> `Fall
                | `Non_unate -> `Worst),
-              arc.Cluster.rise)
+              cluster.Cluster.arc_rise.(j))
            | `Rise_fall, `Fall ->
-             ((match arc.Cluster.sense with
+             ((match cluster.Cluster.arc_sense.(j) with
                | `Positive -> `Fall
                | `Negative -> `Rise
                | `Non_unate -> `Worst),
-              arc.Cluster.fall)
+              cluster.Cluster.arc_fall.(j))
          in
          (* Walk backwards along arcs that realise the ready time of the
             critical polarity. *)
@@ -185,24 +185,24 @@ let critical_path (ctx : Context.t) ~endpoint =
              let rec scan k =
                if k >= cluster.Cluster.pred_off.(net + 1) then None
                else
-                 let arc = cluster.Cluster.arcs.(cluster.Cluster.pred_arc.(k)) in
-                 let src_pol, delay = arc_step arc pol in
-                 let src = arrival arc.Cluster.from_net src_pol in
+                 let j = cluster.Cluster.pred_arc.(k) in
+                 let src_pol, delay = arc_step j pol in
+                 let src = arrival cluster.Cluster.arc_from.(j) src_pol in
                  if Hb_util.Time.is_finite src
                  && Hb_util.Time.equal (src +. delay) ready
-                 then Some (arc, src_pol)
+                 then Some (j, src_pol)
                  else scan (k + 1)
              in
              scan cluster.Cluster.pred_off.(net)
            in
            match source with
-           | Some (arc, src_pol) ->
+           | Some (j, src_pol) ->
              let hop =
                { net = cluster.Cluster.nets.(net);
-                 via = Some arc.Cluster.inst;
+                 via = Some cluster.Cluster.arc_inst.(j);
                  at = ready }
              in
-             backtrack arc.Cluster.from_net src_pol (hop :: acc)
+             backtrack cluster.Cluster.arc_from.(j) src_pol (hop :: acc)
            | None ->
              (net, { net = cluster.Cluster.nets.(net); via = None; at = ready } :: acc)
          in
@@ -391,10 +391,10 @@ let enumerate (ctx : Context.t) ~endpoint ~limit =
             let net = cluster.Cluster.topo.(i) in
             for k = cluster.Cluster.succ_off.(net)
                 to cluster.Cluster.succ_off.(net + 1) - 1 do
-              let arc = cluster.Cluster.arcs.(cluster.Cluster.succ_arc.(k)) in
-              let r = remaining.(arc.Cluster.to_net) in
+              let j = cluster.Cluster.succ_arc.(k) in
+              let r = remaining.(cluster.Cluster.arc_to.(j)) in
               if finite r then begin
-                let d = r +. arc.Cluster.dmax in
+                let d = r +. cluster.Cluster.arc_dmax.(j) in
                 if d > remaining.(net) then remaining.(net) <- d
               end
             done
@@ -483,10 +483,10 @@ let enumerate (ctx : Context.t) ~endpoint ~limit =
               let best = ref Hb_util.Time.neg_infinity in
               for k = cluster.Cluster.succ_off.(net)
                   to cluster.Cluster.succ_off.(net + 1) - 1 do
-                let arc = cluster.Cluster.arcs.(cluster.Cluster.succ_arc.(k)) in
-                let r = remaining.(arc.Cluster.to_net) in
+                let j = cluster.Cluster.succ_arc.(k) in
+                let r = remaining.(cluster.Cluster.arc_to.(j)) in
                 if finite r then begin
-                  let b = arrival +. arc.Cluster.dmax +. r in
+                  let b = arrival +. cluster.Cluster.arc_dmax.(j) +. r in
                   if b > !best then begin
                     best := b;
                     canonical := k
@@ -496,10 +496,10 @@ let enumerate (ctx : Context.t) ~endpoint ~limit =
               for k = cluster.Cluster.succ_off.(net)
                   to cluster.Cluster.succ_off.(net + 1) - 1 do
                 let arc_index = cluster.Cluster.succ_arc.(k) in
-                let arc = cluster.Cluster.arcs.(arc_index) in
-                let r = remaining.(arc.Cluster.to_net) in
+                let to_net = cluster.Cluster.arc_to.(arc_index) in
+                let r = remaining.(to_net) in
                 if finite r then begin
-                  let t = arrival +. arc.Cluster.dmax in
+                  let t = arrival +. cluster.Cluster.arc_dmax.(arc_index) in
                   let b = t +. r in
                   (* Only non-canonical children count a new
                      completion. *)
@@ -517,7 +517,7 @@ let enumerate (ctx : Context.t) ~endpoint ~limit =
                   || b +. margin >= topk.hprio.(0)
                   then begin
                     let j =
-                      add_state ~net:arc.Cluster.to_net ~parent:i
+                      add_state ~net:to_net ~parent:i
                         ~tag:arc_index
                     in
                     s.state_arrival.(j) <- t;
@@ -555,7 +555,7 @@ let enumerate (ctx : Context.t) ~endpoint ~limit =
               { net = cluster.Cluster.nets.(s.state_net.(j));
                 via =
                   (if s.state_parent.(j) < 0 then None
-                   else Some cluster.Cluster.arcs.(s.state_tag.(j)).Cluster.inst);
+                   else Some cluster.Cluster.arc_inst.(s.state_tag.(j)));
                 at = s.state_arrival.(j);
               }
             in

@@ -129,8 +129,23 @@ let evaluate ?(delays = Delays.lumped) ?(max_paths = 2_000_000)
     truncated = !truncated;
   }
 
-let paths ?(delays = Delays.lumped) ?(max_paths = 1_000_000) (ctx : Context.t)
-    ~endpoint =
+type graph = {
+  ctx : Context.t;
+  succ : flat_arc list array;  (* per net: arcs out of it *)
+  pred : int list array;       (* per net: source nets of arcs into it *)
+}
+
+let graph ?(delays = Delays.lumped) (ctx : Context.t) =
+  let succ = flat_arcs ~design:ctx.Context.design ~delays in
+  let pred = Array.make (Array.length succ) [] in
+  Array.iteri
+    (fun net arcs ->
+       List.iter (fun arc -> pred.(arc.to_net) <- net :: pred.(arc.to_net))
+         arcs)
+    succ;
+  { ctx; succ; pred }
+
+let paths ?(max_paths = 1_000_000) { ctx; succ; pred } ~endpoint =
   let elements = ctx.Context.elements in
   let passes = ctx.Context.passes in
   let cut = passes.Passes.endpoint_cut.(endpoint) in
@@ -141,14 +156,7 @@ let paths ?(delays = Delays.lumped) ?(max_paths = 1_000_000) (ctx : Context.t)
     match Block.closure_time passes (Elements.element elements endpoint) ~cut with
     | None -> []
     | Some closure ->
-      let succ = flat_arcs ~design:ctx.Context.design ~delays in
       (* Reverse mark: the nets from which [end_net] can be reached. *)
-      let pred = Array.make (Array.length succ) [] in
-      Array.iteri
-        (fun net arcs ->
-           List.iter (fun arc -> pred.(arc.to_net) <- net :: pred.(arc.to_net))
-             arcs)
-        succ;
       let reaches = Array.make (Array.length succ) false in
       let rec mark net =
         if not reaches.(net) then begin

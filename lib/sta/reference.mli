@@ -57,16 +57,24 @@ exception Budget_exhausted
     paths before the verdict is declared truncated. *)
 val evaluate : ?delays:Delays.t -> ?max_paths:int -> Context.t -> verdict
 
-(** [paths ?delays ?max_paths ctx ~endpoint] walks every complete path
-    into the element's data input in its assigned pass, taking only arcs
+(** The flat arc graph {!paths} walks: every arc re-derived from the
+    design through the delay provider, with predecessor lists. Prepare
+    it once per context and walk as many endpoints as needed; it
+    reflects the element offsets current when {!paths} runs, but not a
+    later change to the design or its delays. *)
+type graph
+
+(** [graph ?delays ctx] derives the flat graph of [ctx]'s design.
+    [delays] is as for {!evaluate}. *)
+val graph : ?delays:Delays.t -> Context.t -> graph
+
+(** [paths ?max_paths graph ~endpoint] walks every complete path into
+    the element's data input in its assigned pass, taking only arcs
     whose head still reaches the endpoint's read net, and returns them
     worst slack first (tie order among equal slacks unspecified). Hops
     and arrivals are those {!Paths.enumerate} reports for the same path,
     bit for bit; [cluster] is read from the context's cluster table.
-    [delays] is as for {!evaluate}. [[]] when the endpoint reads no net
-    or has no pass.
+    [[]] when the endpoint reads no net or has no pass.
     @raise Budget_exhausted past [max_paths] (default [1_000_000])
-    complete paths. *)
-val paths :
-  ?delays:Delays.t -> ?max_paths:int -> Context.t -> endpoint:int ->
-  Paths.path list
+    complete paths into this endpoint. *)
+val paths : ?max_paths:int -> graph -> endpoint:int -> Paths.path list

@@ -58,25 +58,11 @@ let timed f =
   let result = f () in
   (result, Sys.time () -. start_cpu, Unix.gettimeofday () -. start_wall)
 
-(* Same lookup and arithmetic as [Annotation.apply], so a session with
-   overrides is bit-for-bit a fresh context built with the equivalent
-   annotation wrapped around the base provider. *)
-let override_provider overrides (base : Delays.t) =
-  { Delays.name = base.Delays.name ^ "+session";
-    evaluate =
-      (fun ~design ~inst ~arc ~out_net ->
-         let inst_name =
-           (Hb_netlist.Design.instance design inst).Hb_netlist.Design.inst_name
-         in
-         match Hashtbl.find_opt overrides inst_name with
-         | Some (Annotation.Fixed { rise; fall }) -> (rise, fall)
-         | Some (Annotation.Scaled f) ->
-           let rise, fall =
-             base.Delays.evaluate ~design ~inst ~arc ~out_net
-           in
-           (rise *. f, fall *. f)
-         | None -> base.Delays.evaluate ~design ~inst ~arc ~out_net);
-  }
+(* [Annotation.apply]'s provider over the session's own table, so a
+   session with overrides is bit-for-bit a fresh context built with the
+   equivalent annotation wrapped around the base provider. *)
+let override_provider overrides base =
+  Annotation.overlay ~suffix:"+session" overrides ~base
 
 let create ~design ~system ?(config = Config.default)
     ?(delays = Delays.lumped) () =

@@ -300,13 +300,14 @@ let check_path_parity ~delays (report : Hb_sta.Engine.report) =
   let slacks = report.Hb_sta.Engine.outcome.Hb_sta.Algorithm1.final in
   let endpoints = Hb_sta.Paths.worst_endpoints slacks ~limit:3 in
   let limit = 5 in
+  let graph = Hb_sta.Reference.graph ~delays ctx in
   List.fold_left
     (fun acc (endpoint, _) ->
        match acc with
        | Some _ -> acc
        | None ->
          (match
-            Hb_sta.Reference.paths ~delays ~max_paths:200_000 ctx ~endpoint
+            Hb_sta.Reference.paths ~max_paths:200_000 graph ~endpoint
           with
           | exception Hb_sta.Reference.Budget_exhausted -> None
           | exhaustive ->

@@ -554,6 +554,94 @@ let test_annotation_unused () =
   Alcotest.(check (list string)) "stale names reported" [ "nonexistent" ]
     (Hb_sta.Annotation.unused a ~design)
 
+(* [Annotation.apply] and [Annotation.unused] as they were before their
+   name tables: a list lookup per arc evaluation, where the first entry
+   for an instance wins, and a name search of the design per entry. The
+   references for the tables. *)
+let list_provider entries ~(base : Hb_sta.Delays.t) =
+  { base with
+    Hb_sta.Delays.evaluate =
+      (fun ~design ~inst ~arc ~out_net ->
+         let name =
+           (Hb_netlist.Design.instance design inst).Hb_netlist.Design.inst_name
+         in
+         match List.assoc_opt name entries with
+         | Some (Hb_sta.Annotation.Fixed { rise; fall }) -> (rise, fall)
+         | Some (Hb_sta.Annotation.Scaled f) ->
+           let rise, fall = base.Hb_sta.Delays.evaluate ~design ~inst ~arc ~out_net in
+           (rise *. f, fall *. f)
+         | None -> base.Hb_sta.Delays.evaluate ~design ~inst ~arc ~out_net) }
+
+let list_unused entries ~design =
+  List.filter_map
+    (fun (name, _) ->
+       match Hb_netlist.Design.find_instance design name with
+       | Some _ -> None
+       | None -> Some name)
+    entries
+  |> List.sort_uniq String.compare
+
+let test_annotation_table_matches_list () =
+  let design, _ = Hb_workload.Chips.des () in
+  let count = Hb_netlist.Design.instance_count design in
+  let rng = Hb_util.Rng.create 20L in
+  (* Draws from a quarter of the instances, so many repeat with
+     different entries, plus names the design lacks. *)
+  let entries =
+    List.init 600 (fun k ->
+        let name =
+          if k mod 50 = 0 then Printf.sprintf "ghost%d" (k mod 150)
+          else
+            (Hb_netlist.Design.instance design
+               (Hb_util.Rng.int rng (count / 4))).Hb_netlist.Design.inst_name
+        in
+        if Hb_util.Rng.bool rng then
+          ( name,
+            Hb_sta.Annotation.Fixed
+              { rise = Hb_util.Rng.float rng 3.0;
+                fall = Hb_util.Rng.float rng 3.0 } )
+        else
+          (name, Hb_sta.Annotation.Scaled (0.5 +. Hb_util.Rng.float rng 1.0)))
+  in
+  Alcotest.(check bool) "some instances repeat" true
+    (List.length (List.sort_uniq compare (List.map fst entries))
+     < List.length entries);
+  let annotation = Hb_sta.Annotation.of_entries entries in
+  let base = Hb_sta.Delays.lumped in
+  let hashed = Hb_sta.Annotation.apply annotation ~base in
+  let listed = list_provider entries ~base in
+  let bits x = Int64.bits_of_float x in
+  let arcs = ref 0 in
+  for inst = 0 to count - 1 do
+    let record = Hb_netlist.Design.instance design inst in
+    let cell = record.Hb_netlist.Design.cell in
+    List.iter
+      (fun (out_pin : Hb_cell.Cell.pin) ->
+         match
+           Hb_netlist.Design.net_of_pin design ~inst
+             ~pin:out_pin.Hb_cell.Cell.pin_name
+         with
+         | None -> ()
+         | Some out_net ->
+           List.iter
+             (fun arc ->
+                incr arcs;
+                let r1, f1 =
+                  hashed.Hb_sta.Delays.evaluate ~design ~inst ~arc ~out_net
+                in
+                let r2, f2 =
+                  listed.Hb_sta.Delays.evaluate ~design ~inst ~arc ~out_net
+                in
+                if bits r1 <> bits r2 || bits f1 <> bits f2 then
+                  Alcotest.failf "%s: (%h, %h), the list lookup gives (%h, %h)"
+                    record.Hb_netlist.Design.inst_name r1 f1 r2 f2)
+             (Hb_cell.Cell.arcs_to cell ~output:out_pin.Hb_cell.Cell.pin_name))
+      (Hb_cell.Cell.output_pins cell)
+  done;
+  Alcotest.(check bool) "arcs compared" true (!arcs > 1000);
+  Alcotest.(check (list string)) "unused names" (list_unused entries ~design)
+    (Hb_sta.Annotation.unused annotation ~design)
+
 (* ------------------------------------------------------------------ *)
 (* Minimum-period search                                              *)
 (* ------------------------------------------------------------------ *)
@@ -691,7 +779,9 @@ let () =
        [ Alcotest.test_case "parse" `Quick test_annotation_parse;
          Alcotest.test_case "errors" `Quick test_annotation_errors;
          Alcotest.test_case "changes delays" `Quick test_annotation_changes_delays;
-         Alcotest.test_case "unused" `Quick test_annotation_unused ]);
+         Alcotest.test_case "unused" `Quick test_annotation_unused;
+         Alcotest.test_case "table = list lookup" `Quick
+           test_annotation_table_matches_list ]);
       ("minperiod",
        [ Alcotest.test_case "bisects" `Quick test_minperiod_bisects;
          Alcotest.test_case "rejects hopeless" `Quick test_minperiod_rejects_hopeless;

@@ -133,11 +133,11 @@ let arc_instance ctx =
   let hit = ref None in
   Array.iter
     (fun (cluster : Hb_sta.Cluster.t) ->
-       if !hit = None && Array.length cluster.Hb_sta.Cluster.arcs > 0 then
+       if !hit = None && Array.length cluster.Hb_sta.Cluster.arc_inst > 0 then
          hit :=
            Some
              (cluster.Hb_sta.Cluster.id,
-              cluster.Hb_sta.Cluster.arcs.(0).Hb_sta.Cluster.inst))
+              cluster.Hb_sta.Cluster.arc_inst.(0)))
     clusters;
   match !hit with
   | Some (cluster_id, inst) ->

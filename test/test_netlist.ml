@@ -414,6 +414,153 @@ let test_lint_self_loop () =
   Alcotest.(check bool) "self loop reported" true
     (List.mem "self-loop" (rules (Hb_netlist.Check.self_loop d)))
 
+(* ------------------------------------------------------------------ *)
+(* Port nets and shared pin strings                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* [Design.net_of_port] as it was before the port table: scan the nets in
+   order and return the first listing the port among its drivers or
+   loads. The reference for the table. *)
+let scan_net_of_port design port =
+  let matches = function
+    | Hb_netlist.Design.Port p -> p = port
+    | Hb_netlist.Design.Pin _ -> false
+  in
+  let rec scan i =
+    if i >= Hb_netlist.Design.net_count design then None
+    else
+      let net = Hb_netlist.Design.net design i in
+      if List.exists matches net.Hb_netlist.Design.drivers
+      || List.exists matches net.Hb_netlist.Design.loads
+      then Some i
+      else scan (i + 1)
+  in
+  scan 0
+
+(* Every catalog design up to scale10k (the larger presets cost the scan
+   seconds per design), as built by its generator. *)
+let catalog_designs () =
+  List.filter_map
+    (fun (name, generator) ->
+       if name = "scale100k" || name = "scale1m" then None
+       else Some (name, fst (generator ())))
+    Hb_workload.Catalog.generators
+
+(* The design written to .hbn and read back, against a library of its own
+   cells (sm1h's macro cells are not in the default library). *)
+let reread design =
+  let cells = Hashtbl.create 16 in
+  Array.iter
+    (fun (inst : Hb_netlist.Design.instance) ->
+       let cell = inst.Hb_netlist.Design.cell in
+       Hashtbl.replace cells cell.Hb_cell.Cell.name cell)
+    design.Hb_netlist.Design.instances;
+  let library =
+    Hb_cell.Library.create (Hashtbl.fold (fun _ c acc -> c :: acc) cells [])
+  in
+  Hb_netlist.Hbn_format.parse ~library (Hb_netlist.Hbn_format.write design)
+
+(* One design per Structural edit kind, each made from [design] by the
+   first edit of that kind that applies (the edits reject synchronising
+   instances, output pins and the like). *)
+let structural_edits design =
+  let first count edit =
+    let rec go i =
+      if i >= count then None
+      else match edit i with
+        | edited -> Some edited
+        | exception Invalid_argument _ -> go (i + 1)
+    in
+    go 0
+  in
+  let instances = Hb_netlist.Design.instance_count design in
+  let record inst = Hb_netlist.Design.instance design inst in
+  let buffer = Hb_cell.Library.find_exn lib "buf_x1" in
+  List.filter_map
+    (fun (kind, edited) -> Option.map (fun d -> (kind, d)) edited)
+    [ ( "resize",
+        first instances (fun inst ->
+            match Hb_cell.Library.upsize lib (record inst).Hb_netlist.Design.cell with
+            | Some cell -> Hb_netlist.Structural.resize_gate design ~inst ~cell
+            | None -> invalid_arg "no larger cell") );
+      ( "insert buffer",
+        first (Hb_netlist.Design.net_count design) (fun net ->
+            Hb_netlist.Structural.insert_buffer design ~net ~cell:buffer ()) );
+      ( "remove",
+        first instances (fun inst ->
+            Hb_netlist.Structural.remove_gate design ~inst) );
+      ( "rewire",
+        first instances (fun inst ->
+            match (record inst).Hb_netlist.Design.connections with
+            | (pin, net) :: _ ->
+              Hb_netlist.Structural.rewire_pin design ~inst ~pin
+                ~net:(if net = 0 then 1 else 0)
+            | [] -> invalid_arg "unconnected") ) ]
+
+let check_port_nets label design =
+  for p = 0 to Hb_netlist.Design.port_count design - 1 do
+    Alcotest.(check (option int))
+      (Printf.sprintf "%s: port %s" label
+         (Hb_netlist.Design.port design p).Hb_netlist.Design.port_name)
+      (scan_net_of_port design p)
+      (Hb_netlist.Design.net_of_port design p)
+  done
+
+let test_net_of_port_matches_scan () =
+  List.iter
+    (fun (name, design) ->
+       check_port_nets name design;
+       check_port_nets (name ^ " re-read") (reread design);
+       let edits = structural_edits design in
+       Alcotest.(check int) (name ^ ": edit kinds applied") 4
+         (List.length edits);
+       List.iter
+         (fun (kind, edited) -> check_port_nets (name ^ " " ^ kind) edited)
+         edits)
+    (catalog_designs ())
+
+(* Every connection and [Pin] endpoint names its pin with the cell's own
+   string, so a design holds one string per distinct pin name. *)
+let check_shared_pin_strings label design =
+  let own (cell : Hb_cell.Cell.t) pin =
+    List.exists
+      (fun (p : Hb_cell.Cell.pin) -> p.Hb_cell.Cell.pin_name == pin)
+      cell.Hb_cell.Cell.pins
+  in
+  let cell_of inst =
+    (Hb_netlist.Design.instance design inst).Hb_netlist.Design.cell
+  in
+  Array.iteri
+    (fun i (inst : Hb_netlist.Design.instance) ->
+       List.iter
+         (fun (pin, _) ->
+            if not (own (cell_of i) pin) then
+              Alcotest.failf "%s: %s.%s is a copy of the cell's pin name"
+                label inst.Hb_netlist.Design.inst_name pin)
+         inst.Hb_netlist.Design.connections)
+    design.Hb_netlist.Design.instances;
+  Array.iter
+    (fun (net : Hb_netlist.Design.net) ->
+       List.iter
+         (function
+           | Hb_netlist.Design.Port _ -> ()
+           | Hb_netlist.Design.Pin { inst; pin } ->
+             if not (own (cell_of inst) pin) then
+               Alcotest.failf "%s: endpoint %s on net %s is a copy" label
+                 (Hb_netlist.Design.endpoint_to_string design
+                    (Hb_netlist.Design.Pin { inst; pin }))
+                 net.Hb_netlist.Design.net_name)
+         (net.Hb_netlist.Design.drivers @ net.Hb_netlist.Design.loads))
+    design.Hb_netlist.Design.nets
+
+let test_pin_strings_shared () =
+  check_shared_pin_strings "small" (small_design ());
+  List.iter
+    (fun (name, design) ->
+       check_shared_pin_strings name design;
+       check_shared_pin_strings (name ^ " re-read") (reread design))
+    (catalog_designs ())
+
 let () =
   Alcotest.run "hb_netlist"
     [ ("builder",
@@ -430,7 +577,11 @@ let () =
       ("design",
        [ Alcotest.test_case "lookups" `Quick test_design_lookups;
          Alcotest.test_case "net of pin" `Quick test_net_of_pin;
-         Alcotest.test_case "endpoints" `Quick test_endpoint_rendering ]);
+         Alcotest.test_case "endpoints" `Quick test_endpoint_rendering;
+         Alcotest.test_case "net_of_port = net scan" `Quick
+           test_net_of_port_matches_scan;
+         Alcotest.test_case "pin strings are the cell's" `Quick
+           test_pin_strings_shared ]);
       ("stats", [ Alcotest.test_case "compute" `Quick test_stats ]);
       ("hbn",
        [ Alcotest.test_case "round trip" `Quick test_hbn_round_trip;

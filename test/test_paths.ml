@@ -58,9 +58,10 @@ let prop_enumerate_matches_exhaustive =
     (fun seed ->
        let ctx, slacks = settled_ctx (Int64.of_int seed) in
        let endpoints = endpoints_of slacks ~limit:6 in
+       let graph = Hb_sta.Reference.graph ctx in
        List.for_all
          (fun endpoint ->
-            match Hb_sta.Reference.paths ~max_paths:200_000 ctx ~endpoint with
+            match Hb_sta.Reference.paths ~max_paths:200_000 graph ~endpoint with
             | exception Hb_sta.Reference.Budget_exhausted -> true
             | exhaustive ->
               List.for_all
@@ -91,13 +92,14 @@ let prop_enumerate_matches_exhaustive =
    a path a few ulps above the k-th one it had found. *)
 let test_pinned_soup_121060 () =
   let ctx, _ = settled_ctx 121060L in
+  let graph = Hb_sta.Reference.graph ctx in
   let hex paths = List.map (fun p -> Printf.sprintf "%h" (slack_of p)) paths in
   List.iter
     (fun (endpoint, limit) ->
        Alcotest.(check (list string))
          (Printf.sprintf "endpoint %d, limit %d: rank slacks" endpoint limit)
          (List.filteri (fun i _ -> i < limit)
-            (hex (Hb_sta.Reference.paths ctx ~endpoint)))
+            (hex (Hb_sta.Reference.paths graph ~endpoint)))
          (hex (Hb_sta.Paths.enumerate ctx ~endpoint ~limit)))
     [ (0, 7); (1, 6); (1, 7) ]
 

@@ -524,6 +524,43 @@ let test_apply_structural_allocation () =
     Alcotest.failf "Context.apply_structural allocated %.0f minor words" words
 
 (* ------------------------------------------------------------------ *)
+(* Netlist front end and resident graph size                          *)
+(* ------------------------------------------------------------------ *)
+
+let scale10k_text () =
+  let design, system = Hb_workload.Scale.scale10k () in
+  (Hb_netlist.Hbn_format.write design, system)
+
+(* Parsing scale10k's .hbn allocates about 24 MB. With [Map]-based name
+   tables in the builder, as it once had, it took 40 MB. *)
+let test_parse_allocation () =
+  let text, _ = scale10k_text () in
+  let library = Hb_cell.Library.default () in
+  let before = Gc.allocated_bytes () in
+  let design = Hb_netlist.Hbn_format.parse ~library text in
+  let mb = (Gc.allocated_bytes () -. before) /. 1e6 in
+  ignore (Sys.opaque_identity design);
+  if mb >= 30.0 then Alcotest.failf "parsing scale10k allocated %.1f MB" mb
+
+(* A context on the parsed scale10k design retains about 590k words of
+   design and 321k of cluster table. A copy of the pin name per
+   connection took the design to 654k; an arc record (three heap blocks)
+   per arc beside the flat arrays took the table to 510k. *)
+let test_retained_words () =
+  let text, system = scale10k_text () in
+  let design =
+    Hb_netlist.Hbn_format.parse ~library:(Hb_cell.Library.default ()) text
+  in
+  let ctx = Hb_sta.Context.make ~design ~system () in
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let design_words = words ctx.Hb_sta.Context.design in
+  let table_words = words ctx.Hb_sta.Context.table in
+  if design_words >= 620_000 then
+    Alcotest.failf "the design retains %d words" design_words;
+  if table_words >= 400_000 then
+    Alcotest.failf "the cluster table retains %d words" table_words
+
+(* ------------------------------------------------------------------ *)
 (* Pool                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -633,6 +670,10 @@ let () =
             test_holdcheck_allocation;
           Alcotest.test_case "one-cluster commit allocation" `Quick
             test_apply_structural_allocation;
+        ] );
+      ( "graph",
+        [ Alcotest.test_case "parse allocation" `Quick test_parse_allocation;
+          Alcotest.test_case "retained words" `Quick test_retained_words;
         ] );
       ( "pool",
         [ Alcotest.test_case "covers all indices" `Quick

@@ -41,8 +41,8 @@ let path_instance session =
     let arc_inst =
       Array.find_map
         (fun (cluster : Hb_sta.Cluster.t) ->
-           if Array.length cluster.Hb_sta.Cluster.arcs > 0 then
-             Some cluster.Hb_sta.Cluster.arcs.(0).Hb_sta.Cluster.inst
+           if Array.length cluster.Hb_sta.Cluster.arc_inst > 0 then
+             Some cluster.Hb_sta.Cluster.arc_inst.(0)
            else None)
         clusters
     in
@@ -1126,8 +1126,7 @@ let path_instances session n =
     ctx.Hb_sta.Context.table.Hb_sta.Cluster.clusters
     |> Array.to_list
     |> List.concat_map (fun (cluster : Hb_sta.Cluster.t) ->
-        Array.to_list cluster.Hb_sta.Cluster.arcs
-        |> List.map (fun arc -> arc.Hb_sta.Cluster.inst))
+        Array.to_list cluster.Hb_sta.Cluster.arc_inst)
   in
   let uniq = List.sort_uniq compare (via @ arcs) in
   if List.length uniq < n then

@@ -297,7 +297,7 @@ let test_cluster_extraction () =
     (Array.length cluster.Hb_sta.Cluster.inputs);
   Alcotest.(check int) "one output terminal" 1
     (Array.length cluster.Hb_sta.Cluster.outputs);
-  Alcotest.(check int) "two arcs" 2 (Array.length cluster.Hb_sta.Cluster.arcs)
+  Alcotest.(check int) "two arcs" 2 (Array.length cluster.Hb_sta.Cluster.arc_inst)
 
 let test_cluster_cycle_rejected () =
   let b = builder "loop" in
@@ -885,8 +885,9 @@ let test_reference_paths_match_evaluate () =
        let verdict = Hb_sta.Reference.evaluate ~max_paths:4_000_000 ctx in
        Alcotest.(check bool) (name ^ ": not truncated") false
          verdict.Hb_sta.Reference.truncated;
+       let graph = Hb_sta.Reference.graph ctx in
        for endpoint = 0 to Hb_sta.Elements.count ctx.Hb_sta.Context.elements - 1 do
-         match Hb_sta.Reference.paths ~max_paths:20_000 ctx ~endpoint with
+         match Hb_sta.Reference.paths ~max_paths:20_000 graph ~endpoint with
          | exception Hb_sta.Reference.Budget_exhausted -> ()
          | paths ->
            let worst =
@@ -1009,7 +1010,7 @@ let reference_hold (ctx : Hb_sta.Context.t) =
       if not marked.(net) then begin
         marked.(net) <- true;
         Hb_sta.Cluster.iter_succ cluster net ~f:(fun i ->
-            walk cluster.Hb_sta.Cluster.arcs.(i).Hb_sta.Cluster.to_net)
+            walk cluster.Hb_sta.Cluster.arc_to.(i))
       end
     in
     walk source;
@@ -1027,10 +1028,9 @@ let reference_hold (ctx : Hb_sta.Context.t) =
       (fun net ->
          if Float.is_finite dmin.(net) then
            Hb_sta.Cluster.iter_succ cluster net ~f:(fun j ->
-               let arc = cluster.Hb_sta.Cluster.arcs.(j) in
-               let t = dmin.(net) +. arc.Hb_sta.Cluster.dmin in
-               if t < dmin.(arc.Hb_sta.Cluster.to_net) then
-                 dmin.(arc.Hb_sta.Cluster.to_net) <- t))
+               let to_net = cluster.Hb_sta.Cluster.arc_to.(j) in
+               let t = dmin.(net) +. cluster.Hb_sta.Cluster.arc_dmin.(j) in
+               if t < dmin.(to_net) then dmin.(to_net) <- t))
       cluster.Hb_sta.Cluster.topo;
     dmin
   in
