@@ -19,8 +19,9 @@ type t = {
   (* Names seen so far, for the duplicate checks; only ever probed. *)
   port_names : (string, unit) Hashtbl.t;
   instance_names : (string, unit) Hashtbl.t;
-  mutable wire_cap : float;
 }
+
+let wire_capacitance_per_load = 0.015
 
 let create ~name ~library =
   { design_name = name;
@@ -29,7 +30,6 @@ let create ~name ~library =
     instances = [];
     port_names = Hashtbl.create 64;
     instance_names = Hashtbl.create 1024;
-    wire_cap = 0.015;
   }
 
 let library t = t.lib
@@ -62,10 +62,6 @@ let add_instance t ?module_path ~name ~cell ~connections () =
   match Hb_cell.Library.find t.lib cell with
   | None -> invalid_arg (Printf.sprintf "Builder.add_instance: unknown cell %s" cell)
   | Some c -> add_instance_of_cell t ?module_path ~name ~cell:c ~connections ()
-
-let set_wire_capacitance_per_load t cap =
-  if cap < 0.0 then invalid_arg "Builder.set_wire_capacitance_per_load: negative";
-  t.wire_cap <- cap
 
 (* The cell's own string for pin [name], which [add_instance] checked it
    has: every instance of a cell then shares one string per pin name,
@@ -191,7 +187,8 @@ let freeze t =
             drivers = List.rev drivers;
             loads;
             load_capacitance =
-              a.cap +. (t.wire_cap *. float_of_int (List.length loads));
+              a.cap
+              +. (wire_capacitance_per_load *. float_of_int (List.length loads));
           })
   in
   (* Output ports must be driven: their net has a driver by construction,

@@ -42,8 +42,9 @@ val add_instance_of_cell :
   unit ->
   unit
 
-(** Wire capacitance added per load on a net, pF; default 0.015. *)
-val set_wire_capacitance_per_load : t -> float -> unit
+(** Wire capacitance added per load on a net, pF (0.015). {!freeze} and
+    {!Structural}'s edits compute a net's load capacitance with it. *)
+val wire_capacitance_per_load : float
 
 (** [freeze t] validates and produces the immutable design:
     - every net has exactly one driver (an input port or an output pin);

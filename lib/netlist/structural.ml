@@ -8,11 +8,6 @@
    No edit adds, drops or moves a [Port] endpoint, so every result keeps
    its input's port table ([Design.unsafe_update]). *)
 
-(* Builder's default wire estimate; every design in the system is frozen
-   through Builder, so recomputing a net's load with this formula
-   reproduces the stored value bit-for-bit. *)
-let wire_capacitance_per_load = 0.015
-
 let fail fmt = Format.kasprintf invalid_arg fmt
 
 let is_comb (cell : Hb_cell.Cell.t) =
@@ -39,7 +34,7 @@ let recompute_load_capacitance instances (net : Design.net) =
       0.0 net.Design.loads
   in
   pins
-  +. (wire_capacitance_per_load
+  +. (Builder.wire_capacitance_per_load
       *. float_of_int (List.length net.Design.loads))
 
 let refresh_caps instances nets touched =

@@ -51,11 +51,11 @@ let candidates paths =
 let optimise ~design ~system ~library ?config ?(max_iterations = 50) () =
   (* One persistent session for the whole loop: preprocessing runs once,
      and each upsizing round commits as a [Resize_gate] edit batch that
-     rebuilds only the touched clusters (the decomposition and pass
-     plans elsewhere are carried — only cell variants change between
-     iterations). *)
-  let session = Hb_sta.Session.create ~design ~system ?config () in
-  let rec iterate design iteration previous_worst history =
+     rebuilds only the touched clusters (the decomposition and pass plans
+     elsewhere are carried — only cell variants change between
+     iterations). The session's design is the loop's design. *)
+  let rec iterate session iteration previous_worst history =
+    let design = (Hb_sta.Session.context session).Hb_sta.Context.design in
     let report =
       Hb_sta.Session.analyse ~generate_constraints:false ~check_hold:false
         session
@@ -94,8 +94,8 @@ let optimise ~design ~system ~library ?config ?(max_iterations = 50) () =
           Speedup.upsize_instances design ~library
             ~instances:(candidates paths)
         with
-        | None -> finish false
-        | Some (improved, changed) ->
+        | [] -> finish false
+        | changed ->
           let step =
             { iteration;
               worst_slack = worst;
@@ -121,25 +121,37 @@ let optimise ~design ~system ~library ?config ?(max_iterations = 50) () =
                      | [] -> "") );
                 ("changes", Hb_util.Log.Int (List.length changed));
               ];
+          let cell (c : Speedup.change) =
+            Hb_cell.Library.find_exn library c.Speedup.new_cell
+          in
           (* Commit the round as a structural edit batch: only the
              clusters carrying resized gates are re-extracted, the rest
-             keep their graphs, plans and cached slacks. A rejected
-             batch (e.g. a candidate adjacent to a control cone, which
-             the ECO path refuses to touch) falls back to the
-             whole-design refresh that preceded it. *)
-          let edits =
-            List.map
-              (fun (c : Speedup.change) ->
-                 Hb_sta.Edit.Resize_gate
-                   { instance = c.Speedup.inst_name;
-                     cell = Hb_cell.Library.find_exn library c.Speedup.new_cell;
-                   })
-              changed
+             keep their graphs, plans and cached slacks. The ECO path
+             refuses a gate next to a control cone; then the round is
+             made on the design itself and a fresh session analyses
+             it. *)
+          let session =
+            match
+              Hb_sta.Session.apply_r session
+                (List.map
+                   (fun (c : Speedup.change) ->
+                      Hb_sta.Edit.Resize_gate
+                        { instance = c.Speedup.inst_name; cell = cell c })
+                   changed)
+            with
+            | Ok _ -> session
+            | Error _ ->
+              let design =
+                List.fold_left
+                  (fun design (c : Speedup.change) ->
+                     Hb_netlist.Structural.resize_gate design
+                       ~inst:c.Speedup.inst ~cell:(cell c))
+                  design changed
+              in
+              Hb_sta.Session.close session;
+              Hb_sta.Session.create ~design ~system ?config ()
           in
-          (match Hb_sta.Session.apply_r session edits with
-           | Ok _ -> ()
-           | Error _ -> Hb_sta.Session.update_design session ~design:improved);
-          iterate improved (iteration + 1) (Some worst) (step :: history)
+          iterate session (iteration + 1) (Some worst) (step :: history)
       end
   in
-  iterate design 0 None []
+  iterate (Hb_sta.Session.create ~design ~system ?config ()) 0 None []

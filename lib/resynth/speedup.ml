@@ -1,29 +1,22 @@
 type change = {
+  inst : int;
   inst_name : string;
   old_cell : string;
   new_cell : string;
 }
 
 let upsize_instances design ~library ~instances =
-  let targets = Hashtbl.create 16 in
-  List.iter (fun i -> Hashtbl.replace targets i ()) instances;
-  let changes = ref [] in
-  let choose i (inst : Hb_netlist.Design.instance) =
-    let cell = inst.Hb_netlist.Design.cell in
-    if Hashtbl.mem targets i
-    && Hb_cell.Kind.is_comb cell.Hb_cell.Cell.kind then
-      match Hb_cell.Library.upsize library cell with
-      | Some faster ->
-        changes :=
-          { inst_name = inst.Hb_netlist.Design.inst_name;
-            old_cell = cell.Hb_cell.Cell.name;
-            new_cell = faster.Hb_cell.Cell.name }
-          :: !changes;
-        faster
-      | None -> cell
-    else cell
-  in
-  let rebuilt = Hb_netlist.Rebuild.map_cells design ~f:choose in
-  match !changes with
-  | [] -> None
-  | changes -> Some (rebuilt, List.rev changes)
+  List.filter_map
+    (fun inst ->
+       let record = Hb_netlist.Design.instance design inst in
+       let cell = record.Hb_netlist.Design.cell in
+       if Hb_cell.Kind.is_comb cell.Hb_cell.Cell.kind then
+         Option.map
+           (fun (faster : Hb_cell.Cell.t) ->
+              { inst;
+                inst_name = record.Hb_netlist.Design.inst_name;
+                old_cell = cell.Hb_cell.Cell.name;
+                new_cell = faster.Hb_cell.Cell.name })
+           (Hb_cell.Library.upsize library cell)
+       else None)
+    (List.sort_uniq compare instances)

@@ -8,17 +8,20 @@
     analysis/redesign loop negotiates. *)
 
 type change = {
+  inst : int;  (** instance id in the design the change was picked on *)
   inst_name : string;
   old_cell : string;
   new_cell : string;
 }
 
-(** [upsize_instances design ~library ~instances] replaces each listed
-    combinational instance with its next drive variant when one exists.
-    Returns the rebuilt design and the changes made; [None] when no listed
-    instance could be improved (the design is returned unchanged). *)
+(** [upsize_instances design ~library ~instances] picks, for each listed
+    combinational instance of [design] that has a next drive variant,
+    the substitution to make, in ascending instance order (duplicates
+    listed once). It changes nothing: the caller applies the picks, for
+    example as [Edit.Resize_gate] commands. The list is empty when no
+    listed instance can be improved. *)
 val upsize_instances :
   Hb_netlist.Design.t ->
   library:Hb_cell.Library.t ->
   instances:int list ->
-  (Hb_netlist.Design.t * change list) option
+  change list

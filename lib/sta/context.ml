@@ -177,17 +177,6 @@ let cache_result cache (cluster : Cluster.t) ~cut_index =
     cache.results.(cluster.Cluster.id).(cut_index) <- Some result;
     result
 
-let same_edges a b =
-  Elements.count a = Elements.count b
-  && (let equal = ref true in
-      for i = 0 to Elements.count a - 1 do
-        let ea = Elements.element a i and eb = Elements.element b i in
-        if ea.Hb_sync.Element.assertion_edge <> eb.Hb_sync.Element.assertion_edge
-        || ea.Hb_sync.Element.closure_edge <> eb.Hb_sync.Element.closure_edge
-        then equal := false
-      done;
-      !equal)
-
 let apply_structural ctx ~design ~touched ?delays () =
   let old_table = ctx.table in
   let old_count = Array.length old_table.Cluster.clusters in
@@ -285,21 +274,3 @@ let apply_structural ctx ~design ~touched ?delays () =
                clusters_of_element = incidence ~elements ~table;
                slack_cache; macro_cache },
     !rebuilt )
-
-let update_design ctx ~design ?delays () =
-  if Hb_netlist.Design.instance_count design
-     <> Hb_netlist.Design.instance_count ctx.design
-  || Hb_netlist.Design.net_count design
-     <> Hb_netlist.Design.net_count ctx.design
-  then invalid_arg "Context.update_design: topology differs";
-  let elements = Elements.build ~design ~system:ctx.system ~config:ctx.config in
-  let table = Cluster.refresh_delays ctx.table ~design ?delays () in
-  let passes =
-    if same_edges elements ctx.elements then ctx.passes
-    else Passes.build ~system:ctx.system ~elements ~table
-  in
-  (* Arc delays changed and the element table is new, so cached block
-     results, version snapshots and timing macros are stale; the incidence
-     map only depends on the unchanged topology. *)
-  { ctx with design; elements; table; passes;
-             slack_cache = None; macro_cache = None }

@@ -74,8 +74,8 @@ val invalidate_clusters : t -> int list -> unit
 
 (** [macros t] returns the per-cluster macro store (indexed by cluster
     id), creating an all-empty one on first use. Slots are filled lazily
-    by the macro slack path and evicted by {!invalidate_clusters} /
-    {!invalidate_cache} / {!update_design}. *)
+    by the macro slack path and evicted by {!invalidate_clusters} and
+    {!invalidate_cache}. *)
 val macros : t -> Macro.t option array
 
 (** [cache_result cache cluster ~cut_index] returns the cached result
@@ -107,15 +107,3 @@ val apply_structural :
   ?delays:Delays.t ->
   unit ->
   t * int
-
-(** [update_design ctx ~design ?delays ()] re-targets the context at a
-    topologically identical design (same ports, nets, instances and pin
-    connections — only cells/delays may differ, as after gate upsizing).
-    Cluster extraction is skipped (arc delays are refreshed in place) and
-    the pass plans are reused when every element's ideal edges are
-    unchanged. Falls back to full pass re-planning when they are not.
-    The slack cache is dropped: delays moved without any element version
-    changing.
-    @raise Invalid_argument when the topology differs. *)
-val update_design :
-  t -> design:Hb_netlist.Design.t -> ?delays:Delays.t -> unit -> t

@@ -17,8 +17,10 @@ type t =
   | Scale_delay of { instance : string; factor : float }
       (** Multiply [instance]'s base-provider delays by [factor]. *)
   | Annotate of Annotation.t
-      (** Fold a parsed [.hbd] annotation into the session overrides.
-          Entries naming unknown instances are ignored (see
+      (** Fold an annotation into the session overrides. Its entries are
+          checked as {!Set_delay} and {!Scale_delay} are (no negative
+          delay, a positive factor), the first entry for an instance
+          wins, and entries naming unknown instances are ignored (see
           {!Annotation.unused}). *)
   | Set_offset of { element : int; offset : Hb_util.Time.t }
       (** Write element [element]'s free signal-arrival offset. *)

@@ -31,7 +31,7 @@ type t = {
   base_delays : Delays.t;
   delays : Delays.t;  (* base wrapped with the override table *)
   overrides : (string, Annotation.entry) Hashtbl.t;
-  mutable baseline : Hb_util.Time.t array;
+  baseline : Hb_util.Time.t array;
       (* offsets every analysis starts from: initial offsets + set_offset
          edits. Restored before each Algorithm 1 run so a re-query after
          relaxation moved offsets matches a fresh engine run. *)
@@ -124,7 +124,8 @@ type apply_error = {
 type staged = {
   mutable s_design : Hb_netlist.Design.t;
   mutable s_touched : int list;  (* net ids whose cluster an edit dirties *)
-  mutable s_overrides : (string * Annotation.entry) list;  (* reversed *)
+  mutable s_overrides : (int * string * Annotation.entry) list;
+      (* instance id and name, reversed *)
   mutable s_offsets : (int * Hb_util.Time.t) list;  (* reversed *)
   mutable s_structural : int;
 }
@@ -228,37 +229,54 @@ let validate_batch t commands =
     | Invalid_argument m -> raise (Rejected (Some i, Error.Invalid m))
   in
   let touch nets = staged.s_touched <- nets @ staged.s_touched in
+  let check_entry i op name = function
+    | Annotation.Fixed { rise; fall } ->
+      if not (rise >= 0.0 && fall >= 0.0) then
+        reject i "%s %s: delays must be non-negative" op name
+    | Annotation.Scaled factor ->
+      if not (factor > 0.0) then
+        reject i "%s %s: factor must be positive" op name
+  in
+  let override inst name entry =
+    staged.s_overrides <- (inst, name, entry) :: staged.s_overrides
+  in
   List.iteri
     (fun i command ->
        match (command : Edit.t) with
        | Edit.Set_delay { instance; rise; fall } ->
-         if not (rise >= 0.0 && fall >= 0.0) then
-           reject i "set_delay %s: delays must be non-negative" instance;
-         ignore (find_instance i instance : int);
-         staged.s_overrides <-
-           (instance, Annotation.Fixed { rise; fall })
-           :: staged.s_overrides
+         let entry = Annotation.Fixed { rise; fall } in
+         check_entry i "set_delay" instance entry;
+         override (find_instance i instance) instance entry
        | Edit.Scale_delay { instance; factor } ->
-         if not (factor > 0.0) then
-           reject i "scale_delay %s: factor must be positive" instance;
-         ignore (find_instance i instance : int);
-         staged.s_overrides <-
-           (instance, Annotation.Scaled factor) :: staged.s_overrides
+         let entry = Annotation.Scaled factor in
+         check_entry i "scale_delay" instance entry;
+         override (find_instance i instance) instance entry
        | Edit.Annotate annotation ->
-         (* First occurrence wins within one annotation; unknown names
-            are ignored, as in the legacy [annotate]. *)
-         let seen = Hashtbl.create 16 in
+         (* First occurrence wins within one annotation and unknown names
+            are ignored. The names are resolved in one walk over the
+            instances, with a table only as large as the annotation. *)
+         let entries = Annotation.entries annotation in
+         let wanted = Hashtbl.create (2 * List.length entries + 1) in
          List.iter
            (fun (name, entry) ->
-              if not (Hashtbl.mem seen name) then begin
-                Hashtbl.add seen name ();
-                if
-                  Hb_netlist.Design.find_instance staged.s_design name
-                  <> None
-                then
-                  staged.s_overrides <- (name, entry) :: staged.s_overrides
-              end)
-           (Annotation.entries annotation)
+              check_entry i "annotate" name entry;
+              if not (Hashtbl.mem wanted name) then
+                Hashtbl.add wanted name entry)
+           entries;
+         let design = staged.s_design and inst = ref 0 in
+         while
+           Hashtbl.length wanted > 0
+           && !inst < Hb_netlist.Design.instance_count design
+         do
+           let record = Hb_netlist.Design.instance design !inst in
+           let name = record.Hb_netlist.Design.inst_name in
+           Option.iter
+             (fun entry ->
+                Hashtbl.remove wanted name;
+                override !inst name entry)
+             (Hashtbl.find_opt wanted name);
+           incr inst
+         done
        | Edit.Set_offset { element; offset } ->
          if element < 0 || element >= Elements.count t.ctx.Context.elements
          then reject i "set_offset: element %d out of range" element;
@@ -375,15 +393,11 @@ let apply_r t commands =
        let overrides = List.rev staged.s_overrides in
        if overrides <> [] then begin
          List.iter
-           (fun (name, entry) -> Hashtbl.replace t.overrides name entry)
+           (fun (_, name, entry) -> Hashtbl.replace t.overrides name entry)
            overrides;
          let insts =
            List.sort_uniq compare
-             (List.filter_map
-                (fun (name, _) ->
-                   Hb_netlist.Design.find_instance t.ctx.Context.design
-                     name)
-                overrides)
+             (List.map (fun (inst, _, _) -> inst) overrides)
          in
          let touched =
            Cluster.refresh_instance_delays t.ctx.Context.table
@@ -443,23 +457,6 @@ let apply t commands =
       | _, e -> e
     in
     raise (Error.Error error)
-
-let update_design t ~design =
-  check_open t;
-  let ctx, cpu, wall =
-    timed (fun () ->
-        Hb_util.Telemetry.span "engine.preprocess" (fun () ->
-            Context.update_design t.ctx ~design ~delays:t.delays ()))
-  in
-  t.ctx <- ctx;
-  t.baseline <- Elements.save_offsets ctx.Context.elements;
-  let pending_cpu, pending_wall = t.pending_preprocess in
-  t.pending_preprocess <- (pending_cpu +. cpu, pending_wall +. wall);
-  if Hb_util.Log.on Hb_util.Log.Info then
-    Hb_util.Log.info "session.update_design"
-      [ ("design", Hb_util.Log.String design.Hb_netlist.Design.design_name);
-        ("preprocess_wall_s", Hb_util.Log.Float wall) ];
-  drop_queries t
 
 (* Run Algorithm 1 (or reuse the cached run). Any exception — a timeout
    tearing down a parallel slack evaluation included — drops the slack

@@ -53,8 +53,8 @@
 
 (** Per-phase cost on both clocks; see {!Engine.timings}. In a session
     the preprocess cost is paid at {!create} and charged to the first
-    {!analyse} report; later reports show 0 unless {!update_design}
-    re-preprocessed. Sessions restored from a snapshot report 0. *)
+    {!analyse} report; later reports show 0. Sessions restored from a
+    snapshot report 0. *)
 type timings = {
   preprocess_seconds : float;
   analysis_seconds : float;
@@ -91,8 +91,8 @@ val create :
   unit ->
   t
 
-(** The live context. Edits may swap it ({!apply} with structural
-    commands, {!update_design}); don't cache it across session calls. *)
+(** The live context. Structural edits swap it; don't cache it across
+    session calls. *)
 val context : t -> Context.t
 
 (** {2 Edits}
@@ -130,13 +130,6 @@ val apply_r : t -> Edit.t list -> (apply_result, apply_error) result
 (** Exception form of {!apply_r}: raises {!Error.Error} with the
     command index folded into the message. *)
 val apply : t -> Edit.t list -> apply_result
-
-(** [update_design t ~design] re-targets the session at a topologically
-    identical design (see {!Context.update_design}); overrides and
-    telemetry survive, the baseline is re-seeded from the new design's
-    initial offsets and every cached query is dropped. The whole-design
-    fallback for changes {!apply} cannot express. *)
-val update_design : t -> design:Hb_netlist.Design.t -> unit
 
 (** {2 Queries} *)
 

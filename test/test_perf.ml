@@ -123,25 +123,6 @@ let test_chip_regression () =
       ("SM1H", fun () -> Hb_workload.Chips.sm1h ());
     ]
 
-let test_update_design_invalidates () =
-  (* Rebinding the context to refreshed delays must drop the cache even
-     though no element version changed. *)
-  let design, system = Hb_workload.Chips.alu () in
-  let ctx = Hb_sta.Context.make ~design ~system ~config:parallel_config () in
-  let before = Hb_sta.Slacks.compute ctx in
-  let rebound =
-    Hb_sta.Context.update_design ctx ~design
-      ~delays:(Hb_sta.Delays.rc ()) ()
-  in
-  Alcotest.(check bool) "cache dropped" true
-    (rebound.Hb_sta.Context.slack_cache = None);
-  let after = Hb_sta.Slacks.compute rebound in
-  let forced = Hb_sta.Slacks.compute ~force:true rebound in
-  Alcotest.(check bool) "rebound = forced recompute" true
-    (same_slacks after forced);
-  Alcotest.(check bool) "delays actually moved the slacks" false
-    (same_slacks before after)
-
 (* ------------------------------------------------------------------ *)
 (* Element versions                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -648,8 +629,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_algorithm1_matches_sequential;
           Alcotest.test_case "Table 1 chips: outcome unchanged" `Quick
             test_chip_regression;
-          Alcotest.test_case "update_design invalidates the cache" `Quick
-            test_update_design_invalidates;
           Alcotest.test_case "element version counters" `Quick
             test_element_versions;
         ] );

@@ -6,20 +6,35 @@ let slow_pipeline () =
   Hb_workload.Pipelines.edge_ff ~period:14.0 ~width:4 ~stages:3
     ~gates_per_stage:25 ()
 
+let pick (c : Hb_resynth.Speedup.change) =
+  Printf.sprintf "%d %s %s->%s" c.Hb_resynth.Speedup.inst
+    c.Hb_resynth.Speedup.inst_name c.Hb_resynth.Speedup.old_cell
+    c.Hb_resynth.Speedup.new_cell
+
+let upsize design instances =
+  List.map pick
+    (Hb_resynth.Speedup.upsize_instances design ~library:lib ~instances)
+
+(* The picks come back in ascending instance order, one per instance,
+   and the design is left as it was. *)
 let test_upsize_applies () =
   let design, _ = slow_pipeline () in
-  let comb = Hb_netlist.Design.comb_instances design in
-  let target = List.hd comb in
-  match Hb_resynth.Speedup.upsize_instances design ~library:lib ~instances:[ target ] with
-  | Some (rebuilt, changes) ->
-    Alcotest.(check int) "one change" 1 (List.length changes);
-    let change = List.hd changes in
-    Alcotest.(check bool) "cell name changed" true
-      (change.Hb_resynth.Speedup.old_cell <> change.Hb_resynth.Speedup.new_cell);
-    Alcotest.(check int) "same instance count"
-      (Hb_netlist.Design.instance_count design)
-      (Hb_netlist.Design.instance_count rebuilt)
-  | None -> Alcotest.fail "expected an upsize"
+  let before = Hb_netlist.Hbn_format.write design in
+  let comb = Array.of_list (Hb_netlist.Design.comb_instances design) in
+  let a = comb.(0) and b = comb.(1) in
+  let expected inst =
+    let record = Hb_netlist.Design.instance design inst in
+    let cell = record.Hb_netlist.Design.cell in
+    match Hb_cell.Library.upsize lib cell with
+    | Some faster ->
+      Printf.sprintf "%d %s %s->%s" inst record.Hb_netlist.Design.inst_name
+        cell.Hb_cell.Cell.name faster.Hb_cell.Cell.name
+    | None -> Alcotest.fail "pipeline gate at top drive"
+  in
+  Alcotest.(check (list string)) "picks" [ expected a; expected b ]
+    (upsize design [ b; a; b ]);
+  Alcotest.(check string) "design unchanged" before
+    (Hb_netlist.Hbn_format.write design)
 
 let test_upsize_none_at_top_drive () =
   (* A design whose only gate is already at the top drive. *)
@@ -29,14 +44,13 @@ let test_upsize_none_at_top_drive () =
   Hb_netlist.Builder.add_instance b ~name:"u" ~cell:"inv_x4"
     ~connections:[ ("a", "i"); ("y", "n") ] ();
   let design = Hb_netlist.Builder.freeze b in
-  Alcotest.(check bool) "no upsize possible" true
-    (Hb_resynth.Speedup.upsize_instances design ~library:lib ~instances:[ 0 ] = None)
+  Alcotest.(check (list string)) "no upsize possible" [] (upsize design [ 0 ])
 
 let test_upsize_skips_sync () =
   let design, _ = slow_pipeline () in
   let sync = List.hd (Hb_netlist.Design.sync_instances design) in
-  Alcotest.(check bool) "sync instances are not upsized" true
-    (Hb_resynth.Speedup.upsize_instances design ~library:lib ~instances:[ sync ] = None)
+  Alcotest.(check (list string)) "sync instances are not upsized" []
+    (upsize design [ sync ])
 
 let test_loop_improves_timing () =
   let design, system = slow_pipeline () in
@@ -151,6 +165,92 @@ let test_qor_journal () =
     (List.length history) (List.length journal_lines);
   Hb_util.Log.reset ()
 
+(* A chain of 13 inverters from ff1 to ff2 whose first output also gates
+   ff3's clock: g1 sits next to a control cone, so the ECO path refuses
+   every round that resizes it, and the loop makes the round on the
+   design and opens a fresh session. The journal and the netlist are
+   pinned bit for bit. *)
+let gated_chain () =
+  let b = Hb_netlist.Builder.create ~name:"gated" ~library:lib in
+  Hb_netlist.Builder.add_port b ~name:"clk"
+    ~direction:Hb_netlist.Design.Port_in ~is_clock:true;
+  Hb_netlist.Builder.add_port b ~name:"din"
+    ~direction:Hb_netlist.Design.Port_in ~is_clock:false;
+  Hb_netlist.Builder.add_instance b ~name:"ff1" ~cell:"dff"
+    ~connections:[ ("d", "din"); ("ck", "clk"); ("q", "n0") ] ();
+  for i = 1 to 13 do
+    Hb_netlist.Builder.add_instance b ~name:(Printf.sprintf "g%d" i)
+      ~cell:"inv_x1"
+      ~connections:
+        [ ("a", Printf.sprintf "n%d" (i - 1)); ("y", Printf.sprintf "n%d" i) ]
+      ()
+  done;
+  Hb_netlist.Builder.add_instance b ~name:"ff2" ~cell:"dff"
+    ~connections:[ ("d", "n13"); ("ck", "clk"); ("q", "q2") ] ();
+  Hb_netlist.Builder.add_instance b ~name:"gate" ~cell:"and2_x1"
+    ~connections:[ ("a", "n1"); ("b", "clk"); ("y", "gclk") ] ();
+  Hb_netlist.Builder.add_instance b ~name:"ff3" ~cell:"dff"
+    ~connections:[ ("d", "din"); ("ck", "gclk"); ("q", "q3") ] ();
+  let system =
+    Hb_clock.System.make ~overall_period:8.0
+      [ Hb_clock.Waveform.make ~name:"clk" ~multiplier:1 ~rise:0.0
+          ~width:4.0 ]
+  in
+  (Hb_netlist.Builder.freeze b, system)
+
+let test_loop_control_cone_fallback () =
+  let design, system = gated_chain () in
+  (let session = Hb_sta.Session.create ~design ~system () in
+   (match
+      Hb_sta.Session.apply_r session
+        [ Hb_sta.Edit.Resize_gate
+            { instance = "g1"; cell = Hb_cell.Library.find_exn lib "inv_x2" } ]
+    with
+    | Ok _ -> Alcotest.fail "resizing g1 must be refused"
+    | Error _ -> ());
+   Hb_sta.Session.close session);
+  let result = Hb_resynth.Loop.optimise ~design ~system ~library:lib () in
+  let bits x = Printf.sprintf "%Lx" (Int64.bits_of_float x) in
+  let round from_cell to_cell =
+    List.init 13 (fun i ->
+        Printf.sprintf "g%d %s->%s" (i + 1) from_cell to_cell)
+  in
+  Alcotest.(check bool) "met" true result.Hb_resynth.Loop.met_timing;
+  Alcotest.(check int) "iterations" 2 result.Hb_resynth.Loop.iterations;
+  Alcotest.(check (list (pair string (list string)))) "journal"
+    [ ("bff5db22d0e5603c", round "inv_x1" "inv_x2");
+      ("bfdc083126e978f0", round "inv_x2" "inv_x4") ]
+    (List.map
+       (fun (s : Hb_resynth.Loop.step) ->
+          ( bits s.Hb_resynth.Loop.worst_slack,
+            List.map
+              (fun (c : Hb_resynth.Speedup.change) ->
+                 Printf.sprintf "%s %s->%s" c.Hb_resynth.Speedup.inst_name
+                   c.Hb_resynth.Speedup.old_cell c.Hb_resynth.Speedup.new_cell)
+              s.Hb_resynth.Loop.changed ))
+       result.Hb_resynth.Loop.history);
+  Alcotest.(check string) "final worst slack" "3f9a9fbe76c8b500"
+    (bits result.Hb_resynth.Loop.final_worst_slack);
+  let gates =
+    String.concat ""
+      (List.init 13 (fun i ->
+           Printf.sprintf "inst g%d inv_x4 a=n%d y=n%d\n" (i + 1) i (i + 1)))
+  in
+  Alcotest.(check string) "netlist"
+    ("design gated\nport in clk clock\nport in din\n\
+      inst ff1 dff d=din ck=clk q=n0\n" ^ gates
+     ^ "inst ff2 dff d=n13 ck=clk q=q2\n\
+        inst gate and2_x1 a=n1 b=clk y=gclk\n\
+        inst ff3 dff d=din ck=gclk q=q3\nend\n")
+    (Hb_netlist.Hbn_format.write result.Hb_resynth.Loop.design);
+  let fresh =
+    Hb_sta.Engine.analyse ~design:result.Hb_resynth.Loop.design ~system ()
+  in
+  Alcotest.(check string) "final = fresh analysis"
+    (bits
+       fresh.Hb_sta.Engine.outcome.Hb_sta.Algorithm1.final.Hb_sta.Slacks.worst)
+    (bits result.Hb_resynth.Loop.final_worst_slack)
+
 let () =
   Alcotest.run "hb_resynth"
     [ ("speedup",
@@ -162,5 +262,7 @@ let () =
          Alcotest.test_case "trades area" `Quick test_loop_trades_area;
          Alcotest.test_case "noop when fast" `Quick test_loop_noop_when_fast;
          Alcotest.test_case "respects cap" `Quick test_loop_respects_cap;
-         Alcotest.test_case "qor journal" `Quick test_qor_journal ]);
+         Alcotest.test_case "qor journal" `Quick test_qor_journal;
+         Alcotest.test_case "control-cone fallback" `Quick
+           test_loop_control_cone_fallback ]);
     ]
