@@ -25,10 +25,11 @@ type direction = Forward | Backward
 
 (* Transfer steps run in two flat passes over a structure-of-arrays
    amounts buffer: a gather pass folding the slack snapshot's element
-   arrays against the headrooms, then an apply pass issuing the shifts.
-   [divisor] is [None] for complete transfers and [Some n] for partial
-   ones. Both passes read the elements' cached offsets and write out the
-   [Hb_util.Time] helpers, so no float is boxed per element. *)
+   arrays against the headrooms, then the apply pass of
+   [Hb_sync.Element.shift_all] issuing the shifts. [divisor] is [None]
+   for complete transfers and [Some n] for partial ones. The gather pass
+   reads the elements' cached offsets and writes out the [Hb_util.Time]
+   helpers, so neither pass boxes a float per element. *)
 let gather_amounts (ctx : Context.t) (slacks : Slacks.t) direction ~divisor
     ~amounts =
   let all = ctx.Context.elements.Elements.all in
@@ -54,19 +55,8 @@ let gather_amounts (ctx : Context.t) (slacks : Slacks.t) direction ~divisor
   done
 
 let apply_amounts (ctx : Context.t) direction ~amounts =
-  let all = ctx.Context.elements.Elements.all in
-  let moved = ref false in
-  for e = 0 to Array.length all - 1 do
-    let amount = amounts.(e) in
-    (* Hb_util.Time.is_positive amount *)
-    if Hb_util.Time.zero +. Hb_util.Time.eps < amount then begin
-      moved := true;
-      match direction with
-      | Forward -> Hb_sync.Element.shift all.(e) (-.amount)
-      | Backward -> Hb_sync.Element.shift all.(e) amount
-    end
-  done;
-  !moved
+  Hb_sync.Element.shift_all ctx.Context.elements.Elements.all amounts
+    ~forward:(match direction with Forward -> true | Backward -> false)
 
 (* One complete slack-transfer step across every synchronising element,
    from a single slack snapshot. Returns whether any offset moved. *)

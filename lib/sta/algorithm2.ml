@@ -13,13 +13,14 @@ type direction = Forward | Backward
    Forward snatching takes time from upstream when the paths leaving the
    element's output are too slow; backward snatching takes time from
    downstream when the paths converging on its data input are too slow.
-   Headrooms come from the elements' cached offsets and the
-   [Hb_util.Time] tests are written out, so no float is boxed per
-   element. *)
-let snatch (ctx : Context.t) (slacks : Slacks.t) direction =
+   A gather pass writes each element's amount into [amounts], from the
+   elements' cached headrooms with the [Hb_util.Time] tests written out,
+   and [Hb_sync.Element.shift_all] applies them, so no float is boxed
+   per element. An element's amount reads only its own offsets, so
+   gathering every amount before the first shift changes nothing. *)
+let snatch (ctx : Context.t) (slacks : Slacks.t) direction ~amounts =
   let all = ctx.Context.elements.Elements.all in
   let eps = Hb_util.Time.eps and zero = Hb_util.Time.zero in
-  let moved = ref false in
   for e = 0 to Array.length all - 1 do
     let offsets = all.(e).Hb_sync.Element.offsets in
     let node_slack =
@@ -34,31 +35,26 @@ let snatch (ctx : Context.t) (slacks : Slacks.t) direction =
     in
     (* Hb_util.Time.is_negative node_slack, then
        Hb_util.Time.min (-.node_slack) headroom *)
-    let amount =
-      if node_slack +. eps < zero then
-        let need = -.node_slack in
-        if need <= headroom then need else headroom
-      else 0.0
-    in
-    (* Hb_util.Time.is_positive amount *)
-    if zero +. eps < amount then begin
-      moved := true;
-      match direction with
-      | Forward -> Hb_sync.Element.shift all.(e) (-.amount)
-      | Backward -> Hb_sync.Element.shift all.(e) amount
-    end
+    amounts.(e) <-
+      (if node_slack +. eps < zero then
+         let need = -.node_slack in
+         if need <= headroom then need else headroom
+       else 0.0)
   done;
-  !moved
+  Hb_sync.Element.shift_all all amounts
+    ~forward:(match direction with Forward -> true | Backward -> false)
 
 let run (ctx : Context.t) =
   let cap = ctx.Context.config.Config.max_transfer_iterations in
   let capped = ref false in
   (* The snatch loops read element-only snapshots written into these two
-     buffers; each phase then exits through one full compute, which the
-     cluster cache serves without re-evaluating anything. *)
+     buffers and gather their amounts into a third; each phase then exits
+     through one full compute, which the cluster cache serves without
+     re-evaluating anything. *)
   let element_count = Elements.count ctx.Context.elements in
   let input_slack = Array.make element_count 0.0 in
   let output_slack = Array.make element_count 0.0 in
+  let amounts = Array.make element_count 0.0 in
   let snatch_phase direction =
     let cycles = ref 0 in
     let rec loop () =
@@ -67,7 +63,7 @@ let run (ctx : Context.t) =
       if !cycles >= cap then capped := true
       else begin
         incr cycles;
-        if snatch ctx slacks direction then loop ()
+        if snatch ctx slacks direction ~amounts then loop ()
       end
     in
     loop ();

@@ -233,11 +233,6 @@ let count t = Array.length t.all
 let element t i = t.all.(i)
 
 let retarget t ~design = { t with design }
-let save_offsets t = Array.map Hb_sync.Element.o_dz t.all
-
-let restore_offsets t snapshot =
-  if Array.length snapshot <> Array.length t.all then
-    invalid_arg "Elements.restore_offsets: snapshot size mismatch";
-  Array.iteri (fun i v -> Hb_sync.Element.set_o_dz t.all.(i) v) snapshot
-
-let reset_offsets t = Array.iter Hb_sync.Element.reset t.all
+let save_offsets t = Hb_sync.Element.save_all t.all
+let restore_offsets t snapshot = Hb_sync.Element.restore_all t.all snapshot
+let reset_offsets t = Hb_sync.Element.reset_all t.all

@@ -48,7 +48,10 @@ val element : t -> int -> Hb_sync.Element.t
 val retarget : t -> design:Hb_netlist.Design.t -> t
 
 (** [save_offsets t] snapshots every adjustable offset;
-    [restore_offsets t snapshot] puts them back. *)
+    [restore_offsets t snapshot] puts them back
+    ({!Hb_sync.Element.save_all}, {!Hb_sync.Element.restore_all}).
+    @raise Invalid_argument when [snapshot] is not one offset per
+    element. *)
 val save_offsets : t -> Hb_util.Time.t array
 val restore_offsets : t -> Hb_util.Time.t array -> unit
 

@@ -202,15 +202,67 @@ let validate_batch t commands =
     let marked = Lazy.force control in
     net < Array.length marked && marked.(net)
   in
+  (* Every instance and net name the batch uses, resolved in one walk
+     over the design with tables as large as the batch. A name maps to
+     [-1] until found, and the lowest id wins, as in
+     [Hb_netlist.Design.find_instance]. Only [Insert_buffer] adds names
+     (remove_gate leaves a tombstone, and no edit renames), and it
+     refuses a name the design has, so recording the names it appends
+     keeps the tables equal to a lookup in the staged design. *)
+  let inst_ids = Hashtbl.create 16 and net_ids = Hashtbl.create 16 in
+  let want table name =
+    if not (Hashtbl.mem table name) then Hashtbl.add table name (-1)
+  in
+  List.iter
+    (fun (command : Edit.t) ->
+       match command with
+       | Edit.Set_delay { instance; _ }
+       | Edit.Scale_delay { instance; _ }
+       | Edit.Resize_gate { instance; _ }
+       | Edit.Remove_gate { instance } -> want inst_ids instance
+       | Edit.Rewire_net { instance; net; _ } ->
+         want inst_ids instance;
+         want net_ids net
+       | Edit.Insert_buffer { net; _ } -> want net_ids net
+       | Edit.Annotate annotation ->
+         List.iter
+           (fun (name, _) -> want inst_ids name)
+           (Annotation.entries annotation)
+       | Edit.Set_offset _ -> ())
+    commands;
+  let resolve table ~count ~name_of =
+    let unresolved = ref (Hashtbl.length table) and id = ref 0 in
+    while !unresolved > 0 && !id < count do
+      let name = name_of !id in
+      (match Hashtbl.find_opt table name with
+       | Some -1 ->
+         Hashtbl.replace table name !id;
+         decr unresolved
+       | Some _ | None -> ());
+      incr id
+    done
+  in
+  let design = staged.s_design in
+  resolve inst_ids ~count:(Hb_netlist.Design.instance_count design)
+    ~name_of:(fun i ->
+        (Hb_netlist.Design.instance design i).Hb_netlist.Design.inst_name);
+  resolve net_ids ~count:(Hb_netlist.Design.net_count design)
+    ~name_of:(fun n ->
+        (Hb_netlist.Design.net design n).Hb_netlist.Design.net_name);
+  let appended table name id =
+    match Hashtbl.find_opt table name with
+    | Some -1 -> Hashtbl.replace table name id
+    | Some _ | None -> ()
+  in
   let find_instance i name =
-    match Hb_netlist.Design.find_instance staged.s_design name with
-    | Some inst -> inst
-    | None -> reject i "unknown instance %S" name
+    match Hashtbl.find inst_ids name with
+    | -1 -> reject i "unknown instance %S" name
+    | inst -> inst
   in
   let find_net i name =
-    match Hb_netlist.Design.find_net staged.s_design name with
-    | Some net -> net
-    | None -> reject i "unknown net %S" name
+    match Hashtbl.find net_ids name with
+    | -1 -> reject i "unknown net %S" name
+    | net -> net
   in
   let check_gate_nets i inst op =
     List.iter
@@ -253,30 +305,18 @@ let validate_batch t commands =
          override (find_instance i instance) instance entry
        | Edit.Annotate annotation ->
          (* First occurrence wins within one annotation and unknown names
-            are ignored. The names are resolved in one walk over the
-            instances, with a table only as large as the annotation. *)
-         let entries = Annotation.entries annotation in
-         let wanted = Hashtbl.create (2 * List.length entries + 1) in
+            are ignored. *)
+         let seen = Hashtbl.create 16 in
          List.iter
            (fun (name, entry) ->
               check_entry i "annotate" name entry;
-              if not (Hashtbl.mem wanted name) then
-                Hashtbl.add wanted name entry)
-           entries;
-         let design = staged.s_design and inst = ref 0 in
-         while
-           Hashtbl.length wanted > 0
-           && !inst < Hb_netlist.Design.instance_count design
-         do
-           let record = Hb_netlist.Design.instance design !inst in
-           let name = record.Hb_netlist.Design.inst_name in
-           Option.iter
-             (fun entry ->
-                Hashtbl.remove wanted name;
-                override !inst name entry)
-             (Hashtbl.find_opt wanted name);
-           incr inst
-         done
+              if not (Hashtbl.mem seen name) then begin
+                Hashtbl.add seen name ();
+                match Hashtbl.find inst_ids name with
+                | -1 -> ()
+                | inst -> override inst name entry
+              end)
+           (Annotation.entries annotation)
        | Edit.Set_offset { element; offset } ->
          if element < 0 || element >= Elements.count t.ctx.Context.elements
          then reject i "set_offset: element %d out of range" element;
@@ -286,10 +326,21 @@ let validate_batch t commands =
          if is_control target then
            reject i "insert_buffer: net %s is in a control cone" net;
          let fresh_net = Hb_netlist.Design.net_count staged.s_design in
+         let fresh_inst =
+           Hb_netlist.Design.instance_count staged.s_design
+         in
          staged.s_design <-
            surgery i (fun () ->
                Hb_netlist.Structural.insert_buffer staged.s_design
                  ~net:target ~cell ?inst_name ?net_name ());
+         appended inst_ids
+           (Hb_netlist.Design.instance staged.s_design fresh_inst)
+             .Hb_netlist.Design.inst_name
+           fresh_inst;
+         appended net_ids
+           (Hb_netlist.Design.net staged.s_design fresh_net)
+             .Hb_netlist.Design.net_name
+           fresh_net;
          touch [ target; fresh_net ];
          staged.s_structural <- staged.s_structural + 1
        | Edit.Resize_gate { instance; cell } ->

@@ -2,14 +2,14 @@ type detail =
   | Clocked of {
       kind : Hb_cell.Kind.synchroniser;
       params : Model.params;
-      mutable o_dz : Hb_util.Time.t;
     }
   | Fixed of {
       assertion_offset : Hb_util.Time.t;
       closure_offset : Hb_util.Time.t;
     }
 
-type offsets = {
+type offsets = Model.offsets = private {
+  mutable o_dz : float;
   mutable assertion : float;
   mutable closure : float;
   mutable forward_headroom : float;
@@ -29,36 +29,10 @@ type t = {
   offsets : offsets;
 }
 
-(* The derived offsets of the current state, by the Model formulas. An
-   all-float record, so refreshing it stores floats flat and allocates
-   nothing, and readers in other modules load them without a call. *)
-let refresh t =
-  let o = t.offsets in
-  match t.detail with
-  | Clocked c ->
-    o.assertion <- Model.assertion_offset c.kind c.params ~o_dz:c.o_dz;
-    o.closure <-
-      t.extra_closure_delay +. Model.closure_offset c.kind c.params ~o_dz:c.o_dz;
-    o.forward_headroom <- Model.forward_headroom c.kind c.params ~o_dz:c.o_dz;
-    o.backward_headroom <- Model.backward_headroom c.kind c.params ~o_dz:c.o_dz
-  | Fixed f ->
-    o.assertion <- f.assertion_offset;
-    o.closure <- t.extra_closure_delay +. f.closure_offset;
-    o.forward_headroom <- 0.0;
-    o.backward_headroom <- 0.0
-
 let make ~id ~inst ~label ~replica ~extra_closure_delay ~assertion_edge
-    ~closure_edge detail =
-  let t =
-    { id; inst; label; replica; extra_closure_delay; assertion_edge;
-      closure_edge; detail; version = 0;
-      offsets =
-        { assertion = 0.0; closure = 0.0; forward_headroom = 0.0;
-          backward_headroom = 0.0 };
-    }
-  in
-  refresh t;
-  t
+    ~closure_edge detail offsets =
+  { id; inst; label; replica; extra_closure_delay; assertion_edge;
+    closure_edge; detail; version = 0; offsets }
 
 let clocked ?(extra_closure_delay = 0.0) ~id ~inst ~label ~replica ~kind
     ~params ~assertion_edge ~closure_edge () =
@@ -67,60 +41,108 @@ let clocked ?(extra_closure_delay = 0.0) ~id ~inst ~label ~replica ~kind
     invalid_arg "Element.clocked: negative extra closure delay";
   make ~id ~inst ~label ~replica ~extra_closure_delay
     ~assertion_edge:(Some assertion_edge) ~closure_edge:(Some closure_edge)
-    (Clocked { kind; params; o_dz = Model.initial_o_dz kind params })
+    (Clocked { kind; params })
+    (Model.initial_offsets kind params ~extra_closure_delay)
+
+(* A boundary's closure offset is stored as [0.0 +. closure_offset], the
+   sum with its zero extra closure delay, as for clocked elements. *)
+let fixed ~id ~inst ~label ~assertion_edge ~closure_edge ~assertion_offset
+    ~closure_offset =
+  let extra_closure_delay = 0.0 in
+  make ~id ~inst ~label ~replica:0 ~extra_closure_delay ~assertion_edge
+    ~closure_edge
+    (Fixed { assertion_offset; closure_offset })
+    (Model.fixed_offsets ~assertion:assertion_offset
+       ~closure:(extra_closure_delay +. closure_offset))
 
 let input_boundary ~inst ~id ~label ~edge ~arrival_offset =
-  make ~id ~inst ~label ~replica:0 ~extra_closure_delay:0.0
-    ~assertion_edge:(Some edge) ~closure_edge:None
-    (Fixed { assertion_offset = arrival_offset; closure_offset = 0.0 })
+  fixed ~id ~inst ~label ~assertion_edge:(Some edge) ~closure_edge:None
+    ~assertion_offset:arrival_offset ~closure_offset:0.0
 
 let output_boundary ~inst ~id ~label ~edge ~required_offset =
-  make ~id ~inst ~label ~replica:0 ~extra_closure_delay:0.0
-    ~assertion_edge:None ~closure_edge:(Some edge)
-    (Fixed { assertion_offset = 0.0; closure_offset = required_offset })
+  fixed ~id ~inst ~label ~assertion_edge:None ~closure_edge:(Some edge)
+    ~assertion_offset:0.0 ~closure_offset:required_offset
 
 let closure_offset t = t.offsets.closure
 let assertion_offset t = t.offsets.assertion
 let forward_headroom t = t.offsets.forward_headroom
 let backward_headroom t = t.offsets.backward_headroom
+let o_dz t = t.offsets.o_dz
 
-(* Every effective change of an element's offset state bumps [version]
-   and refreshes [offsets]; the slack engine compares versions against
-   its last snapshot to find the clusters whose cached block results are
-   stale. Clamped-to-equal writes do not bump, so converged elements stop
-   dirtying clusters. *)
-let write_o_dz t value =
-  match t.detail with
-  | Fixed _ -> ()
-  | Clocked c ->
-    if value <> c.o_dz then begin
-      c.o_dz <- value;
-      t.version <- t.version + 1;
-      refresh t
-    end
+(* Every effective change of an element's offset state bumps [version];
+   the slack engine compares versions against its last snapshot to find
+   the clusters whose cached block results are stale. The [Model] writes
+   report a clamped-to-equal write as no change, so converged elements
+   stop dirtying clusters. *)
+let[@inline] bump t changed = if changed then t.version <- t.version + 1
 
 let shift t delta =
   match t.detail with
   | Fixed _ -> ()
   | Clocked c ->
-    let interval = Model.o_dz_interval c.kind c.params in
-    write_o_dz t (Hb_util.Interval.clamp (c.o_dz +. delta) interval)
-
-let reset t =
-  match t.detail with
-  | Fixed _ -> ()
-  | Clocked c -> write_o_dz t (Model.initial_o_dz c.kind c.params)
-
-let o_dz t =
-  match t.detail with
-  | Clocked c -> c.o_dz
-  | Fixed _ -> 0.0
+    bump t
+      (Model.set c.kind c.params ~extra_closure_delay:t.extra_closure_delay
+         t.offsets (t.offsets.o_dz +. delta))
 
 let set_o_dz t v =
   match t.detail with
   | Fixed _ -> ()
   | Clocked c ->
-    write_o_dz t (Hb_util.Interval.clamp v (Model.o_dz_interval c.kind c.params))
+    bump t
+      (Model.set c.kind c.params ~extra_closure_delay:t.extra_closure_delay
+         t.offsets v)
+
+let reset t =
+  match t.detail with
+  | Fixed _ -> ()
+  | Clocked c ->
+    bump t
+      (Model.reset c.kind c.params ~extra_closure_delay:t.extra_closure_delay
+         t.offsets)
+
+(* The loops over a design's elements. Each amount or offset reaches its
+   [Model] write through the array it lives in, so no float is boxed per
+   element. *)
+
+let shift_all all amounts ~forward =
+  let moved = ref false in
+  for e = 0 to Array.length all - 1 do
+    (* Hb_util.Time.is_positive amounts.(e) *)
+    if Hb_util.Time.zero +. Hb_util.Time.eps < amounts.(e) then begin
+      moved := true;
+      let t = all.(e) in
+      match t.detail with
+      | Fixed _ -> ()
+      | Clocked c ->
+        bump t
+          (Model.shift_by c.kind c.params
+             ~extra_closure_delay:t.extra_closure_delay t.offsets amounts e
+             ~forward)
+    end
+  done;
+  !moved
+
+let save_all all =
+  let saved = Array.make (Array.length all) 0.0 in
+  for e = 0 to Array.length all - 1 do
+    saved.(e) <- all.(e).offsets.o_dz
+  done;
+  saved
+
+let restore_all all saved =
+  if Array.length saved <> Array.length all then
+    invalid_arg "Element.restore_all: snapshot size mismatch";
+  for e = 0 to Array.length all - 1 do
+    let t = all.(e) in
+    match t.detail with
+    | Fixed _ -> ()
+    | Clocked c ->
+      bump t
+        (Model.set_from c.kind c.params
+           ~extra_closure_delay:t.extra_closure_delay t.offsets saved e)
+  done
+
+let reset_all all = Array.iter reset all
 
 let version t = t.version
 

@@ -11,28 +11,27 @@
     data at a fixed offset. They take part in slack bookkeeping but have no
     adjustable offsets. *)
 
-(** Private so that [o_dz] only moves through {!shift}, {!set_o_dz} and
-    {!reset}, which keep [version] and [offsets] in step with it. *)
 type detail = private
   | Clocked of {
       kind : Hb_cell.Kind.synchroniser;
       params : Model.params;
-      mutable o_dz : Hb_util.Time.t;
     }
   | Fixed of {
       assertion_offset : Hb_util.Time.t;
       closure_offset : Hb_util.Time.t;
     }  (** boundary (port) element *)
 
-(** The effective offsets and transfer headrooms of the current offset
-    state, as {!Model} derives them. Each value has one owner: the
-    element computes them when it is made and again on every effective
-    offset change, and everything else reads them. All fields are
-    floats, so the record stores them flat: hot loops in other modules
-    read a field without a call, and so without boxing the float (the
-    default dev profile compiles libraries [-opaque], which keeps
-    cross-module float helpers from inlining). *)
-type offsets = private {
+(** The free offset [o_dz] (0 for boundaries) and the effective offsets
+    and transfer headrooms {!Model} derives from it. Each value has one
+    owner: the {!Model} writes behind {!shift}, {!set_o_dz}, {!reset}
+    and the array loops below are the only code that changes them, and
+    everything else reads them. All fields are floats, so the record
+    stores them flat: hot loops in other modules read a field without a
+    call, and so without boxing the float (the default dev profile
+    compiles libraries [-opaque], which keeps cross-module float helpers
+    from inlining). *)
+type offsets = Model.offsets = private {
+  mutable o_dz : float;
   mutable assertion : float;
       (** effective output assertion offset [max(O_at + D_cz, o_zd)] *)
   mutable closure : float;
@@ -59,10 +58,11 @@ type t = private {
   detail : detail;
   mutable version : int;
       (** dirty counter: bumped on every effective offset change
-          ({!shift}, {!set_o_dz}, {!reset}); incremental slack evaluation
-          compares it against a snapshot to find stale clusters *)
+          ({!shift}, {!set_o_dz}, {!reset} and the array loops);
+          incremental slack evaluation compares it against a snapshot
+          to find stale clusters *)
   offsets : offsets;
-      (** refreshed wherever [version] is bumped *)
+      (** changes exactly where [version] is bumped *)
 }
 
 (** [clocked ~id ~inst ~label ~replica ~kind ~params ~assertion_edge
@@ -119,6 +119,28 @@ val o_dz : t -> Hb_util.Time.t
 (** [set_o_dz t v] writes the free offset, clamped to the legal interval.
     No-op on boundaries. Used to save/restore analysis state. *)
 val set_o_dz : t -> Hb_util.Time.t -> unit
+
+(** {1 Loops over a design's elements}
+
+    Each runs the {!Model} write of every element it moves, reading the
+    amount or offset from the array it lives in, so a call allocates
+    nothing per element. *)
+
+(** [shift_all all amounts ~forward] shifts [all.(e)] by
+    [-. amounts.(e)] when [forward], by [amounts.(e)] otherwise, for
+    every [e] whose amount is positive ({!Hb_util.Time.is_positive}).
+    Returns whether any amount was positive. [amounts] is as long as
+    [all]. *)
+val shift_all : t array -> float array -> forward:bool -> bool
+
+(** [save_all all] is every element's [o_dz], in order;
+    [restore_all all saved] writes them back with {!set_o_dz}.
+    @raise Invalid_argument when the lengths differ. *)
+val save_all : t array -> Hb_util.Time.t array
+val restore_all : t array -> Hb_util.Time.t array -> unit
+
+(** [reset_all all] resets every element. *)
+val reset_all : t array -> unit
 
 val is_boundary : t -> bool
 

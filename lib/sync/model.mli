@@ -18,10 +18,11 @@
     couples [o_zd = W + o_dz + D_dz] (Figure 3), leaving [o_dz] as the
     single degree of freedom that slack transfer moves.
 
-    This module is purely functional: it computes the derived offsets,
-    their legal interval, and the transfer headrooms from the element
-    parameters and the current [o_dz] value. The mutable per-replica state
-    lives in {!Element}. *)
+    The functions below compute the derived offsets, their legal
+    interval, and the transfer headrooms from the element parameters and
+    an [o_dz] value. The per-replica offset state is an {!offsets}
+    record, which {!Element} keeps; the writes at the end of this module
+    are the only code that changes it. *)
 
 type params = {
   setup : Hb_util.Time.t;        (** [Dsetup] *)
@@ -76,3 +77,64 @@ val forward_headroom :
     how far [o_dz] may increase. *)
 val backward_headroom :
   Hb_cell.Kind.synchroniser -> params -> o_dz:Hb_util.Time.t -> Hb_util.Time.t
+
+(** {1 Offset state}
+
+    The free offset and the four offsets derived from it, as one
+    all-float record: its fields are stored flat, so a write stores
+    floats without boxing them and readers in other modules load them
+    without a call. Every write here clamps the new [o_dz] into
+    {!o_dz_interval}, stores it only when it differs from the current
+    value ([<>] on floats), recomputes the derived fields with the
+    formulas above, and returns whether it stored. Except for {!set},
+    no float crosses the call: values come in through records and
+    arrays, since the default dev profile compiles libraries [-opaque]
+    and a float argument or result of a call that is not inlined is
+    boxed. An element's offsets change only through {!Element}, which
+    bumps the element's version when a write returns [true]. *)
+
+type offsets = private {
+  mutable o_dz : float;  (** the free offset *)
+  mutable assertion : float;
+      (** {!assertion_offset} of [o_dz] *)
+  mutable closure : float;
+      (** {!closure_offset} of [o_dz], plus the element's extra closure
+          delay *)
+  mutable forward_headroom : float;  (** {!forward_headroom} of [o_dz] *)
+  mutable backward_headroom : float;  (** {!backward_headroom} of [o_dz] *)
+}
+
+(** [initial_offsets kind p ~extra_closure_delay] is a fresh state at
+    {!initial_o_dz}. *)
+val initial_offsets :
+  Hb_cell.Kind.synchroniser -> params -> extra_closure_delay:Hb_util.Time.t ->
+  offsets
+
+(** [fixed_offsets ~assertion ~closure] is the state of a boundary
+    element: [o_dz] and both headrooms 0. No write below should be given
+    it. *)
+val fixed_offsets :
+  assertion:Hb_util.Time.t -> closure:Hb_util.Time.t -> offsets
+
+(** [set kind p ~extra_closure_delay o v] writes [v]. *)
+val set :
+  Hb_cell.Kind.synchroniser -> params -> extra_closure_delay:Hb_util.Time.t ->
+  offsets -> Hb_util.Time.t -> bool
+
+(** [shift_by kind p ~extra_closure_delay o amounts i ~forward] writes
+    [o.o_dz +. -.amounts.(i)] when [forward] (a forward transfer moves
+    [o_dz] earlier), [o.o_dz +. amounts.(i)] otherwise. *)
+val shift_by :
+  Hb_cell.Kind.synchroniser -> params -> extra_closure_delay:Hb_util.Time.t ->
+  offsets -> float array -> int -> forward:bool -> bool
+
+(** [set_from kind p ~extra_closure_delay o values i] writes
+    [values.(i)]. *)
+val set_from :
+  Hb_cell.Kind.synchroniser -> params -> extra_closure_delay:Hb_util.Time.t ->
+  offsets -> float array -> int -> bool
+
+(** [reset kind p ~extra_closure_delay o] writes {!initial_o_dz}. *)
+val reset :
+  Hb_cell.Kind.synchroniser -> params -> extra_closure_delay:Hb_util.Time.t ->
+  offsets -> bool

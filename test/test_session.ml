@@ -490,6 +490,111 @@ let test_eco_rewire_net () =
        [ Hb_sta.Edit.Rewire_net { instance; pin; net } ]);
   Hb_sta.Session.close session
 
+(* Every slack of a report, as bits. *)
+let slack_bits (r : Hb_sta.Engine.report) =
+  let s = r.Hb_sta.Engine.outcome.Hb_sta.Algorithm1.final in
+  List.concat_map
+    (fun values -> Array.to_list (Array.map Int64.bits_of_float values))
+    [ s.Hb_sta.Slacks.element_input_slack;
+      s.Hb_sta.Slacks.element_output_slack;
+      s.Hb_sta.Slacks.net_slack;
+      s.Hb_sta.Slacks.net_ready;
+      s.Hb_sta.Slacks.net_required;
+      [| s.Hb_sta.Slacks.worst |] ]
+
+(* A batch resolves the names of all its commands in one walk over the
+   design. On scale10k, 1,000 [scale_delay] commands in one batch give
+   the slack and arc bits of one command per batch, and invalidate each
+   cluster the one-command batches invalidated, once. An unknown name is
+   refused with its command's index, and a buffer inserted earlier in a
+   batch can be resized later in it. *)
+let test_eco_batch_names () =
+  let design, system = Hb_workload.Scale.scale10k () in
+  let comb = Array.of_list (Hb_netlist.Design.comb_instances design) in
+  let picks =
+    Array.init 1000 (fun k -> comb.(k * Array.length comb / 1000))
+  in
+  let name inst =
+    (Hb_netlist.Design.instance design inst).Hb_netlist.Design.inst_name
+  in
+  let commands =
+    Array.to_list
+      (Array.mapi
+         (fun k inst ->
+            Hb_sta.Edit.Scale_delay
+              { instance = name inst;
+                factor = 0.8 +. (0.04 *. float_of_int (k mod 11)) })
+         picks)
+  in
+  let batched = Hb_sta.Session.create ~design ~system () in
+  let start = Unix.gettimeofday () in
+  let result = Hb_sta.Session.apply batched commands in
+  let elapsed = Unix.gettimeofday () -. start in
+  Alcotest.(check bool)
+    (Printf.sprintf "apply took %.3f s (budget 0.5 s)" elapsed)
+    true (elapsed < 0.5);
+  let single = Hb_sta.Session.create ~design ~system () in
+  let per_command =
+    List.map
+      (fun command ->
+         (Hb_sta.Session.apply single [ command ])
+           .Hb_sta.Session.clusters_invalidated)
+      commands
+  in
+  (* The cluster holding each gate's arcs, if it has any. *)
+  let cluster_of = Hashtbl.create 1024 in
+  Array.iteri
+    (fun c (cluster : Hb_sta.Cluster.t) ->
+       Array.iter
+         (fun inst -> Hashtbl.replace cluster_of inst c)
+         cluster.Hb_sta.Cluster.arc_inst)
+    (Hb_sta.Session.context single).Hb_sta.Context.table
+      .Hb_sta.Cluster.clusters;
+  let clusters = Array.map (Hashtbl.find_opt cluster_of) picks in
+  Alcotest.(check (list int)) "one-command batches"
+    (Array.to_list
+       (Array.map (function Some _ -> 1 | None -> 0) clusters))
+    per_command;
+  Alcotest.(check int) "clusters invalidated once each"
+    (List.length
+       (List.sort_uniq compare
+          (List.filter_map Fun.id (Array.to_list clusters))))
+    result.Hb_sta.Session.clusters_invalidated;
+  Alcotest.(check (list int64)) "arc bits"
+    (arc_bits (Hb_sta.Session.context single))
+    (arc_bits (Hb_sta.Session.context batched));
+  Alcotest.(check (list int64)) "slack bits"
+    (slack_bits (Hb_sta.Session.analyse single))
+    (slack_bits (Hb_sta.Session.analyse batched));
+  Hb_sta.Session.close single;
+  let k = 617 in
+  let unknown =
+    List.mapi
+      (fun i command ->
+         if i = k then
+           Hb_sta.Edit.Scale_delay { instance = "no-such-gate"; factor = 0.9 }
+         else command)
+      commands
+  in
+  (match Hb_sta.Session.apply batched unknown with
+   | _ -> Alcotest.fail "a batch naming an unknown gate must be refused"
+   | exception Hb_sta.Error.Error (Hb_sta.Error.Invalid m) ->
+     let prefix = Printf.sprintf "edit %d: unknown instance" k in
+     Alcotest.(check string) "index in the message" prefix
+       (String.sub m 0 (min (String.length m) (String.length prefix))));
+  Hb_sta.Session.close batched;
+  let cell = Hb_cell.Library.find_exn library in
+  let session = Hb_sta.Session.create ~design ~system () in
+  check_structural_parity "resize of an inserted buffer" session
+    [ Hb_sta.Edit.Insert_buffer
+        { net = path_net session;
+          cell = cell "buf_x1";
+          inst_name = Some "eco_buf";
+          net_name = Some "eco_net";
+        };
+      Hb_sta.Edit.Resize_gate { instance = "eco_buf"; cell = cell "buf_x4" } ];
+  Hb_sta.Session.close session
+
 (* A rejected batch is a true no-op: the session answers exactly as it
    did before, and the failing command is named. *)
 let test_eco_atomicity () =
@@ -1658,7 +1763,9 @@ let () =
            test_eco_atomicity;
          Alcotest.test_case "control cone rejected" `Quick
            test_eco_control_cone_rejected;
-         Alcotest.test_case "cycle rejected" `Quick test_eco_cycle_rejected ]);
+         Alcotest.test_case "cycle rejected" `Quick test_eco_cycle_rejected;
+         Alcotest.test_case "batch names in one walk" `Quick
+           test_eco_batch_names ]);
       ("snapshot",
        [ Alcotest.test_case "round trip" `Quick test_snapshot_round_trip;
          Alcotest.test_case "corruption" `Quick test_snapshot_corruption ]);
