@@ -47,8 +47,14 @@ val add_instance_of_cell :
 val wire_capacitance_per_load : float
 
 (** [freeze t] validates and produces the immutable design:
-    - every net has exactly one driver (an input port or an output pin);
     - every data/control input pin of every instance is connected;
-    - output ports are driven.
-    @raise Failure with a readable message when validation fails. *)
+    - every net has exactly one driver (an input port or an output pin),
+      or only tristate driver outputs; so every output port is driven.
+
+    Nets are numbered with the ports' nets first, in port order, then in
+    order of first mention by instances, wherever the ports were added.
+    [t] is left as it was and may be extended and frozen again.
+    @raise Failure with a readable message when validation fails: the
+    first unconnected input in instance order, else the lowest-numbered
+    net that fails. *)
 val freeze : t -> Design.t

@@ -19,12 +19,15 @@
     - [port in <name> [clock]] / [port out <name>];
     - [inst <instance> <cell> [module=<path>] <pin>=<net> ...];
     - [end] — must come last;
-    - blank lines and lines starting with [#] are ignored. *)
+    - blank lines and lines whose first token starts with [#] are ignored.
+
+    Only [' '] separates tokens: a tab or a ['\r'] is part of one. *)
 
 exception Parse_error of { line : int; message : string }
 
 (** [parse ~library text] builds the design described by [text].
     @raise Parse_error on malformed input.
+    @raise Invalid_argument on a duplicate port, from {!Builder.add_port}.
     @raise Failure when the netlist fails {!Builder.freeze} validation. *)
 val parse : library:Hb_cell.Library.t -> string -> Design.t
 
