@@ -694,6 +694,294 @@ let test_eco_cycle_rejected () =
   check_reports_equal "rejected cycle is a no-op" before after;
   Hb_sta.Session.close session
 
+(* The context a structural commit leaves must equal, field by field,
+   the one a from-scratch preprocess builds on the edited design: cluster
+   ids, nets, members, every arc array bit for bit, CSR, topological
+   order, terminals, the net maps, the pass plans, the endpoint maps and
+   the element-to-cluster incidence. *)
+let context_differences (got : Hb_sta.Context.t) (want : Hb_sta.Context.t) =
+  let open Hb_sta in
+  let found = ref [] in
+  let expect what same = if not same then found := what :: !found in
+  let bits a = Array.map Int64.bits_of_float a in
+  let gt = got.Context.table and wt = want.Context.table in
+  expect "cluster count"
+    (Array.length gt.Cluster.clusters = Array.length wt.Cluster.clusters);
+  expect "cluster_of_net" (gt.Cluster.cluster_of_net = wt.Cluster.cluster_of_net);
+  expect "local_of_net" (gt.Cluster.local_of_net = wt.Cluster.local_of_net);
+  if Array.length gt.Cluster.clusters = Array.length wt.Cluster.clusters then
+    Array.iteri
+      (fun c (w : Cluster.t) ->
+         let g = gt.Cluster.clusters.(c) in
+         let field name same =
+           expect (Printf.sprintf "cluster %d %s" c name) same
+         in
+         field "id" (g.Cluster.id = w.Cluster.id);
+         field "nets" (g.Cluster.nets = w.Cluster.nets);
+         field "members" (g.Cluster.members = w.Cluster.members);
+         field "arc_from" (g.Cluster.arc_from = w.Cluster.arc_from);
+         field "arc_to" (g.Cluster.arc_to = w.Cluster.arc_to);
+         field "arc_dmax" (bits g.Cluster.arc_dmax = bits w.Cluster.arc_dmax);
+         field "arc_dmin" (bits g.Cluster.arc_dmin = bits w.Cluster.arc_dmin);
+         field "arc_rise" (bits g.Cluster.arc_rise = bits w.Cluster.arc_rise);
+         field "arc_fall" (bits g.Cluster.arc_fall = bits w.Cluster.arc_fall);
+         field "arc_sense" (g.Cluster.arc_sense = w.Cluster.arc_sense);
+         field "arc_inst" (g.Cluster.arc_inst = w.Cluster.arc_inst);
+         field "succ_off" (g.Cluster.succ_off = w.Cluster.succ_off);
+         field "succ_arc" (g.Cluster.succ_arc = w.Cluster.succ_arc);
+         field "pred_off" (g.Cluster.pred_off = w.Cluster.pred_off);
+         field "pred_arc" (g.Cluster.pred_arc = w.Cluster.pred_arc);
+         field "topo" (g.Cluster.topo = w.Cluster.topo);
+         field "inputs" (g.Cluster.inputs = w.Cluster.inputs);
+         field "outputs" (g.Cluster.outputs = w.Cluster.outputs))
+      wt.Cluster.clusters;
+  let gp = got.Context.passes and wp = want.Context.passes in
+  expect "plans" (gp.Passes.plans = wp.Passes.plans);
+  expect "element_assertion_node"
+    (gp.Passes.element_assertion_node = wp.Passes.element_assertion_node);
+  expect "element_closure_node"
+    (gp.Passes.element_closure_node = wp.Passes.element_closure_node);
+  expect "endpoint_cluster"
+    (gp.Passes.endpoint_cluster = wp.Passes.endpoint_cluster);
+  expect "endpoint_output" (gp.Passes.endpoint_output = wp.Passes.endpoint_output);
+  expect "endpoint_cut" (gp.Passes.endpoint_cut = wp.Passes.endpoint_cut);
+  expect "clusters_of_element"
+    (got.Context.clusters_of_element = want.Context.clusters_of_element);
+  List.rev !found
+
+(* Edit candidates on a session's current design, in instance or net id
+   order from a third of the way in, so large designs are not edited at
+   their first gate only. *)
+let rotated count = List.init count (fun k -> (k + (count / 3)) mod count)
+
+(* A live combinational gate none of whose nets a control cone marks. *)
+let editable_gate design control inst =
+  let record = Hb_netlist.Design.instance design inst in
+  Hb_cell.Kind.is_comb record.Hb_netlist.Design.cell.Hb_cell.Cell.kind
+  && record.Hb_netlist.Design.connections <> []
+  && List.for_all
+       (fun (_, net) -> not control.(net))
+       record.Hb_netlist.Design.connections
+
+let instance_name design inst =
+  (Hb_netlist.Design.instance design inst).Hb_netlist.Design.inst_name
+
+let net_name design net =
+  (Hb_netlist.Design.net design net).Hb_netlist.Design.net_name
+
+let cluster_count design elements =
+  Array.length
+    (Hb_sta.Cluster.extract ~design ~elements ()).Hb_sta.Cluster.clusters
+
+let resize_candidate design control ~avoid =
+  List.find_map
+    (fun inst ->
+       if List.mem inst avoid || not (editable_gate design control inst)
+       then None
+       else
+         let record = Hb_netlist.Design.instance design inst in
+         let cell = record.Hb_netlist.Design.cell in
+         match Hb_cell.Library.upsize library cell with
+         | Some c -> Some (inst, c)
+         | None ->
+           Option.map
+             (fun c -> (inst, c))
+             (Hb_cell.Library.downsize library cell))
+    (rotated (Hb_netlist.Design.instance_count design))
+
+(* A net driven by one editable gate: the buffer appends a net. *)
+let insert_candidate design control ~avoid =
+  List.find_opt
+    (fun net ->
+       (not control.(net))
+       &&
+       match (Hb_netlist.Design.net design net).Hb_netlist.Design.drivers with
+       | [ Hb_netlist.Design.Pin { inst; pin = _ } ] ->
+         (not (List.mem inst avoid)) && editable_gate design control inst
+       | _ -> false)
+    (rotated (Hb_netlist.Design.net_count design))
+
+(* A gate whose removal leaves more clusters than before. *)
+let split_candidate design elements control ~avoid =
+  let before = cluster_count design elements in
+  List.find_opt
+    (fun inst ->
+       (not (List.mem inst avoid))
+       && editable_gate design control inst
+       && List.length
+            (List.sort_uniq compare
+               (List.map snd
+                  (Hb_netlist.Design.instance design inst)
+                    .Hb_netlist.Design.connections))
+          > 1
+       && cluster_count
+            (Hb_netlist.Structural.remove_gate design ~inst)
+            elements
+          > before)
+    (rotated (Hb_netlist.Design.instance_count design))
+
+(* An input pin moved onto a net of another cluster: the gate then joins
+   its part of its own cluster to the target's cluster, so the move
+   merges two clusters, and the old cluster may also split where the pin
+   left. A move that leaves fewer clusters in all is preferred among the
+   first 40 candidates. The target is in another cluster, so it is not
+   reachable from the gate's outputs and no cycle forms. *)
+let merge_candidate (ctx : Hb_sta.Context.t) control ~avoid =
+  let design = ctx.Hb_sta.Context.design in
+  let elements = ctx.Hb_sta.Context.elements in
+  let cluster_of = ctx.Hb_sta.Context.table.Hb_sta.Cluster.cluster_of_net in
+  let before = Array.length ctx.Hb_sta.Context.table.Hb_sta.Cluster.clusters in
+  let nets = Hb_netlist.Design.net_count design in
+  let candidates =
+    List.filter_map
+      (fun inst ->
+         if List.mem inst avoid || not (editable_gate design control inst)
+         then None
+         else
+           let record = Hb_netlist.Design.instance design inst in
+           match
+             List.find_map
+               (fun (pin : Hb_cell.Cell.pin) ->
+                  Option.map
+                    (fun net -> (pin.Hb_cell.Cell.pin_name, net))
+                    (Hb_netlist.Design.net_of_pin design ~inst
+                       ~pin:pin.Hb_cell.Cell.pin_name))
+               (Hb_cell.Cell.input_pins record.Hb_netlist.Design.cell)
+           with
+           | None -> None
+           | Some (pin, on) ->
+             Option.map
+               (fun net -> (inst, pin, net))
+               (List.find_opt
+                  (fun net ->
+                     (not control.(net)) && cluster_of.(net) <> cluster_of.(on))
+                  (List.init nets (fun k -> (k + (2 * nets / 3)) mod nets))))
+      (List.filteri (fun k _ -> k < 400)
+         (rotated (Hb_netlist.Design.instance_count design)))
+  in
+  let fewer (inst, pin, net) =
+    cluster_count (Hb_netlist.Structural.rewire_pin design ~inst ~pin ~net)
+      elements
+    < before
+  in
+  match List.find_opt fewer (List.filteri (fun k _ -> k < 40) candidates) with
+  | Some _ as found -> found
+  | None -> (match candidates with c :: _ -> Some c | [] -> None)
+
+let test_eco_update_equals_extract () =
+  let designs =
+    [ "des"; "alu"; "sm1f"; "dsp"; "figure1"; "pipeline"; "scale10k" ]
+  in
+  List.iter
+    (fun name ->
+       let generate =
+         match Hb_workload.Catalog.find name with
+         | Some g -> g
+         | None -> Alcotest.failf "no generator %s" name
+       in
+       let design, system = generate () in
+       let session = Hb_sta.Session.create ~design ~system () in
+       let commit label make =
+         let ctx = Hb_sta.Session.context session in
+         let design = ctx.Hb_sta.Context.design in
+         let control = Hb_sta.Edit.control_nets design in
+         match make ctx design control with
+         | None -> Alcotest.failf "%s: no %s candidate" name label
+         | Some (edits, expect_count) ->
+           ignore (Hb_sta.Session.analyse session : Hb_sta.Session.report);
+           let before = Array.length ctx.Hb_sta.Context.table.Hb_sta.Cluster.clusters in
+           let result = Hb_sta.Session.apply session edits in
+           let updated = Hb_sta.Session.context session in
+           let fresh =
+             Hb_sta.Context.make ~design:updated.Hb_sta.Context.design ~system
+               ()
+           in
+           let after =
+             Array.length updated.Hb_sta.Context.table.Hb_sta.Cluster.clusters
+           in
+           Alcotest.(check bool)
+             (Printf.sprintf "%s %s: %d -> %d clusters" name label before after)
+             true (expect_count before after);
+           Alcotest.(check int)
+             (Printf.sprintf "%s %s: commands" name label)
+             (List.length edits) result.Hb_sta.Session.structural;
+           Alcotest.(check (list string))
+             (Printf.sprintf "%s %s: update = extract" name label)
+             [] (context_differences updated fresh)
+       in
+       let any _ _ = true in
+       commit "resize" (fun _ design control ->
+           Option.map
+             (fun (inst, cell) ->
+                ( [ Hb_sta.Edit.Resize_gate
+                      { instance = instance_name design inst; cell } ],
+                  ( = ) ))
+             (resize_candidate design control ~avoid:[]));
+       commit "insert" (fun _ design control ->
+           Option.map
+             (fun net ->
+                ( [ Hb_sta.Edit.Insert_buffer
+                      { net = net_name design net;
+                        cell = Lazy.force buffer_cell;
+                        inst_name = None;
+                        net_name = None } ],
+                  any ))
+             (insert_candidate design control ~avoid:[]));
+       commit "split" (fun ctx design control ->
+           Option.map
+             (fun inst ->
+                ( [ Hb_sta.Edit.Remove_gate
+                      { instance = instance_name design inst } ],
+                  ( < ) ))
+             (split_candidate design ctx.Hb_sta.Context.elements control
+                ~avoid:[]));
+       commit "merge" (fun ctx design control ->
+           Option.map
+             (fun (inst, pin, net) ->
+                ( [ Hb_sta.Edit.Rewire_net
+                      { instance = instance_name design inst; pin;
+                        net = net_name design net } ],
+                  ( >= ) ))
+             (merge_candidate ctx control ~avoid:[]));
+       commit "mixed" (fun ctx design control ->
+           match resize_candidate design control ~avoid:[] with
+           | None -> None
+           | Some (resized, cell) ->
+             let driver net =
+               match
+                 (Hb_netlist.Design.net design net).Hb_netlist.Design.drivers
+               with
+               | [ Hb_netlist.Design.Pin { inst; pin = _ } ] -> inst
+               | _ -> -1
+             in
+             (match insert_candidate design control ~avoid:[ resized ] with
+              | None -> None
+              | Some buffered ->
+                let avoid = [ resized; driver buffered ] in
+                (match merge_candidate ctx control ~avoid with
+                 | None -> None
+                 | Some (rewired, pin, target) ->
+                   let avoid = rewired :: avoid in
+                   Option.map
+                     (fun removed ->
+                        ( [ Hb_sta.Edit.Resize_gate
+                              { instance = instance_name design resized; cell };
+                            Hb_sta.Edit.Insert_buffer
+                              { net = net_name design buffered;
+                                cell = Lazy.force buffer_cell;
+                                inst_name = None;
+                                net_name = None };
+                            Hb_sta.Edit.Rewire_net
+                              { instance = instance_name design rewired; pin;
+                                net = net_name design target };
+                            Hb_sta.Edit.Remove_gate
+                              { instance = instance_name design removed } ],
+                          any ))
+                     (split_candidate design ctx.Hb_sta.Context.elements
+                        control ~avoid))));
+       Hb_sta.Session.close session)
+    designs
+
 (* ------------------------------------------------------------------ *)
 (* snapshots                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -1765,7 +2053,9 @@ let () =
            test_eco_control_cone_rejected;
          Alcotest.test_case "cycle rejected" `Quick test_eco_cycle_rejected;
          Alcotest.test_case "batch names in one walk" `Quick
-           test_eco_batch_names ]);
+           test_eco_batch_names;
+         Alcotest.test_case "update = extract" `Quick
+           test_eco_update_equals_extract ]);
       ("snapshot",
        [ Alcotest.test_case "round trip" `Quick test_snapshot_round_trip;
          Alcotest.test_case "corruption" `Quick test_snapshot_corruption ]);
