@@ -158,7 +158,8 @@ let parse_line s lineno =
       else if s.count = 3 && is s 1 "out" then (Design.Port_out, false)
       else error lineno "usage: port in|out <name> [clock]"
     in
-    Builder.add_port b ~name:(token s 2) ~direction ~is_clock
+    try Builder.add_port b ~name:(token s 2) ~direction ~is_clock
+    with Invalid_argument message -> error lineno "%s" message
   end
   else if is s 0 "inst" && s.count >= 3 then parse_instance s lineno
   else if is s 0 "end" && s.count = 1 then begin

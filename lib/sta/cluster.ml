@@ -151,8 +151,6 @@ let arc_arrays m =
     a_inst = Array.make m 0;
   }
 
-let no_arcs = arc_arrays 0
-
 (* The cluster of an instance's first connection, or [-1]. *)
 let instance_cluster cluster_of_net (record : Hb_netlist.Design.instance) =
   match record.Hb_netlist.Design.connections with
@@ -183,7 +181,149 @@ let csr ~n ~key =
   done;
   (off, idx)
 
-let extract ~design ~elements ?(delays = Delays.lumped) ?reuse () =
+(* The position of [x] in the ascending array [a], or [-1]. *)
+let position a x =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if a.(mid) < x then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length a && a.(!lo) = x then !lo else -1
+
+(* The records of the clusters [ids] (ascending), given the net maps of
+   the table they join: slot [s] of the result is cluster [ids.(s)],
+   whose nets, ascending, are [nets.(s)]. [instances] lists, ascending,
+   the combinational instances to walk: every member of these clusters,
+   and any other instance is skipped. [terminal_elements f] applies [f],
+   in ascending order, to every element with a net in them. The one
+   builder for {!extract}, which builds every cluster, and {!update},
+   which builds those an edit touched: members and arcs in two walks
+   over the instances (the first counts each cluster's arcs, the second
+   writes every arc straight into its cluster's arrays, with
+   [arc_count] reset to serve as the write cursor), then terminals, CSR
+   and topological order per cluster. Every arc of an instance lies in
+   the instance's cluster, the cluster of its output net. *)
+let build ~design ~elements ~delays ~cluster_of_net ~local_of_net ~ids ~nets
+    ~instances ~terminal_elements =
+  let count = Array.length ids in
+  (* When [ids] is 0 .. count - 1, as in extraction, slot and id agree. *)
+  let dense = count = 0 || ids.(count - 1) = count - 1 in
+  let slot c = if dense then (if c < count then c else -1) else position ids c in
+  let members = Array.make count [] in
+  let arc_count = Array.make count 0 in
+  (* The slot of the instance being walked: all its arcs go there. *)
+  let current = ref 0 in
+  let count_arc _ _ _ _ = arc_count.(!current) <- arc_count.(!current) + 1 in
+  List.iter
+    (fun inst ->
+       let record = Hb_netlist.Design.instance design inst in
+       let c = instance_cluster cluster_of_net record in
+       let s = if c >= 0 then slot c else -1 in
+       if s >= 0 then begin
+         members.(s) <- inst :: members.(s);
+         current := s;
+         iter_instance_arcs count_arc inst record
+       end)
+    instances;
+  let arcs =
+    Array.init count (fun s ->
+        let a = arc_arrays arc_count.(s) in
+        arc_count.(s) <- 0;
+        a)
+  in
+  let write_arc inst arc in_net out_net =
+    let s = !current in
+    let a = arcs.(s) and j = arc_count.(s) in
+    a.a_from.(j) <- local_of_net.(in_net);
+    a.a_to.(j) <- local_of_net.(out_net);
+    store_delays delays ~design ~inst ~arc ~out_net ~rise:a.a_rise
+      ~fall:a.a_fall ~dmax:a.a_dmax ~dmin:a.a_dmin j;
+    a.a_sense.(j) <-
+      cell_sense (Hb_netlist.Design.instance design inst).Hb_netlist.Design.cell;
+    a.a_inst.(j) <- inst;
+    arc_count.(s) <- j + 1
+  in
+  List.iter
+    (fun inst ->
+       let record = Hb_netlist.Design.instance design inst in
+       let c = instance_cluster cluster_of_net record in
+       let s = if c >= 0 then slot c else -1 in
+       if s >= 0 then begin
+         current := s;
+         iter_instance_arcs write_arc inst record
+       end)
+    instances;
+  (* Terminals from the element table. *)
+  let rev_inputs = Array.make count [] in
+  let rev_outputs = Array.make count [] in
+  let rec add_inputs e = function
+    | [] -> ()
+    | net :: rest ->
+      let s = slot cluster_of_net.(net) in
+      if s >= 0 then
+        rev_inputs.(s) <-
+          { element = e; net = local_of_net.(net) } :: rev_inputs.(s);
+      add_inputs e rest
+  in
+  terminal_elements (fun e ->
+      add_inputs e elements.Elements.drives.(e);
+      match elements.Elements.reads.(e) with
+      | Some net ->
+        let s = slot cluster_of_net.(net) in
+        if s >= 0 then
+          rev_outputs.(s) <-
+            { element = e; net = local_of_net.(net) } :: rev_outputs.(s)
+      | None -> ());
+  Array.init count (fun s ->
+      let c = ids.(s) in
+      let n = Array.length nets.(s) in
+      let a = arcs.(s) in
+      let arc_to = a.a_to in
+      let succ_off, succ_arc = csr ~n ~key:a.a_from in
+      let pred_off, pred_arc = csr ~n ~key:arc_to in
+      let topo =
+        match
+          Hb_util.Topo.sort ~nodes:n
+            ~successors:(fun v ->
+                List.init (succ_off.(v + 1) - succ_off.(v)) (fun k ->
+                    arc_to.(succ_arc.(succ_off.(v) + k))))
+        with
+        | Hb_util.Topo.Sorted order -> order
+        | Hb_util.Topo.Cycle cycle ->
+          let path =
+            String.concat " -> "
+              (List.map
+                 (fun local ->
+                    (Hb_netlist.Design.net design nets.(s).(local))
+                      .Hb_netlist.Design.net_name)
+                 cycle)
+          in
+          raise
+            (Cycle_error
+               (Printf.sprintf
+                  "combinational cycle in cluster %d: %s" c path))
+      in
+      { id = c;
+        nets = nets.(s);
+        members = List.rev members.(s);
+        arc_from = a.a_from;
+        arc_to;
+        arc_dmax = a.a_dmax;
+        arc_dmin = a.a_dmin;
+        arc_rise = a.a_rise;
+        arc_fall = a.a_fall;
+        arc_sense = a.a_sense;
+        arc_inst = a.a_inst;
+        succ_off;
+        succ_arc;
+        pred_off;
+        pred_arc;
+        topo;
+        inputs = Array.of_list (List.rev rev_inputs.(s));
+        outputs = Array.of_list (List.rev rev_outputs.(s));
+      })
+
+let extract ~design ~elements ?(delays = Delays.lumped) () =
   let net_count = Hb_netlist.Design.net_count design in
   let parent = Array.init net_count (fun i -> i) in
   (* Union all nets touching the same combinational instance. The
@@ -230,152 +370,186 @@ let extract ~design ~elements ?(delays = Delays.lumped) ?reuse () =
   for net = 0 to net_count - 1 do
     nets.(cluster_of_net.(net)).(local_of_net.(net)) <- net
   done;
-  (* Reuse pass: a cluster whose representative net maps to a keepable
-     old cluster with an identical net array is the same subgraph — the
-     union-find above ran on the whole design, so equal net sets imply
-     equal members, arcs, and terminals. Sharing the old record (only
-     the dense id may differ) skips arc delay evaluation, CSR
-     construction, and the topological sort for untouched clusters,
-     which is almost all of them under an ECO batch. *)
-  let reused = Array.make !cluster_count None in
-  (match reuse with
-   | None -> ()
-   | Some (old_table, keep) ->
-     let old_net_count = Array.length old_table.cluster_of_net in
-     for c = 0 to !cluster_count - 1 do
-       let rep = nets.(c).(0) in
-       if rep < old_net_count then begin
-         let oid = old_table.cluster_of_net.(rep) in
-         if keep oid then begin
-           let old = old_table.clusters.(oid) in
-           if old.nets = nets.(c) then
-             reused.(c) <- Some (if old.id = c then old else { old with id = c })
-         end
-       end
-     done);
-  let fresh c = reused.(c) = None in
-  (* Members and arcs of the clusters built afresh, in two walks over
-     their instances: the first counts each cluster's arcs, the second
-     writes every arc straight into its cluster's arrays, with
-     [arc_count] reset to serve as the write cursor. Every arc of an
-     instance lies in the instance's cluster, the cluster of its output
-     net. A kept cluster costs neither walk anything. *)
-  let comb_instances = Hb_netlist.Design.comb_instances design in
-  let members = Array.make !cluster_count [] in
-  let arc_count = Array.make !cluster_count 0 in
-  let count_arc _ _ _ out_net =
-    let c = cluster_of_net.(out_net) in
-    arc_count.(c) <- arc_count.(c) + 1
-  in
-  List.iter
-    (fun inst ->
-       let record = Hb_netlist.Design.instance design inst in
-       let c = instance_cluster cluster_of_net record in
-       if c >= 0 && fresh c then begin
-         members.(c) <- inst :: members.(c);
-         iter_instance_arcs count_arc inst record
-       end)
-    comb_instances;
-  let arcs = Array.make !cluster_count no_arcs in
-  for c = 0 to !cluster_count - 1 do
-    if fresh c then begin
-      arcs.(c) <- arc_arrays arc_count.(c);
-      arc_count.(c) <- 0
-    end
-  done;
-  let write_arc inst arc in_net out_net =
-    let c = cluster_of_net.(out_net) in
-    let a = arcs.(c) and j = arc_count.(c) in
-    a.a_from.(j) <- local_of_net.(in_net);
-    a.a_to.(j) <- local_of_net.(out_net);
-    store_delays delays ~design ~inst ~arc ~out_net ~rise:a.a_rise
-      ~fall:a.a_fall ~dmax:a.a_dmax ~dmin:a.a_dmin j;
-    a.a_sense.(j) <-
-      cell_sense (Hb_netlist.Design.instance design inst).Hb_netlist.Design.cell;
-    a.a_inst.(j) <- inst;
-    arc_count.(c) <- j + 1
-  in
-  List.iter
-    (fun inst ->
-       let record = Hb_netlist.Design.instance design inst in
-       let c = instance_cluster cluster_of_net record in
-       if c >= 0 && fresh c then iter_instance_arcs write_arc inst record)
-    comb_instances;
-  (* Terminals from the element table. *)
-  let rev_inputs = Array.make !cluster_count [] in
-  let rev_outputs = Array.make !cluster_count [] in
-  let rec add_inputs e = function
-    | [] -> ()
-    | net :: rest ->
-      let c = cluster_of_net.(net) in
-      if fresh c then
-        rev_inputs.(c) <-
-          { element = e; net = local_of_net.(net) } :: rev_inputs.(c);
-      add_inputs e rest
-  in
-  for e = 0 to Elements.count elements - 1 do
-    add_inputs e elements.Elements.drives.(e);
-    (match elements.Elements.reads.(e) with
-     | Some net ->
-       if fresh cluster_of_net.(net) then
-         rev_outputs.(cluster_of_net.(net)) <-
-           { element = e; net = local_of_net.(net) }
-           :: rev_outputs.(cluster_of_net.(net))
-     | None -> ())
-  done;
   let clusters =
-    Array.init !cluster_count (fun c ->
-        match reused.(c) with
-        | Some cluster -> cluster
-        | None ->
-        let n = sizes.(c) in
-        let a = arcs.(c) in
-        let arc_to = a.a_to in
-        let succ_off, succ_arc = csr ~n ~key:a.a_from in
-        let pred_off, pred_arc = csr ~n ~key:arc_to in
-        let topo =
-          match
-            Hb_util.Topo.sort ~nodes:n
-              ~successors:(fun v ->
-                  List.init (succ_off.(v + 1) - succ_off.(v)) (fun k ->
-                      arc_to.(succ_arc.(succ_off.(v) + k))))
-          with
-          | Hb_util.Topo.Sorted order -> order
-          | Hb_util.Topo.Cycle cycle ->
-            let path =
-              String.concat " -> "
-                (List.map
-                   (fun local ->
-                      (Hb_netlist.Design.net design nets.(c).(local))
-                        .Hb_netlist.Design.net_name)
-                   cycle)
-            in
-            raise
-              (Cycle_error
-                 (Printf.sprintf
-                    "combinational cycle in cluster %d: %s" c path))
-        in
-        { id = c;
-          nets = nets.(c);
-          members = List.rev members.(c);
-          arc_from = a.a_from;
-          arc_to;
-          arc_dmax = a.a_dmax;
-          arc_dmin = a.a_dmin;
-          arc_rise = a.a_rise;
-          arc_fall = a.a_fall;
-          arc_sense = a.a_sense;
-          arc_inst = a.a_inst;
-          succ_off;
-          succ_arc;
-          pred_off;
-          pred_arc;
-          topo;
-          inputs = Array.of_list (List.rev rev_inputs.(c));
-          outputs = Array.of_list (List.rev rev_outputs.(c));
-        })
+    build ~design ~elements ~delays ~cluster_of_net ~local_of_net
+      ~ids:(Array.init !cluster_count Fun.id) ~nets
+      ~instances:(Hb_netlist.Design.comb_instances design)
+      ~terminal_elements:(fun f ->
+          for e = 0 to Elements.count elements - 1 do
+            f e
+          done)
   in
   { clusters; cluster_of_net; local_of_net }
+
+let update table ~design ~elements ~touched ?(delays = Delays.lumped) () =
+  let fail m = invalid_arg ("Cluster.update: " ^ m) in
+  let old = table.clusters in
+  let old_count = Array.length old in
+  let old_nets = Array.length table.cluster_of_net in
+  let net_count = Hb_netlist.Design.net_count design in
+  if net_count < old_nets then fail "the design has fewer nets";
+  let touched = Array.of_list (List.sort_uniq Int.compare touched) in
+  Array.iter
+    (fun c -> if c < 0 || c >= old_count then fail "cluster id out of range")
+    touched;
+  (* The region: the touched clusters' nets and the appended ones,
+     ascending. Region nets are named by their position in it. *)
+  let region =
+    Array.concat
+      (Array.init (net_count - old_nets) (fun k -> old_nets + k)
+       :: Array.to_list (Array.map (fun c -> old.(c).nets) touched))
+  in
+  Array.sort Int.compare region;
+  let size = Array.length region in
+  let at net =
+    let r = position region net in
+    if r < 0 then fail "an edited instance reaches an untouched cluster";
+    r
+  in
+  (* The combinational instances with a pin on a region net: every
+     member of a touched cluster and every appended instance. *)
+  let instances = ref [] in
+  let add_pin = function
+    | Hb_netlist.Design.Pin { inst; pin = _ } ->
+      if
+        Hb_cell.Kind.is_comb
+          (Hb_netlist.Design.instance design inst).Hb_netlist.Design.cell
+            .Hb_cell.Cell.kind
+      then instances := inst :: !instances
+    | Hb_netlist.Design.Port _ -> ()
+  in
+  Array.iter
+    (fun net ->
+       let record = Hb_netlist.Design.net design net in
+       List.iter add_pin record.Hb_netlist.Design.drivers;
+       List.iter add_pin record.Hb_netlist.Design.loads)
+    region;
+  let instances = List.sort_uniq Int.compare !instances in
+  (* Union-find over region positions, as [extract] runs it over the
+     whole design. *)
+  let parent = Array.init size Fun.id in
+  List.iter
+    (fun inst ->
+       match
+         (Hb_netlist.Design.instance design inst).Hb_netlist.Design.connections
+       with
+       | [] -> ()
+       | (_, first) :: rest ->
+         let first = at first in
+         List.iter (fun (_, net) -> union parent first (at net)) rest)
+    instances;
+  (* Region clusters, numbered in the order of their lowest nets; local
+     indices in net order. *)
+  let of_root = Array.make size (-1) in
+  let region_cluster = Array.make size 0 in
+  let fresh = ref 0 in
+  for r = 0 to size - 1 do
+    let root = find parent r in
+    if of_root.(root) < 0 then begin
+      of_root.(root) <- !fresh;
+      incr fresh
+    end;
+    region_cluster.(r) <- of_root.(root)
+  done;
+  let fresh = !fresh in
+  let sizes = Array.make fresh 0 in
+  let region_local = Array.make size 0 in
+  for r = 0 to size - 1 do
+    let q = region_cluster.(r) in
+    region_local.(r) <- sizes.(q);
+    sizes.(q) <- sizes.(q) + 1
+  done;
+  let nets = Array.map (fun n -> Array.make n 0) sizes in
+  for r = 0 to size - 1 do
+    nets.(region_cluster.(r)).(region_local.(r)) <- region.(r)
+  done;
+  (* Ids as [extract] assigns them, dense in the order of each
+     cluster's lowest net: the kept clusters in their old order, merged
+     with the region's. [kept.(c)] is the old id of new cluster [c], or
+     [-1] for a region cluster, whose id is [ids.(q)]. When the region's
+     lowest nets are the touched clusters', every id stays. *)
+  let count = old_count - Array.length touched + fresh in
+  let kept = Array.make count (-1) in
+  let ids = Array.make fresh 0 in
+  let c = ref 0 and q = ref 0 and t = ref 0 in
+  let place_region_below low =
+    while !q < fresh && nets.(!q).(0) < low do
+      ids.(!q) <- !c;
+      incr c;
+      incr q
+    done
+  in
+  for o = 0 to old_count - 1 do
+    if !t < Array.length touched && touched.(!t) = o then incr t
+    else begin
+      place_region_below old.(o).nets.(0);
+      kept.(!c) <- o;
+      incr c
+    end
+  done;
+  place_region_below max_int;
+  (* The net maps: shared while no entry moves, as under a resize;
+     otherwise extended over the appended nets and rewritten for the
+     region and for every renumbered kept cluster. *)
+  let renumbered = ref false in
+  Array.iteri (fun c o -> if o >= 0 && o <> c then renumbered := true) kept;
+  let moved = ref (net_count > old_nets || !renumbered) in
+  for r = 0 to size - 1 do
+    if not !moved then
+      moved :=
+        table.cluster_of_net.(region.(r)) <> ids.(region_cluster.(r))
+        || table.local_of_net.(region.(r)) <> region_local.(r)
+  done;
+  let cluster_of_net, local_of_net =
+    if not !moved then (table.cluster_of_net, table.local_of_net)
+    else begin
+      let extend a =
+        let b = Array.make net_count 0 in
+        Array.blit a 0 b 0 old_nets;
+        b
+      in
+      let cluster_of_net = extend table.cluster_of_net in
+      let local_of_net = extend table.local_of_net in
+      Array.iteri
+        (fun c o ->
+           if o >= 0 && o <> c then
+             Array.iter (fun net -> cluster_of_net.(net) <- c) old.(o).nets)
+        kept;
+      for r = 0 to size - 1 do
+        cluster_of_net.(region.(r)) <- ids.(region_cluster.(r));
+        local_of_net.(region.(r)) <- region_local.(r)
+      done;
+      (cluster_of_net, local_of_net)
+    end
+  in
+  (* Appended nets carry no element, so the touched clusters' terminals
+     name every element with a net in the region. *)
+  let terminal_elements =
+    let acc = ref [] in
+    Array.iter
+      (fun c ->
+         let add (terminal : terminal) = acc := terminal.element :: !acc in
+         Array.iter add old.(c).inputs;
+         Array.iter add old.(c).outputs)
+      touched;
+    List.sort_uniq Int.compare !acc
+  in
+  let built =
+    build ~design ~elements ~delays ~cluster_of_net ~local_of_net ~ids ~nets
+      ~instances
+      ~terminal_elements:(fun f -> List.iter f terminal_elements)
+  in
+  let next = ref 0 in
+  let clusters =
+    Array.init count (fun c ->
+        match kept.(c) with
+        | -1 ->
+          let cluster = built.(!next) in
+          incr next;
+          cluster
+        | o -> if old.(o).id = c then old.(o) else { (old.(o)) with id = c })
+  in
+  ({ clusters; cluster_of_net; local_of_net }, kept)
 
 (* The first arc of [inst] in [cluster], or where it would go: a
    cluster's arcs are in ascending instance order. *)

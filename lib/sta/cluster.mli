@@ -68,28 +68,50 @@ type table = {
 
 exception Cycle_error of string
 
-(** [extract ~design ~elements ?delays ?reuse ()] partitions the design
-    into clusters and builds their timing graphs. [delays] chooses the
-    component-delay estimator (default {!Delays.lumped}).
-
-    [reuse] is the incremental-ECO hook: given [(old_table, keep)], any
-    new cluster whose net array is identical to a [keep]-approved old
-    cluster's {e physically shares} that cluster's record (arcs, CSR,
-    topological order — only the dense id is rewritten), skipping arc
-    delay evaluation and sorting for it. Callers must pass a [keep]
-    that rejects every old cluster whose arcs, terminals, or net
-    capacitances an edit may have changed; matching is by net identity
-    only. The result is then bit-identical to a from-scratch extract
-    of the edited design, including cluster id assignment.
+(** [extract ~design ~elements ?delays ()] partitions the design into
+    clusters and builds their timing graphs. [delays] chooses the
+    component-delay estimator (default {!Delays.lumped}). Cluster ids
+    are dense, in the order of each cluster's lowest net.
     @raise Cycle_error when a cluster's combinational logic contains a
     directed cycle (forbidden by the paper's Section 3 assumptions). *)
 val extract :
   design:Hb_netlist.Design.t ->
   elements:Elements.t ->
   ?delays:Delays.t ->
-  ?reuse:table * (int -> bool) ->
   unit ->
   table
+
+(** [update table ~design ~elements ~touched ?delays ()] is
+    [extract ~design ~elements ?delays ()] for a design edited from
+    [table]'s, at the cost of what the edit touched. [touched] names the
+    old clusters an edit may have changed: every net whose connections,
+    capacitance or driver changed, and every instance whose record
+    changed, must lie in one of them or be appended past [table]'s nets
+    and the old instances; [elements] must name the same nets as the
+    table's (structural ECO never moves an element). Only the region —
+    the touched clusters' nets plus the appended ones — is partitioned
+    again, over the combinational instances with a pin on it, and its
+    clusters are built by the same code as {!extract}'s; every other
+    cluster's record is kept, with its id rewritten only when the
+    region's clusters shift it. When the region's clusters have the
+    touched clusters' lowest nets, every id stays, and the net maps are
+    shared with [table] unless an entry moved.
+
+    Returns the new table and, for each new cluster id, the old id whose
+    record it keeps, or [-1] for a rebuilt cluster. [table] is not
+    changed.
+    @raise Cycle_error as {!extract} does.
+    @raise Invalid_argument on a [touched] id out of range, a design
+    with fewer nets than [table], or an instance of the region with a
+    net outside it. *)
+val update :
+  table ->
+  design:Hb_netlist.Design.t ->
+  elements:Elements.t ->
+  touched:int list ->
+  ?delays:Delays.t ->
+  unit ->
+  table * int array
 
 (** [reachable_outputs cluster ~input_terminal_index ~marked ~hits]
     writes into [hits], in ascending order, the indices (into

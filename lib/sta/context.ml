@@ -177,58 +177,61 @@ let cache_result cache (cluster : Cluster.t) ~cut_index =
     cache.results.(cluster.Cluster.id).(cut_index) <- Some result;
     result
 
+(* The incidence rows after an update. An element's row lists the
+   clusters of the nets it drives and reads, the clusters where it has a
+   terminal. Only an element with a terminal in a rebuilt or renumbered
+   cluster can change its row; the row array is copied at the first row
+   that changes. *)
+let update_incidence rows ~elements ~(table : Cluster.table) ~kept =
+  let rows = ref rows and copied = ref false in
+  let refresh (terminal : Cluster.terminal) =
+    let e = terminal.Cluster.element in
+    let nets =
+      match elements.Elements.reads.(e) with
+      | Some net -> net :: elements.Elements.drives.(e)
+      | None -> elements.Elements.drives.(e)
+    in
+    let row =
+      Array.of_list
+        (List.sort_uniq Int.compare
+           (List.map (fun net -> table.Cluster.cluster_of_net.(net)) nets))
+    in
+    if row <> !rows.(e) then begin
+      if not !copied then begin
+        rows := Array.copy !rows;
+        copied := true
+      end;
+      !rows.(e) <- row
+    end
+  in
+  Array.iteri
+    (fun c o ->
+       if o <> c then begin
+         let cluster = table.Cluster.clusters.(c) in
+         Array.iter refresh cluster.Cluster.inputs;
+         Array.iter refresh cluster.Cluster.outputs
+       end)
+    kept;
+  !rows
+
 let apply_structural ctx ~design ~touched ?delays () =
-  let old_table = ctx.table in
-  let old_count = Array.length old_table.Cluster.clusters in
-  let keepable = Array.make old_count true in
-  List.iter
-    (fun id ->
-       if id < 0 || id >= old_count then
-         invalid_arg "Context.apply_structural: cluster id out of range";
-       keepable.(id) <- false)
-    touched;
   (* The element table survives: structural ECO never moves a sync pin,
      a port, or a control cone (Session.apply rejects such edits), so
      replication, control delays, reads/drives, and — critically — the
      live offset/version state all carry over unchanged. *)
   let elements = Elements.retarget ctx.elements ~design in
-  let table =
-    Cluster.extract ~design ~elements ?delays
-      ~reuse:(old_table, fun id -> keepable.(id))
-      ()
+  let table, kept =
+    Cluster.update ctx.table ~design ~elements ~touched ?delays ()
   in
-  (* Which new clusters physically share an old record. The nets array
-     is the witness: reused records keep the old (non-empty) array,
-     fresh clusters allocate their own. *)
-  let old_net_count = Array.length old_table.Cluster.cluster_of_net in
-  let reused_old_id =
-    Array.map
-      (fun (cluster : Cluster.t) ->
-         let rep = cluster.Cluster.nets.(0) in
-         if rep < old_net_count then begin
-           let oid = old_table.Cluster.cluster_of_net.(rep) in
-           if old_table.Cluster.clusters.(oid).Cluster.nets
-              == cluster.Cluster.nets
-           then Some oid
-           else None
-         end
-         else None)
-      table.Cluster.clusters
-  in
-  let passes =
-    Passes.rebuild ctx.passes ~elements ~table
-      ~reusable:(fun c -> reused_old_id.(c))
-  in
+  let passes = Passes.rebuild ctx.passes ~table ~kept in
   let cluster_count = Array.length table.Cluster.clusters in
   let rebuilt = ref 0 in
-  Array.iter
-    (fun oid -> if oid = None then incr rebuilt)
-    reused_old_id;
-  (* Cache surgery: carry result rows and macros for reused clusters —
+  Array.iter (fun o -> if o < 0 then incr rebuilt) kept;
+  (* Cache surgery: carry result rows and macros for kept clusters —
      their arcs, cut lists and element versions are untouched — and
      start every rebuilt cluster with empty rows, which the refresh
-     logic treats as dirty without any version bump. Buffers of rows
-     that do not carry over are recycled through the arena. *)
+     logic treats as dirty without any version bump. Buffers of the
+     touched clusters' rows are recycled through the arena. *)
   let slack_cache =
     match ctx.slack_cache with
     | None -> None
@@ -236,29 +239,29 @@ let apply_structural ctx ~design ~touched ?delays () =
       let results =
         Array.mapi
           (fun c (plan : Passes.plan) ->
-             match reused_old_id.(c) with
-             | Some oid -> old.results.(oid)
-             | None -> Array.make (List.length plan.Passes.cuts) None)
+             match kept.(c) with
+             | -1 -> Array.make (List.length plan.Passes.cuts) None
+             | o -> old.results.(o))
           passes.Passes.plans
       in
-      let carried = Array.make old_count false in
-      Array.iter
-        (function Some oid -> carried.(oid) <- true | None -> ())
-        reused_old_id;
-      Array.iteri
-        (fun oid row ->
-           if not carried.(oid) then
-             Array.iteri
-               (fun cut slot ->
-                  match slot with
-                  | Some result ->
-                    release_result old.arena result;
-                    row.(cut) <- None
-                  | None -> ())
-               row)
-        old.results;
-      Some
-        { old with results; dirty = Array.make cluster_count false }
+      List.iter
+        (fun o ->
+           let row = old.results.(o) in
+           Array.iteri
+             (fun cut slot ->
+                match slot with
+                | Some result ->
+                  release_result old.arena result;
+                  row.(cut) <- None
+                | None -> ())
+             row)
+        (List.sort_uniq Int.compare touched);
+      (* [dirty] is scratch that every compute fills first. *)
+      let dirty =
+        if Array.length old.dirty = cluster_count then old.dirty
+        else Array.make cluster_count false
+      in
+      Some { old with results; dirty }
   in
   let macro_cache =
     match ctx.macro_cache with
@@ -266,11 +269,13 @@ let apply_structural ctx ~design ~touched ?delays () =
     | Some store ->
       Some
         (Array.init cluster_count (fun c ->
-             match reused_old_id.(c) with
-             | Some oid -> store.(oid)
-             | None -> None))
+             match kept.(c) with
+             | -1 -> None
+             | o -> store.(o)))
   in
   ( { ctx with design; elements; table; passes;
-               clusters_of_element = incidence ~elements ~table;
+               clusters_of_element =
+                 update_incidence ctx.clusters_of_element ~elements ~table
+                   ~kept;
                slack_cache; macro_cache },
     !rebuilt )

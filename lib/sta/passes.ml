@@ -76,13 +76,15 @@ let element_nodes ~elements ~index =
   (assertion, closure)
 
 (* Walk scratch for [Cluster.reachable_outputs], sized to the largest
-   cluster: one pair serves every plan of a build. *)
-let reach_scratch (table : Cluster.table) =
+   cluster [planned] admits: one pair serves every plan of a build. *)
+let reach_scratch (table : Cluster.table) ~planned =
   let nets = ref 0 and outputs = ref 0 in
-  Array.iter
-    (fun (cluster : Cluster.t) ->
-       nets := Stdlib.max !nets (Array.length cluster.Cluster.nets);
-       outputs := Stdlib.max !outputs (Array.length cluster.Cluster.outputs))
+  Array.iteri
+    (fun c (cluster : Cluster.t) ->
+       if planned c then begin
+         nets := Stdlib.max !nets (Array.length cluster.Cluster.nets);
+         outputs := Stdlib.max !outputs (Array.length cluster.Cluster.outputs)
+       end)
     table.Cluster.clusters;
   (Bytes.create !nets, Array.make !outputs 0)
 
@@ -152,7 +154,7 @@ let build ~system ~elements ~table =
       Array.init node_count (fun node -> snd edges.(node / 2))
   in
   let assertion_node, closure_node = element_nodes ~elements ~index in
-  let marked, hits = reach_scratch table in
+  let marked, hits = reach_scratch table ~planned:(fun _ -> true) in
   let plans =
     Array.map
       (plan_for ~assertion_node ~closure_node ~node_count ~marked ~hits)
@@ -168,31 +170,57 @@ let build ~system ~elements ~table =
     element_closure_node = closure_node;
     endpoint_cluster; endpoint_output; endpoint_cut }
 
-let rebuild previous ~elements ~table ~reusable =
-  let assertion_node, closure_node =
-    element_nodes ~elements ~index:previous.edge_index
-  in
-  let marked, hits = reach_scratch table in
+let rebuild previous ~table ~kept =
+  let clusters = table.Cluster.clusters in
+  let rebuilt c = kept.(c) < 0 in
+  let marked, hits = reach_scratch table ~planned:rebuilt in
   let plans =
-    Array.map
-      (fun (cluster : Cluster.t) ->
-         match reusable cluster.Cluster.id with
-         | Some old_id ->
-           let old = previous.plans.(old_id) in
-           if old.cluster = cluster.Cluster.id then old
-           else { old with cluster = cluster.Cluster.id }
-         | None ->
-           plan_for ~assertion_node ~closure_node
-             ~node_count:previous.node_count ~marked ~hits cluster)
-      table.Cluster.clusters
+    Array.init (Array.length clusters) (fun c ->
+        match kept.(c) with
+        | -1 ->
+          plan_for ~assertion_node:previous.element_assertion_node
+            ~closure_node:previous.element_closure_node
+            ~node_count:previous.node_count ~marked ~hits clusters.(c)
+        | o ->
+          let old = previous.plans.(o) in
+          if old.cluster = c then old else { old with cluster = c })
   in
-  let endpoint_cluster, endpoint_output, endpoint_cut =
-    endpoint_maps ~elements ~table ~plans
-  in
+  (* Only the outputs of a rebuilt or renumbered cluster can move an
+     endpoint entry: an element reads one net, so it is an output of
+     one cluster. The maps are copied at the first entry that moves. *)
+  let endpoint_cluster = ref previous.endpoint_cluster in
+  let endpoint_output = ref previous.endpoint_output in
+  let endpoint_cut = ref previous.endpoint_cut in
+  let copied = ref false in
+  Array.iteri
+    (fun c o ->
+       if o <> c then begin
+         let outputs = clusters.(c).Cluster.outputs in
+         let assignment = plans.(c).assignment in
+         for i = 0 to Array.length outputs - 1 do
+           let e = outputs.(i).Cluster.element and cut = assignment.(i) in
+           if
+             !endpoint_cluster.(e) <> c
+             || !endpoint_output.(e) <> i
+             || !endpoint_cut.(e) <> cut
+           then begin
+             if not !copied then begin
+               endpoint_cluster := Array.copy !endpoint_cluster;
+               endpoint_output := Array.copy !endpoint_output;
+               endpoint_cut := Array.copy !endpoint_cut;
+               copied := true
+             end;
+             !endpoint_cluster.(e) <- c;
+             !endpoint_output.(e) <- i;
+             !endpoint_cut.(e) <- cut
+           end
+         done
+       end)
+    kept;
   { previous with plans;
-                  element_assertion_node = assertion_node;
-                  element_closure_node = closure_node;
-                  endpoint_cluster; endpoint_output; endpoint_cut }
+                  endpoint_cluster = !endpoint_cluster;
+                  endpoint_output = !endpoint_output;
+                  endpoint_cut = !endpoint_cut }
 
 let total_passes t =
   Array.fold_left (fun acc plan -> acc + List.length plan.cuts) 0 t.plans

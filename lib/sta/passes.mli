@@ -75,21 +75,16 @@ val build :
   table:Cluster.table ->
   t
 
-(** [rebuild previous ~elements ~table ~reusable] re-plans after an
-    incremental cluster extraction over the same clock system.
-    [reusable c] names the old cluster id whose graph new cluster [c]
-    physically shares (see [Cluster.extract]'s [reuse]), letting its
-    plan carry over with only the id rewritten; all other clusters are
-    re-solved. Endpoint maps and element nodes are recomputed in full —
-    they are sized by the element count, which an edit may change. The
-    clock-edge graph ([system], [node_time], [linear], [edge_index]) is
-    shared with [previous]. *)
-val rebuild :
-  t ->
-  elements:Elements.t ->
-  table:Cluster.table ->
-  reusable:(int -> int option) ->
-  t
+(** [rebuild previous ~table ~kept] re-plans after {!Cluster.update}
+    over the same clock system and element table. [kept.(c)] is the old
+    id whose record new cluster [c] keeps (see {!Cluster.update}), and
+    its plan carries over with only the id rewritten; a cluster with
+    [-1] is re-solved. The element nodes and the clock-edge graph
+    ([system], [node_time], [linear], [edge_index]) are shared with
+    [previous], since an edit moves no element; the endpoint maps are
+    shared too unless the outputs of a rebuilt or renumbered cluster
+    move an entry, and then copied once. *)
+val rebuild : t -> table:Cluster.table -> kept:int array -> t
 
 (** [total_passes t] sums pass counts over clusters — the figure the
     paper's "minimum number of settling times" feature minimises. *)

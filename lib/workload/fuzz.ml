@@ -400,14 +400,19 @@ let check_reference ~delays (report : Hb_sta.Engine.report) =
            else None)
   end
 
-(* A session surviving a random structural ECO script (buffer insertion,
-   gate resizing, gate removal through [Session.apply]) vs a fresh
-   engine preprocessing the edited design from scratch. Candidate edits
-   are speculative: the ones the session rejects (control cones, nets
-   without a combinational driver, incompatible cells, tombstoned
-   targets...) must leave it untouched, so a buggy rejection path also
-   shows up as a final divergence. The flat-graph oracle then re-checks
-   the edited design from first principles — see [check_reference]. *)
+(* A session surviving a random structural ECO script vs a fresh engine
+   preprocessing the edited design from scratch, in two phases. The
+   first applies single edits (buffer insertion, gate resizing, gate
+   removal through [Session.apply]); the second, on an RNG of its own,
+   applies batches of 1-4 commands that also rewire input pins onto
+   random nets, so cluster splits, merges and the renumbering they cause
+   meet several edits at once. Each phase analyses between steps and
+   ends with the comparison. Candidate edits are speculative: the ones
+   the session rejects (control cones, nets without a combinational
+   driver, incompatible cells, tombstoned targets, cycles...) must leave
+   it untouched, so a buggy rejection path also shows up as a
+   divergence. The flat-graph oracle then re-checks the edited design
+   from first principles — see [check_reference]. *)
 let check_structural_parity params ~design ~system ~delays =
   let library = Hb_cell.Library.default () in
   let comb_cells =
@@ -454,7 +459,7 @@ let check_structural_parity params ~design ~system ~delays =
     Fun.protect
       ~finally:(fun () -> Hb_sta.Session.close session)
       (fun () ->
-         let random_buffer current =
+         let random_buffer rng current =
            let net =
              Hb_netlist.Design.net current
                (Hb_util.Rng.int rng (Hb_netlist.Design.net_count current))
@@ -466,68 +471,113 @@ let check_structural_parity params ~design ~system ~delays =
                net_name = None;
              }
          in
-         let random_comb current =
+         let random_comb rng current =
            match Array.of_list (Hb_netlist.Design.comb_instances current) with
            | [||] -> None
            | insts ->
              Some (Hb_netlist.Design.instance current
                      (Hb_util.Rng.choose rng insts))
          in
-         for _ = 1 to params.mutations do
-           let current =
-             (Hb_sta.Session.context session).Hb_sta.Context.design
-           in
-           let edit =
-             match Hb_util.Rng.int rng 3 with
-             | 0 -> random_buffer current
-             | 1 ->
-               (match random_comb current with
-                | None -> random_buffer current
-                | Some inst ->
-                  let replacements =
-                    List.filter
-                      (fun (c : Hb_cell.Cell.t) ->
-                         c.Hb_cell.Cell.name
-                         <> inst.Hb_netlist.Design.cell.Hb_cell.Cell.name)
-                      (Option.value ~default:[]
-                         (Hashtbl.find_opt by_signature
-                            (signature inst.Hb_netlist.Design.cell)))
-                  in
-                  (match replacements with
-                   | [] -> random_buffer current
-                   | _ :: _ ->
-                     Hb_sta.Edit.Resize_gate
-                       { instance = inst.Hb_netlist.Design.inst_name;
-                         cell =
-                           Hb_util.Rng.choose rng (Array.of_list replacements);
-                       }))
-             | _ ->
-               (match random_comb current with
-                | None -> random_buffer current
-                | Some inst ->
-                  Hb_sta.Edit.Remove_gate
-                    { instance = inst.Hb_netlist.Design.inst_name })
-           in
-           match Hb_sta.Session.apply_r session [ edit ] with
+         let random_edit rng current kind =
+           match kind with
+           | 0 -> random_buffer rng current
+           | 1 ->
+             (match random_comb rng current with
+              | None -> random_buffer rng current
+              | Some inst ->
+                let replacements =
+                  List.filter
+                    (fun (c : Hb_cell.Cell.t) ->
+                       c.Hb_cell.Cell.name
+                       <> inst.Hb_netlist.Design.cell.Hb_cell.Cell.name)
+                    (Option.value ~default:[]
+                       (Hashtbl.find_opt by_signature
+                          (signature inst.Hb_netlist.Design.cell)))
+                in
+                (match replacements with
+                 | [] -> random_buffer rng current
+                 | _ :: _ ->
+                   Hb_sta.Edit.Resize_gate
+                     { instance = inst.Hb_netlist.Design.inst_name;
+                       cell =
+                         Hb_util.Rng.choose rng (Array.of_list replacements);
+                     }))
+           | _ ->
+             (match random_comb rng current with
+              | None -> random_buffer rng current
+              | Some inst ->
+                Hb_sta.Edit.Remove_gate
+                  { instance = inst.Hb_netlist.Design.inst_name })
+         in
+         (* A connected input pin of a random gate, moved onto a random
+            net. *)
+         let random_rewire rng current =
+           match random_comb rng current with
+           | None -> random_buffer rng current
+           | Some inst ->
+             let pins =
+               List.filter
+                 (fun (p : Hb_cell.Cell.pin) ->
+                    p.Hb_cell.Cell.role <> Hb_cell.Cell.Data_out
+                    && List.mem_assoc p.Hb_cell.Cell.pin_name
+                         inst.Hb_netlist.Design.connections)
+                 inst.Hb_netlist.Design.cell.Hb_cell.Cell.pins
+             in
+             (match pins with
+              | [] -> random_buffer rng current
+              | _ :: _ ->
+                let pin = Hb_util.Rng.choose rng (Array.of_list pins) in
+                let net =
+                  Hb_netlist.Design.net current
+                    (Hb_util.Rng.int rng (Hb_netlist.Design.net_count current))
+                in
+                Hb_sta.Edit.Rewire_net
+                  { instance = inst.Hb_netlist.Design.inst_name;
+                    pin = pin.Hb_cell.Cell.pin_name;
+                    net = net.Hb_netlist.Design.net_name;
+                  })
+         in
+         let current () =
+           (Hb_sta.Session.context session).Hb_sta.Context.design
+         in
+         let step batch =
+           match Hb_sta.Session.apply_r session batch with
            | Error _ -> ()
            | Ok _ ->
              (* Query between edits so every step exercises the carried
                 caches, not just the last one. *)
              ignore
                (Hb_sta.Session.analyse ~generate_constraints:false session)
+         in
+         let versus_fresh label =
+           let final =
+             Hb_sta.Session.analyse ~generate_constraints:false session
+           in
+           let fresh =
+             analyse ~design:(current ()) ~system
+               ~config:Hb_sta.Config.default ~delays
+           in
+           match diff_reports label final fresh with
+           | Some _ as d -> d
+           | None -> check_reference ~delays fresh
+         in
+         for _ = 1 to params.mutations do
+           let current = current () in
+           step [ random_edit rng current (Hb_util.Rng.int rng 3) ]
          done;
-         let final =
-           Hb_sta.Session.analyse ~generate_constraints:false session
-         in
-         let edited =
-           (Hb_sta.Session.context session).Hb_sta.Context.design
-         in
-         let fresh =
-           analyse ~design:edited ~system ~config:Hb_sta.Config.default ~delays
-         in
-         match diff_reports "structural-session-vs-fresh" final fresh with
+         match versus_fresh "structural-session-vs-fresh" with
          | Some _ as d -> d
-         | None -> check_reference ~delays fresh)
+         | None ->
+           let rng = labelled_rng params "structural-batches" in
+           for _ = 1 to params.mutations do
+             let current = current () in
+             step
+               (List.init (1 + Hb_util.Rng.int rng 4) (fun _ ->
+                    match Hb_util.Rng.int rng 4 with
+                    | 3 -> random_rewire rng current
+                    | kind -> random_edit rng current kind))
+           done;
+           versus_fresh "structural-batches-vs-fresh")
   end
 
 (* Targeted invalidation after an in-place delay edit vs a forced full

@@ -190,9 +190,10 @@ let test_hbn_parse_example () =
 
 (* The .hbn error contract: for each malformed input, the exception that
    escapes [parse], with its line and exact message. Parse errors carry
-   the line; a duplicate port escapes as the builder's [Invalid_argument];
-   a design that fails validation escapes as [freeze]'s [Failure]. Where an
-   input holds two faults, the one listed is the one reported first. *)
+   the line, a builder's refusal of a line (a duplicate port or instance,
+   an unknown cell) included; a design that fails validation escapes as
+   [freeze]'s [Failure]. Where an input holds two faults, the one listed
+   is the one reported first. *)
 type hbn_outcome =
   | At of int * string
   | Invalid of string
@@ -237,7 +238,7 @@ let hbn_error_cases =
     ("design after end", "design d\nend\ndesign e\n",
      At (3, "duplicate 'design' directive"));
     ("duplicate port", "design d\nport in x\nport out x\nend\n",
-     Invalid "Builder.add_port: duplicate port x");
+     At (3, "Builder.add_port: duplicate port x"));
     ("duplicate instance",
      "design d\nport in i\ninst u inv_x1 a=i y=n\ninst u inv_x1 a=n y=m\nend\n",
      At (4, "Builder.add_instance: duplicate instance u"));
