@@ -88,17 +88,19 @@ val cache_result : cache -> Cluster.t -> cut_index:int -> Block.result
     [Hb_netlist.Structural] surgery: net and instance ids are stable,
     and no edit moved a sync pin, a port, or a control-cone net.
     [touched] lists the {e old} cluster ids an edit may have changed
-    (new arcs, changed capacitances, membership churn); every other
-    cluster's graph, pass plan, cached slack rows, and timing macro
-    carry over untouched, and rebuilt clusters start with empty cache
-    rows that the incremental refresh picks up as dirty. The element
-    table (with its live offset/version state) is retargeted, not
-    rebuilt. Returns the new context and the number of clusters that
-    were rebuilt from scratch. Nothing is mutated before the new
-    structures are complete, so a raise (e.g. {!Cluster.Cycle_error}
-    on a cycle-creating rewire) leaves the input context fully usable;
-    on success its cache buffers are recycled into the returned
-    context and the old context must be dropped.
+    (new arcs, changed capacitances, membership churn). Only their nets
+    and the appended ones are partitioned again ({!Cluster.update});
+    every other cluster's graph, pass plan, cached slack rows, timing
+    macro, endpoint entries and incidence rows carry over untouched,
+    and rebuilt clusters start with empty cache rows that the
+    incremental refresh picks up as dirty. The element table (with its
+    live offset/version state) is retargeted, not rebuilt. Returns the
+    new context and the number of clusters that were rebuilt. Nothing
+    is mutated before the new structures are complete, so a raise
+    (e.g. {!Cluster.Cycle_error} on a cycle-creating rewire) leaves the
+    input context fully usable; on success its cache buffers are
+    recycled into the returned context, which may share arrays with
+    it, and the old context must be dropped.
     @raise Invalid_argument on a [touched] id outside the old table. *)
 val apply_structural :
   t ->
