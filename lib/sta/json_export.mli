@@ -17,7 +17,8 @@
     v}
 
     Endpoint entries cover every element with a finite data-input slack,
-    ascending by slack. Non-finite numbers are rendered as [null]. *)
+    ascending by slack; endpoints that tie keep descending element id
+    order. Non-finite numbers are rendered as [null]. *)
 
 (** [report ?paths report] renders an {!Engine.report}. With [paths > 0]
     a ["paths"] array is inserted before ["timings"]: the critical path

@@ -207,12 +207,17 @@ let endpoint_report (ctx : Context.t) ~endpoint =
     Buffer.contents buffer
 
 let slow_nets (ctx : Context.t) (slacks : Slacks.t) =
+  let net_slack = slacks.Slacks.net_slack in
+  let eps = Hb_util.Time.eps in
   let names = ref [] in
-  Array.iteri
-    (fun net slack ->
-       if Hb_util.Time.is_finite slack && Hb_util.Time.le slack 0.0 then
-         names :=
-           (Hb_netlist.Design.net ctx.Context.design net).Hb_netlist.Design.net_name
-           :: !names)
-    slacks.Slacks.net_slack;
-  List.rev !names
+  for net = Array.length net_slack - 1 downto 0 do
+    let s = net_slack.(net) in
+    (* Hb_util.Time.is_finite and [Hb_util.Time.le s 0.0], spelled out: a
+       call across modules would box [s] under [-opaque]. *)
+    if s -. s = 0.0 && (s +. eps < 0.0 || Float.abs s <= eps || s = 0.0) then
+      names :=
+        (Hb_netlist.Design.net ctx.Context.design net)
+          .Hb_netlist.Design.net_name
+        :: !names
+  done;
+  !names

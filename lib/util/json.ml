@@ -11,6 +11,11 @@ exception Parse_error of { position : int; message : string }
 let fail position fmt =
   Printf.ksprintf (fun message -> raise (Parse_error { position; message })) fmt
 
+(* No request, report or golden file nests deeper than 5. The parser
+   recurses once per level, and without a cap a line of a million nested
+   brackets took it 1.8 s. *)
+let max_depth = 512
+
 let parse text =
   let n = String.length text in
   let pos = ref 0 in
@@ -83,7 +88,11 @@ let parse text =
     loop ();
     Buffer.contents buffer
   in
-  let rec parse_value () =
+  let open_level depth =
+    if depth >= max_depth then fail !pos "nesting deeper than %d" max_depth;
+    incr pos
+  in
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail !pos "unexpected end of input"
@@ -92,13 +101,13 @@ let parse text =
     | Some 't' -> literal "true" (Bool true)
     | Some 'f' -> literal "false" (Bool false)
     | Some '[' ->
-      incr pos;
+      open_level depth;
       skip_ws ();
       if peek () = Some ']' then begin incr pos; List [] end
       else begin
         let items = ref [] in
         let rec loop () =
-          items := parse_value () :: !items;
+          items := parse_value (depth + 1) :: !items;
           skip_ws ();
           match peek () with
           | Some ',' -> incr pos; loop ()
@@ -109,7 +118,7 @@ let parse text =
         List (List.rev !items)
       end
     | Some '{' ->
-      incr pos;
+      open_level depth;
       skip_ws ();
       if peek () = Some '}' then begin incr pos; Obj [] end
       else begin
@@ -119,7 +128,7 @@ let parse text =
           let key = parse_string () in
           skip_ws ();
           expect ':';
-          members := (key, parse_value ()) :: !members;
+          members := (key, parse_value (depth + 1)) :: !members;
           skip_ws ();
           match peek () with
           | Some ',' -> incr pos; loop ()
@@ -144,7 +153,7 @@ let parse text =
        | None -> fail start "malformed number")
     | Some c -> fail !pos "unexpected character %C" c
   in
-  let value = parse_value () in
+  let value = parse_value 0 in
   skip_ws ();
   if !pos <> n then fail !pos "trailing garbage after value";
   value
@@ -155,30 +164,51 @@ let parse_result text =
   | exception Parse_error { position; message } ->
     Error (Printf.sprintf "at byte %d: %s" position message)
 
-let escape s =
-  let buffer = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-       match c with
+let hex = "0123456789abcdef"
+
+let add_quoted buffer s =
+  Buffer.add_char buffer '"';
+  let n = String.length s in
+  (* [start] is the first byte not yet appended: a run of bytes that need
+     no escape is appended in one blit. *)
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buffer s !start (i - !start);
+      (match c with
        | '"' -> Buffer.add_string buffer "\\\""
        | '\\' -> Buffer.add_string buffer "\\\\"
        | '\n' -> Buffer.add_string buffer "\\n"
        | '\t' -> Buffer.add_string buffer "\\t"
        | '\r' -> Buffer.add_string buffer "\\r"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.contents buffer
+       | c ->
+         Buffer.add_string buffer "\\u00";
+         Buffer.add_char buffer hex.[Char.code c lsr 4];
+         Buffer.add_char buffer hex.[Char.code c land 15]);
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring buffer s !start (n - !start);
+  Buffer.add_char buffer '"'
+
+let escape s =
+  let buffer = Buffer.create (String.length s + 2) in
+  add_quoted buffer s;
+  Buffer.sub buffer 1 (Buffer.length buffer - 2)
+
+(* What [Printf.sprintf] prints for these formats: [Printf] calls the same
+   primitive after building the format in a fresh buffer. *)
+external format_float : string -> float -> string = "caml_format_float"
 
 let number f =
   if not (Float.is_finite f) then "null"
   else if Float.is_integer f && Float.abs f <= 9.007199254740992e15 then
-    Printf.sprintf "%.0f" f
+    format_float "%.0f" f
   else
     (* Shortest representation that still round-trips a double. *)
-    let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    let s = format_float "%.12g" f in
+    if float_of_string s = f then s else format_float "%.17g" f
 
 let to_string value =
   let buffer = Buffer.create 256 in
@@ -186,10 +216,7 @@ let to_string value =
     | Null -> Buffer.add_string buffer "null"
     | Bool b -> Buffer.add_string buffer (if b then "true" else "false")
     | Number f -> Buffer.add_string buffer (number f)
-    | String s ->
-      Buffer.add_char buffer '"';
-      Buffer.add_string buffer (escape s);
-      Buffer.add_char buffer '"'
+    | String s -> add_quoted buffer s
     | List items ->
       Buffer.add_char buffer '[';
       List.iteri
@@ -203,9 +230,8 @@ let to_string value =
       List.iteri
         (fun i (key, item) ->
            if i > 0 then Buffer.add_char buffer ',';
-           Buffer.add_char buffer '"';
-           Buffer.add_string buffer (escape key);
-           Buffer.add_string buffer "\":";
+           add_quoted buffer key;
+           Buffer.add_char buffer ':';
            emit item)
         members;
       Buffer.add_char buffer '}'

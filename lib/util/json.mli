@@ -20,8 +20,10 @@ exception Parse_error of { position : int; message : string }
 (** [position] is a 0-based byte offset into the input. *)
 
 (** [parse text] reads exactly one JSON value spanning the whole input
-    (surrounding whitespace allowed).
-    @raise Parse_error on malformed input or trailing garbage. *)
+    (surrounding whitespace allowed). Lists and objects nest at most 512
+    levels deep.
+    @raise Parse_error on malformed input or trailing garbage, and at the
+    bracket or brace that opens a 513th level. *)
 val parse : string -> t
 
 (** [parse_result text] is {!parse} with the error as data. *)
@@ -32,12 +34,17 @@ val parse_result : string -> (t, string) result
     without a fractional part; non-finite numbers print as [null]. *)
 val to_string : t -> string
 
+(** [add_quoted buffer s] appends the JSON string literal for [s] to
+    [buffer], quotes included, with the body {!escape} gives. The one
+    string writer of {!to_string}, {!Log}'s JSON lines,
+    {!Telemetry.trace_json} and the analysis report writer. *)
+val add_quoted : Buffer.t -> string -> unit
+
 (** [escape s] is the body of the JSON string literal for [s], without
     its quotes: double quote, backslash, newline, tab and carriage return
     get their two-character escapes, every other byte below 0x20 a
-    [\u00XX] escape, and all other bytes pass through. Shared by
-    {!to_string}, {!Log}'s JSON lines, {!Telemetry.trace_json} and the
-    analysis report writer. *)
+    [\u00xx] escape (lower-case hex), and all other bytes pass through.
+    The JSON writers do not call it: they append through {!add_quoted}. *)
 val escape : string -> string
 
 (** {1 Accessors} *)

@@ -58,30 +58,25 @@ type event = {
 
 (* --- rendering ------------------------------------------------------- *)
 
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  Buffer.add_string buf (Json.escape s);
-  Buffer.add_char buf '"'
-
 let add_json_value buf = function
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f ->
       if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%g" f)
       else Buffer.add_string buf "null"
-  | String s -> add_json_string buf s
+  | String s -> Json.add_quoted buf s
 
 let render_json e =
   let buf = Buffer.create 128 in
   Buffer.add_string buf (Printf.sprintf "{\"ts\":%.6f,\"level\":" e.ts);
-  add_json_string buf (level_name e.event_level);
+  Json.add_quoted buf (level_name e.event_level);
   Buffer.add_string buf ",\"site\":";
-  add_json_string buf e.site;
+  Json.add_quoted buf e.site;
   Buffer.add_string buf (Printf.sprintf ",\"domain\":%d" e.domain);
   List.iter
     (fun (key, v) ->
       Buffer.add_char buf ',';
-      add_json_string buf key;
+      Json.add_quoted buf key;
       Buffer.add_char buf ':';
       add_json_value buf v)
     e.fields;
@@ -113,7 +108,7 @@ let render_human e =
             String.exists
               (fun c -> c = ' ' || c = '"' || c = '\n' || c = '\t')
               s
-          then add_json_string buf s
+          then Json.add_quoted buf s
           else Buffer.add_string buf s)
     e.fields;
   Buffer.contents buf

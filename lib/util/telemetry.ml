@@ -588,11 +588,6 @@ let prometheus snapshot =
    relative to the earliest span so traces start at t=0 in the viewer. *)
 let trace_json snapshot =
   let buf = Buffer.create 4096 in
-  let escape s =
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (Json.escape s);
-    Buffer.add_char buf '"'
-  in
   let origin =
     List.fold_left
       (fun acc s -> Float.min acc s.start_s)
@@ -621,7 +616,7 @@ let trace_json snapshot =
     (fun s ->
       sep ();
       Buffer.add_string buf "{\"name\":";
-      escape s.span_name;
+      Json.add_quoted buf s.span_name;
       Buffer.add_string buf
         (Printf.sprintf ",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"dur\":%s"
            s.domain
@@ -631,7 +626,7 @@ let trace_json snapshot =
       (match s.tag with
        | Some tag ->
            Buffer.add_string buf ",\"request_id\":";
-           escape tag
+           Json.add_quoted buf tag
        | None -> ());
       Buffer.add_string buf "}}")
     snapshot.spans;

@@ -208,6 +208,311 @@ let test_json_metrics_block () =
   | _ -> Alcotest.fail "object expected"
 
 (* ------------------------------------------------------------------ *)
+(* Report bytes against the printf writer                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The report writer as it was before it appended into its buffer
+   directly: every row through [Printf.ksprintf], strings through a
+   per-call escaper, endpoints sorted as a list of (label, slack) pairs.
+   Kept verbatim, with the escaper and [Report.slow_nets] of that
+   version, as the reference the writer must match byte for byte. *)
+module Printf_report = struct
+  open Hb_sta
+
+  module Json = struct
+    let escape s =
+      let buffer = Buffer.create (String.length s + 2) in
+      String.iter
+        (fun c ->
+           match c with
+           | '"' -> Buffer.add_string buffer "\\\""
+           | '\\' -> Buffer.add_string buffer "\\\\"
+           | '\n' -> Buffer.add_string buffer "\\n"
+           | '\t' -> Buffer.add_string buffer "\\t"
+           | '\r' -> Buffer.add_string buffer "\\r"
+           | c when Char.code c < 0x20 ->
+             Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
+           | c -> Buffer.add_char buffer c)
+        s;
+      Buffer.contents buffer
+  end
+
+  module Report = struct
+    let slow_nets (ctx : Context.t) (slacks : Slacks.t) =
+      let names = ref [] in
+      Array.iteri
+        (fun net slack ->
+           if Hb_util.Time.is_finite slack && Hb_util.Time.le slack 0.0 then
+             names :=
+               (Hb_netlist.Design.net ctx.Context.design net).Hb_netlist.Design.net_name
+               :: !names)
+        slacks.Slacks.net_slack;
+      List.rev !names
+  end
+
+  let schema_version = 1
+
+  let number f =
+    if Float.is_finite f then
+      (* %.17g round-trips doubles but is noisy; %.6f is ample for ns. *)
+      Printf.sprintf "%.6f" f
+    else "null"
+
+  let report ?(paths = 0) (r : Engine.report) =
+    let ctx = r.Engine.context in
+    let outcome = r.Engine.outcome in
+    let slacks = outcome.Algorithm1.final in
+    let buffer = Buffer.create 4096 in
+    let add fmt = Printf.ksprintf (Buffer.add_string buffer) fmt in
+    add "{\n";
+    add "  \"schema_version\": %d,\n" schema_version;
+    add "  \"design\": \"%s\",\n"
+      (Json.escape ctx.Context.design.Hb_netlist.Design.design_name);
+    add "  \"period\": %s,\n"
+      (number ctx.Context.system.Hb_clock.System.overall_period);
+    add "  \"verdict\": \"%s\",\n"
+      (match outcome.Algorithm1.status with
+       | Algorithm1.Meets_timing -> "meets_timing"
+       | Algorithm1.Slow_paths -> "slow_paths");
+    add "  \"worst_slack\": %s,\n" (number slacks.Slacks.worst);
+    let settling =
+      Passes.settling_times ctx.Context.passes ~table:ctx.Context.table
+    in
+    add "  \"passes\": {\"minimum\": %d, \"per_edge\": %d},\n"
+      settling.Passes.minimized_passes settling.Passes.naive_settling_times;
+    (* Endpoints ascending by slack. *)
+    let endpoints = ref [] in
+    Array.iteri
+      (fun e slack ->
+         if Hb_util.Time.is_finite slack then
+           endpoints :=
+             ( (Elements.element ctx.Context.elements e).Hb_sync.Element.label,
+               slack )
+             :: !endpoints)
+      slacks.Slacks.element_input_slack;
+    let endpoints = List.sort (fun (_, a) (_, b) -> compare a b) !endpoints in
+    add "  \"endpoints\": [";
+    List.iteri
+      (fun i (label, slack) ->
+         add "%s\n    {\"element\": \"%s\", \"slack\": %s}"
+           (if i = 0 then "" else ",")
+           (Json.escape label) (number slack))
+      endpoints;
+    add "\n  ],\n";
+    add "  \"slow_nets\": [";
+    List.iteri
+      (fun i net ->
+         add "%s\"%s\"" (if i = 0 then "" else ", ") (Json.escape net))
+      (Report.slow_nets ctx slacks);
+    add "],\n";
+    add "  \"hold_violations\": [";
+    List.iteri
+      (fun i (v : Holdcheck.violation) ->
+         add "%s\n    {\"element\": \"%s\", \"margin\": %s}"
+           (if i = 0 then "" else ",")
+           (Json.escape v.Holdcheck.label)
+           (number v.Holdcheck.margin))
+      r.Engine.hold_violations;
+    add "\n  ],\n";
+    if paths > 0 then begin
+      let design = ctx.Context.design in
+      let element_label e =
+        (Elements.element ctx.Context.elements e).Hb_sync.Element.label
+      in
+      add "  \"paths\": [";
+      List.iteri
+        (fun i (p : Paths.path) ->
+           add "%s\n    {\"start\": \"%s\", \"end\": \"%s\", \"slack\": %s, \
+                \"cluster\": %d, \"cut\": %d, \"hops\": ["
+             (if i = 0 then "" else ",")
+             (Json.escape (element_label p.Paths.start_element))
+             (Json.escape (element_label p.Paths.end_element))
+             (number p.Paths.slack) p.Paths.cluster p.Paths.cut;
+           List.iteri
+             (fun j (hop : Paths.hop) ->
+                let net_name =
+                  (Hb_netlist.Design.net design hop.Paths.net)
+                    .Hb_netlist.Design.net_name
+                in
+                let via =
+                  match hop.Paths.via with
+                  | None -> "null"
+                  | Some inst ->
+                    Printf.sprintf "\"%s\""
+                      (Json.escape
+                         (Hb_netlist.Design.instance design inst)
+                           .Hb_netlist.Design.inst_name)
+                in
+                add "%s{\"net\": \"%s\", \"via\": %s, \"at\": %s}"
+                  (if j = 0 then "" else ", ")
+                  (Json.escape net_name) via (number hop.Paths.at))
+             p.Paths.hops;
+           add "]}")
+        (Paths.worst_paths ctx slacks ~limit:paths);
+      add "\n  ],\n";
+      (* Near-critical density per worst endpoint: how many distinct paths
+         compete within the top [paths], and how far the k-th sits behind
+         the worst. Uses the bounded enumeration, so with telemetry on the
+         paths.* counters below reflect this very block. *)
+      let endpoints = Paths.worst_endpoints slacks ~limit:paths in
+      let enumerations =
+        Paths.enumerate_many ctx
+          ~endpoints:(List.map fst endpoints) ~limit:paths
+      in
+      add "  \"near_critical\": [";
+      List.iteri
+        (fun i ((endpoint, _), enumerated) ->
+           let worst, kth =
+             match enumerated with
+             | [] -> (None, None)
+             | (first : Paths.path) :: _ ->
+               let rec last = function
+                 | [ (p : Paths.path) ] -> p
+                 | _ :: rest -> last rest
+                 | [] -> first
+               in
+               (Some first.Paths.slack, Some (last enumerated).Paths.slack)
+           in
+           let opt = function Some v -> number v | None -> "null" in
+           add "%s\n    {\"endpoint\": \"%s\", \"count\": %d, \
+                \"worst_slack\": %s, \"kth_slack\": %s}"
+             (if i = 0 then "" else ",")
+             (Json.escape (element_label endpoint))
+             (List.length enumerated) (opt worst) (opt kth))
+        (List.combine endpoints enumerations);
+      add "\n  ],\n"
+    end;
+    if ctx.Context.config.Config.telemetry then begin
+      let snapshot = Hb_util.Telemetry.snapshot () in
+      add "  \"metrics\": {\n";
+      add "    \"counters\": {";
+      List.iteri
+        (fun i (name, v) ->
+           add "%s\n      \"%s\": %d" (if i = 0 then "" else ",")
+             (Json.escape name) v)
+        snapshot.Hb_util.Telemetry.counters;
+      add "\n    },\n";
+      add "    \"gauges\": {";
+      List.iteri
+        (fun i (name, v) ->
+           add "%s\n      \"%s\": %s" (if i = 0 then "" else ",")
+             (Json.escape name) (number v))
+        snapshot.Hb_util.Telemetry.gauges;
+      add "\n    },\n";
+      add "    \"spans\": [";
+      List.iteri
+        (fun i (name, count, wall, cpu) ->
+           add "%s\n      {\"name\": \"%s\", \"count\": %d, \"wall_s\": %s, \
+                \"cpu_s\": %s}"
+             (if i = 0 then "" else ",")
+             (Json.escape name) count (number wall) (number cpu))
+        (Hb_util.Telemetry.aggregate_spans snapshot);
+      add "\n    ]\n";
+      add "  },\n"
+    end;
+    add "  \"timings\": {\"preprocess_s\": %s, \"analysis_s\": %s, \"constraints_s\": %s, \
+         \"preprocess_wall_s\": %s, \"analysis_wall_s\": %s, \"constraints_wall_s\": %s, \
+         \"peak_rss_bytes\": %s}\n"
+      (number r.Engine.timings.Engine.preprocess_seconds)
+      (number r.Engine.timings.Engine.analysis_seconds)
+      (number r.Engine.timings.Engine.constraints_seconds)
+      (number r.Engine.timings.Engine.preprocess_wall_seconds)
+      (number r.Engine.timings.Engine.analysis_wall_seconds)
+      (number r.Engine.timings.Engine.constraints_wall_seconds)
+      (match r.Engine.timings.Engine.peak_rss_bytes with
+       | Some bytes -> string_of_int bytes
+       | None -> "null");
+    add "}\n";
+    Buffer.contents buffer
+end
+
+let analysed ?(config = Hb_sta.Config.default) (design, system) =
+  Hb_sta.Engine.analyse ~design ~system
+    ~config:{ config with Hb_sta.Config.parallel_jobs = 1 } ()
+
+let check_report_bytes name report =
+  List.iter
+    (fun paths ->
+       let expected = Printf_report.report ~paths report in
+       let actual = Hb_sta.Json_export.report ~paths report in
+       if not (String.equal expected actual) then begin
+         let n = Int.min (String.length expected) (String.length actual) in
+         let rec first i =
+           if i < n && expected.[i] = actual.[i] then first (i + 1) else i
+         in
+         let at = first 0 in
+         let around s = String.sub s at (Int.min 60 (String.length s - at)) in
+         Alcotest.failf
+           "%s, paths %d: first difference at byte %d: %S against %S" name
+           paths at (around actual) (around expected)
+       end)
+    [ 0; 5 ]
+
+let catalog name =
+  match Hb_workload.Catalog.find name with
+  | Some generate -> generate ()
+  | None -> Alcotest.failf "no generator %s" name
+
+(* Names with a quote, a backslash, a tab and byte 0x01, and two
+   endpoints fed alike, so that they tie in slack. *)
+let awkward_design () =
+  let b = Hb_netlist.Builder.create ~name:"aw\"k\\w\tar\001d" ~library:lib in
+  let port name direction is_clock =
+    Hb_netlist.Builder.add_port b ~name ~direction ~is_clock
+  in
+  let add name cell connections =
+    Hb_netlist.Builder.add_instance b ~name ~cell ~connections ()
+  in
+  port "clk" Hb_netlist.Design.Port_in true;
+  port "d\"in" Hb_netlist.Design.Port_in false;
+  port "o\t1" Hb_netlist.Design.Port_out false;
+  port "o\\2" Hb_netlist.Design.Port_out false;
+  add "ff\"a" "dff" [ ("d", "d\"in"); ("ck", "clk"); ("q", "n\\q") ];
+  add "g\t1" "inv_x1" [ ("a", "n\\q"); ("y", "n\"1") ];
+  add "g\0012" "inv_x1" [ ("a", "n\\q"); ("y", "n\t2") ];
+  add "ff\001b" "dff" [ ("d", "n\"1"); ("ck", "clk"); ("q", "o\t1") ];
+  add "ff\\c" "dff" [ ("d", "n\t2"); ("ck", "clk"); ("q", "o\\2") ];
+  let system =
+    Hb_clock.System.make ~overall_period:2.0
+      [ Hb_clock.Waveform.make ~name:"clk" ~multiplier:1 ~rise:0.0 ~width:0.8 ]
+  in
+  (Hb_netlist.Builder.freeze b, system)
+
+let test_report_bytes () =
+  List.iter
+    (fun name -> check_report_bytes name (analysed (catalog name)))
+    [ "des"; "alu"; "sm1f"; "dsp"; "figure1"; "pipeline"; "ring"; "scale10k" ];
+  (* Inputs arriving early make hold violations. *)
+  List.iter
+    (fun (name, early) ->
+       let config =
+         { Hb_sta.Config.default with
+           Hb_sta.Config.default_input_arrival = -.early }
+       in
+       let report = analysed ~config (catalog name) in
+       Alcotest.(check bool)
+         (Printf.sprintf "%s %g ns early has hold violations" name early)
+         true (report.Hb_sta.Engine.hold_violations <> []);
+       check_report_bytes (Printf.sprintf "%s %g ns early" name early) report)
+    [ ("sm1f", 30.0); ("sm1f", 45.0); ("scale10k", 30.0); ("scale10k", 45.0) ];
+  let report = analysed (awkward_design ()) in
+  let slack = report.Hb_sta.Engine.outcome.Hb_sta.Algorithm1.final
+      .Hb_sta.Slacks.element_input_slack
+  in
+  let finite = List.filter Float.is_finite (Array.to_list slack) in
+  Alcotest.(check bool) "two endpoints tie" true
+    (List.length (List.sort_uniq compare finite) < List.length finite);
+  check_report_bytes "awkward names" report;
+  (* With recording switched off after the analysis, both renders read
+     one telemetry snapshot. *)
+  let config = { Hb_sta.Config.default with Hb_sta.Config.telemetry = true } in
+  let report = analysed ~config (catalog "pipeline") in
+  Hb_util.Telemetry.set_enabled false;
+  Fun.protect
+    ~finally:Hb_util.Telemetry.reset
+    (fun () -> check_report_bytes "pipeline with telemetry" report)
+
+(* ------------------------------------------------------------------ *)
 (* Pretty printers                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -411,7 +716,8 @@ let () =
     [ ("json",
        [ Alcotest.test_case "well formed" `Quick test_json_well_formed;
          Alcotest.test_case "endpoints sorted" `Quick test_json_endpoint_sorted;
-         Alcotest.test_case "metrics block" `Quick test_json_metrics_block ]);
+         Alcotest.test_case "metrics block" `Quick test_json_metrics_block;
+         Alcotest.test_case "bytes = printf writer" `Quick test_report_bytes ]);
       ("printers",
        [ Alcotest.test_case "time" `Quick test_time_pp;
          Alcotest.test_case "interval" `Quick test_interval_pp;

@@ -624,15 +624,17 @@ let test_apply_structural_allocation () =
 
 (* Words a call allocates on every heap, counted as perfbench counts them
    (minor + major - promoted): an array past 256 words goes to the major
-   heap directly, so minor words alone miss it. [Gc.counters] reads the
-   calling domain's counts as they stand ([Gc.quick_stat] misread a
-   call this short by tens of thousands of words on OCaml 5.1), and the
-   minor heap is emptied first, so no earlier allocation is counted in
-   the call. *)
+   heap directly, so minor words alone miss it. The calling domain's
+   counts are read as they stand, and the minor heap is emptied first,
+   so no earlier allocation is counted in the call. The minor part comes
+   from [Gc.minor_words]: on OCaml 5.1.1 [Gc.counters] counts what the
+   minor heap holds since its last collection at an eighth of its size,
+   and [Gc.quick_stat] misread a call this short by tens of thousands of
+   words. *)
 let words_of f =
   let count () =
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
   in
   Gc.minor ();
   let before = count () in
@@ -642,9 +644,11 @@ let words_of f =
 (* A 4-gate resize batch through [Session.apply] on scale10k, the gates
    picked as perfbench's scale100k-eco picks them (the first 4 upsizable
    ones, by name, on the 8 worst paths), after a warm-up batch: about
-   26k words, most of them the batch's one copy of the instance and net
+   44k words, most of them the batch's one copy of the instance and net
    arrays. A copy of both per edit, control marks recomputed per batch
-   and a whole-design re-extraction took 271k. *)
+   and a whole-design re-extraction took 271k words by a count that saw
+   only an eighth of the minor heap's unflushed tail (that count reads
+   26k for today's batch). *)
 let test_session_apply_allocation () =
   let design, system = Hb_workload.Scale.scale10k () in
   let config = { Hb_sta.Config.default with Hb_sta.Config.parallel_jobs = 1 } in
@@ -679,6 +683,44 @@ let test_session_apply_allocation () =
   if words >= 100_000.0 then
     Alcotest.failf "Session.apply of a 4-gate resize batch allocated %.0f words"
       words
+
+(* ------------------------------------------------------------------ *)
+(* Report                                                             *)
+(* ------------------------------------------------------------------ *)
+
+let analysed_scale10k () =
+  let design, system = Hb_workload.Scale.scale10k () in
+  let config = { Hb_sta.Config.default with Hb_sta.Config.parallel_jobs = 1 } in
+  let session = Hb_sta.Session.create ~design ~system ~config () in
+  let report = Hb_sta.Session.analyse session in
+  Hb_sta.Session.close session;
+  report
+
+(* The report of an analysed scale10k session with its 5 worst paths is
+   114,503 bytes. Appending every row into one buffer takes about 110k
+   words: 46k are the buffer's doublings from 4,096 bytes and its final
+   copy, the rest the endpoint sort, a boxed float and a short string
+   per number, the settling-time list and the paths. Printing each row
+   through [Printf.ksprintf] with a per-call escaper and sorting (label,
+   slack) pairs took 544k. *)
+let test_report_allocation () =
+  let report = analysed_scale10k () in
+  let words =
+    words_of (fun () -> Hb_sta.Json_export.report ~paths:5 report)
+  in
+  if words >= 120_000.0 then
+    Alcotest.failf "Json_export.report allocated %.0f words" words
+
+(* Serve's analyse result is the report parsed back into a [Json.t]; its
+   compact text is about 71,780 bytes on scale10k. Printing it takes
+   about 60k words, and 236k with [Printf] numbers and a per-call
+   escaper. *)
+let test_reply_allocation () =
+  let report = analysed_scale10k () in
+  let result = Hb_util.Json.parse (Hb_sta.Json_export.report report) in
+  let words = words_of (fun () -> Hb_util.Json.to_string result) in
+  if words >= 100_000.0 then
+    Alcotest.failf "Json.to_string allocated %.0f words" words
 
 (* ------------------------------------------------------------------ *)
 (* Relaxation                                                         *)
@@ -862,6 +904,12 @@ let () =
       ( "relax",
         [ Alcotest.test_case "restore + Algorithm 1 allocation" `Quick
             test_relaxation_allocation;
+        ] );
+      ( "report",
+        [ Alcotest.test_case "JSON report allocation" `Quick
+            test_report_allocation;
+          Alcotest.test_case "serve reply allocation" `Quick
+            test_reply_allocation;
         ] );
       ( "graph",
         [ Alcotest.test_case "parse allocation" `Quick test_parse_allocation;

@@ -1769,6 +1769,21 @@ let test_serve_concurrent_parity () =
   Alcotest.(check string) "concurrent final report equals serial"
     (Json.to_string serial) (Json.to_string concurrent)
 
+(* A request line nested a million levels deep is refused at the first
+   level past the parser's cap, without reading the rest of it. *)
+let test_serve_deep_nesting () =
+  let daemon = Hb_sta.Serve.create () in
+  let depth = 1_000_000 in
+  let line = String.make depth '[' ^ String.make depth ']' in
+  let t0 = Unix.gettimeofday () in
+  let reply = Hb_sta.Serve.handle_line daemon line in
+  let seconds = Unix.gettimeofday () -. t0 in
+  Alcotest.(check string) "code" "bad_request" (reply_error_code reply);
+  Alcotest.(check string) "message"
+    "malformed request at byte 512: nesting deeper than 512"
+    (reply_error_message reply);
+  if seconds > 0.5 then Alcotest.failf "the reply took %.2f s" seconds
+
 (* The four single-edit methods keep their own reply shapes, and each
    leaves the session exactly where the equivalent "edit" batch does. *)
 let test_serve_single_edit_replies () =
@@ -2069,7 +2084,8 @@ let () =
          Alcotest.test_case "run channel" `Quick test_serve_run_channel;
          Alcotest.test_case "observability" `Quick test_serve_observability;
          Alcotest.test_case "single-edit replies" `Quick
-           test_serve_single_edit_replies ]);
+           test_serve_single_edit_replies;
+         Alcotest.test_case "deep nesting" `Quick test_serve_deep_nesting ]);
       ("concurrent",
        [ Alcotest.test_case "shared session" `Quick test_serve_shared_session;
          Alcotest.test_case "admission control" `Quick test_serve_admission;

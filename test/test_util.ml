@@ -726,6 +726,164 @@ let test_runtime_sampler () =
   (* Disabled registry: sampling is a no-op, not a crash. *)
   Hb_util.Telemetry.sample_runtime ()
 
+(* ------------------------------------------------------------------ *)
+(* Json                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The printer as it was before it appended into its buffer directly:
+   [Printf.sprintf] numbers and a per-call escaper. Kept verbatim as the
+   reference [Json.to_string] must match byte for byte. *)
+module Printf_json = struct
+  open Hb_util.Json
+
+  let escape s =
+    let buffer = Buffer.create (String.length s + 2) in
+    String.iter
+      (fun c ->
+         match c with
+         | '"' -> Buffer.add_string buffer "\\\""
+         | '\\' -> Buffer.add_string buffer "\\\\"
+         | '\n' -> Buffer.add_string buffer "\\n"
+         | '\t' -> Buffer.add_string buffer "\\t"
+         | '\r' -> Buffer.add_string buffer "\\r"
+         | c when Char.code c < 0x20 ->
+           Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
+         | c -> Buffer.add_char buffer c)
+      s;
+    Buffer.contents buffer
+
+  let number f =
+    if not (Float.is_finite f) then "null"
+    else if Float.is_integer f && Float.abs f <= 9.007199254740992e15 then
+      Printf.sprintf "%.0f" f
+    else
+      (* Shortest representation that still round-trips a double. *)
+      let s = Printf.sprintf "%.12g" f in
+      if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+  let to_string value =
+    let buffer = Buffer.create 256 in
+    let rec emit = function
+      | Null -> Buffer.add_string buffer "null"
+      | Bool b -> Buffer.add_string buffer (if b then "true" else "false")
+      | Number f -> Buffer.add_string buffer (number f)
+      | String s ->
+        Buffer.add_char buffer '"';
+        Buffer.add_string buffer (escape s);
+        Buffer.add_char buffer '"'
+      | List items ->
+        Buffer.add_char buffer '[';
+        List.iteri
+          (fun i item ->
+             if i > 0 then Buffer.add_char buffer ',';
+             emit item)
+          items;
+        Buffer.add_char buffer ']'
+      | Obj members ->
+        Buffer.add_char buffer '{';
+        List.iteri
+          (fun i (key, item) ->
+             if i > 0 then Buffer.add_char buffer ',';
+             Buffer.add_char buffer '"';
+             Buffer.add_string buffer (escape key);
+             Buffer.add_string buffer "\":";
+             emit item)
+          members;
+        Buffer.add_char buffer '}'
+    in
+    emit value;
+    Buffer.contents buffer
+end
+
+(* Doubles the printer treats differently: both zeros, subnormals, the
+   integers on either side of 2^53, values that need 17 digits, and the
+   non-finite ones. *)
+let special_floats =
+  [ 0.0; -0.0; 5e-324; -5e-324; 2.2250738585072009e-308; Float.min_float;
+    Float.max_float; -.Float.max_float; Float.epsilon; 0.1; -0.125; 1e21;
+    9.007199254740991e15; 9.007199254740992e15; 9.007199254740993e15;
+    -9.007199254740992e15; 1.8014398509481984e16; 4503599627370495.5;
+    Float.pred 1.0; Float.succ 1.0; 1.0 /. 3.0; Float.infinity;
+    Float.neg_infinity; Float.nan ]
+
+let random_float state =
+  match Random.State.int state 4 with
+  | 0 -> Int64.float_of_bits (Random.State.bits64 state)
+  | 1 ->
+    (* Subnormal: exponent bits all zero. *)
+    Int64.float_of_bits
+      (Int64.logand (Random.State.bits64 state) 0x800F_FFFF_FFFF_FFFFL)
+  | 2 ->
+    Float.of_int (Random.State.int state 2001 - 1000)
+    +. (if Random.State.bool state then 9.007199254740992e15 else 0.0)
+  | _ ->
+    List.nth special_floats
+      (Random.State.int state (List.length special_floats))
+
+let random_string state =
+  String.init (Random.State.int state 12) (fun _ ->
+      Char.chr (Random.State.int state 256))
+
+let rec random_json state depth =
+  match Random.State.int state (if depth >= 4 then 4 else 6) with
+  | 0 -> Hb_util.Json.Null
+  | 1 -> Hb_util.Json.Bool (Random.State.bool state)
+  | 2 -> Hb_util.Json.Number (random_float state)
+  | 3 -> Hb_util.Json.String (random_string state)
+  | 4 ->
+    Hb_util.Json.List
+      (List.init (Random.State.int state 5) (fun _ ->
+           random_json state (depth + 1)))
+  | _ ->
+    Hb_util.Json.Obj
+      (List.init (Random.State.int state 5) (fun _ ->
+           (random_string state, random_json state (depth + 1))))
+
+let test_json_printer_reference () =
+  let check value =
+    Alcotest.(check string) "to_string" (Printf_json.to_string value)
+      (Hb_util.Json.to_string value)
+  in
+  List.iter (fun f -> check (Hb_util.Json.Number f)) special_floats;
+  check (Hb_util.Json.String (String.init 256 Char.chr));
+  check (Hb_util.Json.Obj [ (String.init 256 Char.chr, Hb_util.Json.Null) ]);
+  let state = Random.State.make [| 25 |] in
+  for _ = 1 to 3000 do
+    check (random_json state 0)
+  done
+
+let nested depth ~opening ~closing ~inner =
+  String.concat ""
+    [ String.concat "" (List.init depth (fun _ -> opening));
+      inner;
+      String.make depth closing ]
+
+let test_json_depth_cap () =
+  let parses name text =
+    match Hb_util.Json.parse text with
+    | _ -> ()
+    | exception Hb_util.Json.Parse_error { position; message } ->
+      Alcotest.failf "%s: failed at byte %d: %s" name position message
+  in
+  let fails_at name position text =
+    match Hb_util.Json.parse text with
+    | _ -> Alcotest.failf "%s: parsed" name
+    | exception Hb_util.Json.Parse_error { position = at; _ } ->
+      Alcotest.(check int) name position at
+  in
+  parses "512 lists" (nested 512 ~opening:"[" ~closing:']' ~inner:"");
+  parses "512 objects"
+    (nested 512 ~opening:"{\"a\": " ~closing:'}' ~inner:"1");
+  fails_at "513 lists" 512 (nested 513 ~opening:"[" ~closing:']' ~inner:"");
+  fails_at "513 objects" (512 * 6)
+    (nested 513 ~opening:"{\"a\": " ~closing:'}' ~inner:"1");
+  fails_at "unclosed million" 512 (String.make 1_000_000 '[');
+  (* The limit counts depth, not brackets: wide documents are fine. *)
+  parses "wide"
+    ("[" ^ String.concat ","
+       (List.init 2000 (fun _ -> nested 500 ~opening:"[" ~closing:']' ~inner:""))
+     ^ "]")
+
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest
       [ prop_modulo_in_range; prop_topo_random_dag ]
@@ -777,5 +935,9 @@ let () =
        [ Alcotest.test_case "levels" `Quick test_log_levels;
          Alcotest.test_case "render" `Quick test_log_render;
          Alcotest.test_case "ring and sites" `Quick test_log_ring ]);
+      ("json",
+       [ Alcotest.test_case "to_string = printf printer" `Quick
+           test_json_printer_reference;
+         Alcotest.test_case "depth cap" `Quick test_json_depth_cap ]);
       ("properties", qsuite);
     ]
