@@ -65,6 +65,22 @@ let timed ?(repeat = 3) f =
   in
   go repeat []
 
+(* Bytes [f] allocates on every heap of the calling domain, counted as
+   test_perf counts words: the minor heap is emptied first, then minor
+   words plus major words less promoted ones (a promoted word is in
+   both). On OCaml 5.1.1 [Gc.allocated_bytes] reads [Gc.counters], whose
+   minor count sees what the minor heap holds since its last collection
+   at an eighth of its size; [Gc.minor_words] reads it exactly. *)
+let allocated_bytes_of f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  Gc.minor ();
+  let before = words () in
+  f ();
+  (words () -. before) *. float_of_int (Sys.word_size / 8)
+
 let section_id = ref ""
 let failed_gates = ref []
 
@@ -200,19 +216,15 @@ let analysis_time ctx =
       Hb_sta.Elements.reset_offsets ctx.Hb_sta.Context.elements;
       Hb_sta.Algorithm1.run ctx)
 
-(* Minimum passes vs per-edge settling times of a freshly pre-processed
-   design. *)
-let settling_times ~design ~system =
-  let ctx = Hb_sta.Context.make ~design ~system () in
-  Hb_sta.Passes.settling_times ctx.Hb_sta.Context.passes
-    ~table:ctx.Hb_sta.Context.table
-
-(* The cluster that needs the most per-edge settling times, as
-   (its minimum passes, its per-edge settling times). *)
-let busiest_cluster (settling : Hb_sta.Passes.settling_report) =
+(* The cluster of a pre-processed design that needs the most per-edge
+   settling times, as (its minimum passes, its per-edge settling
+   times). *)
+let busiest_cluster (ctx : Hb_sta.Context.t) =
   List.fold_left
     (fun acc (_, passes, naive) -> if naive > snd acc then (passes, naive) else acc)
-    (0, 0) settling.Hb_sta.Passes.per_cluster
+    (0, 0)
+    (Hb_sta.Passes.cluster_settling_times ctx.Hb_sta.Context.passes
+       ~table:ctx.Hb_sta.Context.table)
 
 (* Gates that [b] reproduces [a] bit for bit: the worst slack and every
    element's input slack. Returns whether it does. *)
@@ -381,8 +393,12 @@ let table1 () =
 let figure1 () =
   section "F1" "Figure 1 — minimum number of settling times";
   let design, system = Hb_workload.Figures.figure1 () in
-  let settling = settling_times ~design ~system in
-  let passes, per_edge = busiest_cluster settling in
+  let ctx = Hb_sta.Context.make ~design ~system () in
+  let passes, per_edge = busiest_cluster ctx in
+  let settling =
+    Hb_sta.Passes.settling_times ctx.Hb_sta.Context.passes
+      ~table:ctx.Hb_sta.Context.table
+  in
   Printf.printf
     "four-phase time-multiplexed cone: %d analysis passes (paper: 2);\n\
      per-source-edge accounting needs %d (paper narrative: 4)\n"
@@ -569,7 +585,7 @@ let ablate_passes () =
        (fun n ->
           let design, system = n_phase_cone n in
           let passes, per_edge =
-            busiest_cluster (settling_times ~design ~system)
+            busiest_cluster (Hb_sta.Context.make ~design ~system ())
           in
           [ count "phases" n; count "min passes" passes;
             count "per-edge" per_edge ])
@@ -933,8 +949,8 @@ let path_engine ?(designs = path_engine_designs) ?(ks = [ 10; 100; 1000 ]) () =
      endpoints: shared-prefix predecessor pool with arena scratch and\n\
      admissible-bound pruning. At each k, every endpoint's rank slacks\n\
      must equal the first k of the k=%d run bit for bit; wall seconds\n\
-     median of 3, allocation bytes from Gc.allocated_bytes averaged over\n\
-     five sweeps.\n\n"
+     median of 3, allocation bytes of one sweep on every heap (minor +\n\
+     major - promoted words).\n\n"
     largest;
   let rows =
     List.concat_map
@@ -976,12 +992,7 @@ let path_engine ?(designs = path_engine_designs) ?(ks = [ 10; 100; 1000 ]) () =
               (* Warm the per-domain scratch before measuring. *)
               sweep ();
               let new_s, () = timed sweep in
-              (* Average of 5 sweeps: the runtime folds minor-heap words
-                 into the Gc counters at collection boundaries, so a single
-                 sweep can alias with GC timing. *)
-              let before = Gc.allocated_bytes () in
-              for _ = 1 to 5 do sweep () done;
-              let new_alloc = (Gc.allocated_bytes () -. before) /. 5.0 in
+              let new_alloc = allocated_bytes_of sweep in
               [ text ~key:"design" "design" name;
                 count ~key:"k" "k" k;
                 num ~key:"new_s" "s" new_s;

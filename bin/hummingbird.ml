@@ -281,10 +281,9 @@ let passes_cmd =
         let design = load_design netlist in
         let system = load_clocks clocks in
         let ctx = Hb_sta.Context.make ~design ~system () in
-        let settling =
-          Hb_sta.Passes.settling_times ctx.Hb_sta.Context.passes
-            ~table:ctx.Hb_sta.Context.table
-        in
+        let passes = ctx.Hb_sta.Context.passes in
+        let table = ctx.Hb_sta.Context.table in
+        let settling = Hb_sta.Passes.settling_times passes ~table in
         let rows =
           List.map
             (fun (id, minimized, naive) ->
@@ -297,7 +296,7 @@ let passes_cmd =
                  string_of_int (Array.length cluster.Hb_sta.Cluster.outputs);
                  string_of_int minimized;
                  string_of_int naive ])
-            settling.Hb_sta.Passes.per_cluster
+            (Hb_sta.Passes.cluster_settling_times passes ~table)
         in
         Hb_util.Table.print
           ~header:[ "cluster"; "gates"; "inputs"; "outputs"; "passes"; "per-edge" ]

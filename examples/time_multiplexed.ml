@@ -20,10 +20,9 @@ let () =
 
   (* Per-cluster pass accounting: the shared cone is the cluster with four
      input terminals. *)
-  let settling =
-    Hb_sta.Passes.settling_times ctx.Hb_sta.Context.passes
-      ~table:ctx.Hb_sta.Context.table
-  in
+  let passes = ctx.Hb_sta.Context.passes in
+  let table = ctx.Hb_sta.Context.table in
+  let settling = Hb_sta.Passes.settling_times passes ~table in
   print_endline "cluster        passes(min)  settling-times(per-edge)";
   List.iter
     (fun (id, minimized, naive) ->
@@ -33,7 +32,7 @@ let () =
          (List.length cluster.Hb_sta.Cluster.members)
          (Array.length cluster.Hb_sta.Cluster.inputs)
          (Array.length cluster.Hb_sta.Cluster.outputs))
-    settling.Hb_sta.Passes.per_cluster;
+    (Hb_sta.Passes.cluster_settling_times passes ~table);
   Printf.printf "total: %d minimum passes vs %d per-edge settling times\n\n"
     settling.Hb_sta.Passes.minimized_passes
     settling.Hb_sta.Passes.naive_settling_times;

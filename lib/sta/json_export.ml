@@ -6,49 +6,86 @@ external format_float : string -> float -> string = "caml_format_float"
 
 let schema_version = 1
 
-let report ?(paths = 0) (r : Engine.report) =
+type layout = Pretty | Compact
+
+(* Line breaks of the pretty layout, by depth of indentation. *)
+let indents = [| "\n"; "\n  "; "\n    "; "\n      " |]
+
+let add_report ?(paths = 0) layout buffer (r : Engine.report) =
   let ctx = r.Engine.context in
   let outcome = r.Engine.outcome in
   let slacks = outcome.Algorithm1.final in
-  let buffer = Buffer.create 4096 in
+  let pretty = match layout with Pretty -> true | Compact -> false in
   let add s = Buffer.add_string buffer s in
-  let add_int i = add (string_of_int i) in
+  (* The separators are the only whitespace either layout writes: after
+     a key, between the members of a one-line object or list, and before
+     a row on a line of its own. *)
+  let colon = if pretty then ": " else ":" in
+  let comma = if pretty then ", " else "," in
+  let nl depth = if pretty then add indents.(depth) in
   (* %.17g round-trips doubles but is noisy; %.6f is ample for ns. The
-     finiteness test is spelled out: a call across modules would box [f]
-     under [-opaque]. *)
+     compact layout prints what [Json.parse] reads back from the pretty
+     text, printed by [Json]: a reply's bytes are those of the report
+     parsed into its envelope. The finiteness test is spelled out: a
+     call across modules would box [f] under [-opaque]. *)
   let add_number f =
-    add (if f -. f = 0.0 then format_float "%.6f" f else "null")
+    if f -. f <> 0.0 then add "null"
+    else if pretty then add (format_float "%.6f" f)
+    else Json.add_number buffer (float_of_string (format_float "%.6f" f))
+  in
+  let add_int i =
+    if pretty then add (string_of_int i)
+    else Json.add_number buffer (float_of_int i)
   in
   let add_quoted s = Json.add_quoted buffer s in
-  (* Item [i] of a list opens with a comma unless it is the first. *)
-  let sep i s =
-    if i > 0 then Buffer.add_char buffer ',';
-    add s
+  let key k =
+    add_quoted k;
+    add colon
+  in
+  (* A member of the top-level object after its first. *)
+  let member k =
+    add ",";
+    nl 1;
+    key k
+  in
+  (* A member of a one-line object after its first. *)
+  let field k =
+    add comma;
+    key k
+  in
+  (* Item [i] of a list or object whose items each take a line. *)
+  let row depth i =
+    if i > 0 then add ",";
+    nl depth
   in
   let element_label e =
     (Elements.element ctx.Context.elements e).Hb_sync.Element.label
   in
-  add "{\n  \"schema_version\": ";
+  add "{";
+  nl 1;
+  key "schema_version";
   add_int schema_version;
-  add ",\n  \"design\": ";
+  member "design";
   add_quoted ctx.Context.design.Hb_netlist.Design.design_name;
-  add ",\n  \"period\": ";
+  member "period";
   add_number ctx.Context.system.Hb_clock.System.overall_period;
-  add ",\n  \"verdict\": ";
+  member "verdict";
   add
     (match outcome.Algorithm1.status with
      | Algorithm1.Meets_timing -> "\"meets_timing\""
      | Algorithm1.Slow_paths -> "\"slow_paths\"");
-  add ",\n  \"worst_slack\": ";
+  member "worst_slack";
   add_number slacks.Slacks.worst;
   let settling =
     Passes.settling_times ctx.Context.passes ~table:ctx.Context.table
   in
-  add ",\n  \"passes\": {\"minimum\": ";
+  member "passes";
+  add "{";
+  key "minimum";
   add_int settling.Passes.minimized_passes;
-  add ", \"per_edge\": ";
+  field "per_edge";
   add_int settling.Passes.naive_settling_times;
-  add "},\n";
+  add "}";
   (* Endpoints ascending by slack, ties in descending element id: the
      array is filled from the highest id down and the sort is stable. *)
   let slack = slacks.Slacks.element_input_slack in
@@ -67,68 +104,85 @@ let report ?(paths = 0) (r : Engine.report) =
     end
   done;
   Array.stable_sort (fun a b -> Float.compare slack.(a) slack.(b)) endpoints;
-  add "  \"endpoints\": [";
+  member "endpoints";
+  add "[";
   Array.iteri
     (fun i e ->
-       sep i "\n    {\"element\": ";
+       row 2 i;
+       add "{";
+       key "element";
        add_quoted (element_label e);
-       add ", \"slack\": ";
+       field "slack";
        add_number slack.(e);
        add "}")
     endpoints;
-  add "\n  ],\n  \"slow_nets\": [";
+  nl 1;
+  add "]";
+  member "slow_nets";
+  add "[";
   List.iteri
     (fun i net ->
-       if i > 0 then add ", ";
+       if i > 0 then add comma;
        add_quoted net)
     (Report.slow_nets ctx slacks);
-  add "],\n  \"hold_violations\": [";
+  add "]";
+  member "hold_violations";
+  add "[";
   List.iteri
     (fun i (v : Holdcheck.violation) ->
-       sep i "\n    {\"element\": ";
+       row 2 i;
+       add "{";
+       key "element";
        add_quoted v.Holdcheck.label;
-       add ", \"margin\": ";
+       field "margin";
        add_number v.Holdcheck.margin;
        add "}")
     r.Engine.hold_violations;
-  add "\n  ],\n";
+  nl 1;
+  add "]";
   if paths > 0 then begin
     let design = ctx.Context.design in
-    add "  \"paths\": [";
+    member "paths";
+    add "[";
     List.iteri
       (fun i (p : Paths.path) ->
-         sep i "\n    {\"start\": ";
+         row 2 i;
+         add "{";
+         key "start";
          add_quoted (element_label p.Paths.start_element);
-         add ", \"end\": ";
+         field "end";
          add_quoted (element_label p.Paths.end_element);
-         add ", \"slack\": ";
+         field "slack";
          add_number p.Paths.slack;
-         add ", \"cluster\": ";
+         field "cluster";
          add_int p.Paths.cluster;
-         add ", \"cut\": ";
+         field "cut";
          add_int p.Paths.cut;
-         add ", \"hops\": [";
+         field "hops";
+         add "[";
          List.iteri
            (fun j (hop : Paths.hop) ->
-              if j > 0 then add ", ";
-              add "{\"net\": ";
+              if j > 0 then add comma;
+              add "{";
+              key "net";
               add_quoted
                 (Hb_netlist.Design.net design hop.Paths.net)
                   .Hb_netlist.Design.net_name;
-              add ", \"via\": ";
+              field "via";
               (match hop.Paths.via with
                | None -> add "null"
                | Some inst ->
                  add_quoted
                    (Hb_netlist.Design.instance design inst)
                      .Hb_netlist.Design.inst_name);
-              add ", \"at\": ";
+              field "at";
               add_number hop.Paths.at;
               add "}")
            p.Paths.hops;
          add "]}")
       (Paths.worst_paths ctx slacks ~limit:paths);
-    add "\n  ],\n";
+    nl 1;
+    add "]";
     (* Near-critical density per worst endpoint: how many distinct paths
        compete within the top [paths], and how far the k-th sits behind
        the worst. Uses the bounded enumeration, so with telemetry on the
@@ -138,19 +192,25 @@ let report ?(paths = 0) (r : Engine.report) =
       Paths.enumerate_many ctx
         ~endpoints:(List.map fst endpoints) ~limit:paths
     in
-    add "  \"near_critical\": [";
+    member "near_critical";
+    add "[";
     List.iteri
       (fun i ((endpoint, _), enumerated) ->
-         sep i "\n    {\"endpoint\": ";
+         row 2 i;
+         add "{";
+         key "endpoint";
          add_quoted (element_label endpoint);
-         add ", \"count\": ";
+         field "count";
          add_int (List.length enumerated);
-         add ", \"worst_slack\": ";
+         field "worst_slack";
          (match enumerated with
-          | [] -> add "null, \"kth_slack\": null"
+          | [] ->
+            add "null";
+            field "kth_slack";
+            add "null"
           | (first : Paths.path) :: rest ->
             add_number first.Paths.slack;
-            add ", \"kth_slack\": ";
+            field "kth_slack";
             let rec last (p : Paths.path) = function
               | [] -> p
               | p :: rest -> last p rest
@@ -158,57 +218,82 @@ let report ?(paths = 0) (r : Engine.report) =
             add_number (last first rest).Paths.slack);
          add "}")
       (List.combine endpoints enumerations);
-    add "\n  ],\n"
+    nl 1;
+    add "]"
   end;
   if ctx.Context.config.Config.telemetry then begin
     let snapshot = Hb_util.Telemetry.snapshot () in
-    add "  \"metrics\": {\n    \"counters\": {";
+    member "metrics";
+    add "{";
+    nl 2;
+    key "counters";
+    add "{";
     List.iteri
       (fun i (name, v) ->
-         sep i "\n      ";
-         add_quoted name;
-         add ": ";
+         row 3 i;
+         key name;
          add_int v)
       snapshot.Hb_util.Telemetry.counters;
-    add "\n    },\n    \"gauges\": {";
+    nl 2;
+    add "},";
+    nl 2;
+    key "gauges";
+    add "{";
     List.iteri
       (fun i (name, v) ->
-         sep i "\n      ";
-         add_quoted name;
-         add ": ";
+         row 3 i;
+         key name;
          add_number v)
       snapshot.Hb_util.Telemetry.gauges;
-    add "\n    },\n    \"spans\": [";
+    nl 2;
+    add "},";
+    nl 2;
+    key "spans";
+    add "[";
     List.iteri
       (fun i (name, count, wall, cpu) ->
-         sep i "\n      {\"name\": ";
+         row 3 i;
+         add "{";
+         key "name";
          add_quoted name;
-         add ", \"count\": ";
+         field "count";
          add_int count;
-         add ", \"wall_s\": ";
+         field "wall_s";
          add_number wall;
-         add ", \"cpu_s\": ";
+         field "cpu_s";
          add_number cpu;
          add "}")
       (Hb_util.Telemetry.aggregate_spans snapshot);
-    add "\n    ]\n  },\n"
+    nl 2;
+    add "]";
+    nl 1;
+    add "}"
   end;
   let timings = r.Engine.timings in
-  add "  \"timings\": {\"preprocess_s\": ";
+  member "timings";
+  add "{";
+  key "preprocess_s";
   add_number timings.Engine.preprocess_seconds;
-  add ", \"analysis_s\": ";
+  field "analysis_s";
   add_number timings.Engine.analysis_seconds;
-  add ", \"constraints_s\": ";
+  field "constraints_s";
   add_number timings.Engine.constraints_seconds;
-  add ", \"preprocess_wall_s\": ";
+  field "preprocess_wall_s";
   add_number timings.Engine.preprocess_wall_seconds;
-  add ", \"analysis_wall_s\": ";
+  field "analysis_wall_s";
   add_number timings.Engine.analysis_wall_seconds;
-  add ", \"constraints_wall_s\": ";
+  field "constraints_wall_s";
   add_number timings.Engine.constraints_wall_seconds;
-  add ", \"peak_rss_bytes\": ";
+  field "peak_rss_bytes";
   (match timings.Engine.peak_rss_bytes with
    | Some bytes -> add_int bytes
    | None -> add "null");
-  add "}\n}\n";
+  add "}";
+  nl 0;
+  add "}";
+  if pretty then add "\n"
+
+let report ?paths r =
+  let buffer = Buffer.create 4096 in
+  add_report ?paths Pretty buffer r;
   Buffer.contents buffer

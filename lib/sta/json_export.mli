@@ -40,6 +40,21 @@
     earlier versions apart from the leading ["schema_version"] field. *)
 val report : ?paths:int -> Engine.report -> string
 
+(** How {!add_report} lays the report out. [Pretty] is {!report}'s
+    layout: one top-level member, endpoint, hold violation, path,
+    near-critical entry and metric per line, a space after each [:] and
+    each [,] inside a line, and a final newline. [Compact] is the wire
+    layout of serve replies: no whitespace at all, and each number
+    printed as {!Hb_util.Json.to_string} prints the value that
+    {!Hb_util.Json.parse} reads from its pretty text, so that a
+    compact report is byte for byte the pretty one parsed and printed
+    by {!Hb_util.Json}. *)
+type layout = Pretty | Compact
+
+(** [add_report ?paths layout buffer report] appends the report
+    {!report} renders, in [layout], to [buffer]. *)
+val add_report : ?paths:int -> layout -> Buffer.t -> Engine.report -> unit
+
 (** Version stamped into every report (and every serve-loop reply);
     consumers reject or warn on versions they don't know. *)
 val schema_version : int

@@ -228,37 +228,41 @@ let total_passes t =
 type settling_report = {
   minimized_passes : int;
   naive_settling_times : int;
-  per_cluster : (int * int * int) list;
 }
 
-let settling_times t ~(table : Cluster.table) =
-  (* [seen.(node)] is the last cluster that counted assertion node
-     [node]: one settling time per distinct input assertion edge. *)
+(* [f id minimized naive] for each cluster with logic, in id order.
+   [seen.(node)] is the last cluster that counted assertion node [node]:
+   one settling time per distinct input assertion edge. *)
+let iter_settling t ~(table : Cluster.table) f =
   let seen = Array.make t.node_count (-1) in
-  let per_cluster = ref [] in
   Array.iter
     (fun (cluster : Cluster.t) ->
-       if Array.length cluster.Cluster.inputs > 0
+       let inputs = cluster.Cluster.inputs in
+       if Array.length inputs > 0
        && Array.length cluster.Cluster.outputs > 0 then begin
          let id = cluster.Cluster.id in
          let edges = ref 0 in
-         Array.iter
-           (fun (terminal : Cluster.terminal) ->
-              let node = t.element_assertion_node.(terminal.Cluster.element) in
-              if node >= 0 && seen.(node) <> id then begin
-                seen.(node) <- id;
-                incr edges
-              end)
-           cluster.Cluster.inputs;
-         per_cluster :=
-           (id, List.length t.plans.(id).cuts, Stdlib.max 1 !edges)
-           :: !per_cluster
+         for i = 0 to Array.length inputs - 1 do
+           let node =
+             t.element_assertion_node.(inputs.(i).Cluster.element)
+           in
+           if node >= 0 && seen.(node) <> id then begin
+             seen.(node) <- id;
+             incr edges
+           end
+         done;
+         f id (List.length t.plans.(id).cuts) (Stdlib.max 1 !edges)
        end)
-    table.Cluster.clusters;
-  let per_cluster = List.rev !per_cluster in
-  { minimized_passes =
-      List.fold_left (fun acc (_, m, _) -> acc + m) 0 per_cluster;
-    naive_settling_times =
-      List.fold_left (fun acc (_, _, n) -> acc + n) 0 per_cluster;
-    per_cluster;
-  }
+    table.Cluster.clusters
+
+let settling_times t ~table =
+  let minimized = ref 0 and naive = ref 0 in
+  iter_settling t ~table (fun _ m n ->
+      minimized := !minimized + m;
+      naive := !naive + n);
+  { minimized_passes = !minimized; naive_settling_times = !naive }
+
+let cluster_settling_times t ~table =
+  let rows = ref [] in
+  iter_settling t ~table (fun id m n -> rows := (id, m, n) :: !rows);
+  List.rev !rows

@@ -101,11 +101,15 @@ type settling_report = {
   naive_settling_times : int;
       (** total passes a per-source-edge method would need: one per
           distinct input assertion edge per cluster *)
-  per_cluster : (int * int * int) list;
-      (** cluster id, minimized, naive — clusters with logic only *)
 }
 
 (** [settling_times t ~table] compares the plans of [t] with per-edge
     accounting over the clusters of [table], the table [t] was built
     from. *)
 val settling_times : t -> table:Cluster.table -> settling_report
+
+(** [cluster_settling_times t ~table] is the same comparison per cluster,
+    as [(cluster id, minimized, naive)] for each cluster with logic, in
+    id order; the totals of {!settling_times} are its column sums. *)
+val cluster_settling_times :
+  t -> table:Cluster.table -> (int * int * int) list

@@ -316,15 +316,17 @@ let json_of_summary s =
       ("cpu_ms", Json.Number s.rs_cpu_ms);
     ]
 
-let flight_json t =
-  Json.to_string
-    (Json.Obj
-       [ ("schema_version",
-          Json.Number (float_of_int Json_export.schema_version));
-         ("generated_ts", Json.Number (Unix.gettimeofday ()));
-         ("requests", Json.List (List.map json_of_summary (recent_summaries t)));
-         ("log", Json.List (List.map json_of_log_event (Log.recent ())));
-       ])
+(* The flight-recorder document: what [flight] replies with, and what
+   {!flight_json} prints for the dump sink. *)
+let flight_tree t =
+  Json.Obj
+    [ ("schema_version", Json.Number (float_of_int Json_export.schema_version));
+      ("generated_ts", Json.Number (Unix.gettimeofday ()));
+      ("requests", Json.List (List.map json_of_summary (recent_summaries t)));
+      ("log", Json.List (List.map json_of_log_event (Log.recent ())));
+    ]
+
+let flight_json t = Json.to_string (flight_tree t)
 
 let dump_flight t =
   match t.dump with
@@ -648,7 +650,10 @@ let handle_load t c p =
           ("shared", Json.Bool shared);
         ])
 
-let handle_analyse c p =
+(* The report goes straight into the reply buffer in the compact
+   layout, and while the session lock is held: an edit must not move the
+   session under the writer. *)
+let handle_analyse c p reply =
   let generate_constraints =
     Option.value ~default:true (opt_bool "constraints" p)
   in
@@ -657,9 +662,7 @@ let handle_analyse c p =
   with_session_read ~constraints:generate_constraints ~hold:check_hold c
     (fun s ->
       let report = Session.analyse ~generate_constraints ~check_hold s in
-      (* The report renderer emits a multi-line document; re-parse so it
-         nests compactly inside the one-line reply envelope. *)
-      Json.parse (Json_export.report ~paths report))
+      Json_export.add_report ~paths Json_export.Compact reply report)
 
 (* One edit command → a typed {!Edit.t}: command [i] of the batch "edit"
    method, or the params of the single-edit method named [op]. Cell names
@@ -898,8 +901,6 @@ let handle_metrics t p =
          ])
   | other -> bad_request "unknown metrics format %S (json|prometheus)" other
 
-let handle_flight t = Json.parse (flight_json t)
-
 (* Busy-wait polling the deadline at every iteration — a test hook for
    exercising the timeout path (the engines poll the same way at their
    pass boundaries), not a scheduler. *)
@@ -923,45 +924,57 @@ let handle_shutdown t =
   if not t.scheduler_attached then shutdown_sessions t;
   Json.Obj [ ("stopping", Json.Bool true) ]
 
-let dispatch t c ~meth p =
+(* A method's result: a tree for the envelope to print, or [Written]
+   when the method has appended its result to the reply buffer itself. *)
+type answer = Tree of Json.t | Written
+
+let dispatch t c ~meth p reply =
   match meth with
-  | "ping" -> Json.Obj [ ("pong", Json.Bool true) ]
-  | "load" -> handle_load t c p
-  | "analyse" -> handle_analyse c p
-  | ("set_delay" | "scale_delay" | "annotate" | "set_offset") as op ->
-    handle_single_edit t c ~op p
-  | "edit" -> handle_edit t c p
-  | "paths" -> handle_paths c p
-  | "constraints" -> handle_constraints c
-  | "hold" -> handle_hold c
-  | "metrics" -> handle_metrics t p
-  | "flight" -> handle_flight t
-  | "sleep" -> handle_sleep p
-  | "shutdown" -> handle_shutdown t
-  | other -> bad_request "unknown method %S" other
+  | "analyse" ->
+    handle_analyse c p reply;
+    Written
+  | meth ->
+    Tree
+      (match meth with
+       | "ping" -> Json.Obj [ ("pong", Json.Bool true) ]
+       | "load" -> handle_load t c p
+       | ("set_delay" | "scale_delay" | "annotate" | "set_offset") as op ->
+         handle_single_edit t c ~op p
+       | "edit" -> handle_edit t c p
+       | "paths" -> handle_paths c p
+       | "constraints" -> handle_constraints c
+       | "hold" -> handle_hold c
+       | "metrics" -> handle_metrics t p
+       | "flight" -> flight_tree t
+       | "sleep" -> handle_sleep p
+       | "shutdown" -> handle_shutdown t
+       | other -> bad_request "unknown method %S" other)
 
 (* --- the envelope ---------------------------------------------------- *)
 
-let reply ~rid ~id body =
-  Json.to_string
-    (Json.Obj
-       (("schema_version", Json.Number (float_of_int Json_export.schema_version))
-        :: ("id", id)
-        :: ("request_id", Json.String rid)
-        :: body))
+(* Each reply is printed once into one buffer. It opens with these
+   fields, as [Json.to_string] prints them, and goes on with its body:
+   ["result"] when [status] is ["ok"], ["error"] otherwise. *)
+let open_reply reply ~rid ~id ~status =
+  Buffer.add_string reply "{\"schema_version\":";
+  Buffer.add_string reply (string_of_int Json_export.schema_version);
+  Buffer.add_string reply ",\"id\":";
+  Json.add reply id;
+  Buffer.add_string reply ",\"request_id\":";
+  Json.add_quoted reply rid;
+  Buffer.add_string reply ",\"status\":";
+  Json.add_quoted reply status
 
-let ok ~rid ~id result =
-  reply ~rid ~id [ ("status", Json.String "ok"); ("result", result) ]
-
-let error ~rid ~id ~code message =
+(* An error reply replaces whatever the buffer holds. *)
+let error reply ~rid ~id ~code message =
   Telemetry.incr c_errors;
   if code = "timeout" then Telemetry.incr c_timeouts;
-  reply ~rid ~id
-    [ ("status", Json.String "error");
-      ( "error",
-        Json.Obj
-          [ ("code", Json.String code); ("message", Json.String message) ] );
-    ]
+  Buffer.clear reply;
+  open_reply reply ~rid ~id ~status:"error";
+  Buffer.add_string reply ",\"error\":";
+  Json.add reply
+    (Json.Obj [ ("code", Json.String code); ("message", Json.String message) ]);
+  Buffer.add_char reply '}'
 
 let next_rid t = Printf.sprintf "r%d" (Atomic.fetch_and_add t.rid_seq 1 + 1)
 
@@ -995,60 +1008,64 @@ let handle_line ?client ?queue_wait_s t line =
   in
   let meth_seen = ref "?" in
   let outcome = ref "ok" in
+  let reply = Buffer.create 256 in
   let fail ~id ~code message =
     outcome := code;
-    error ~rid ~id ~code message
+    error reply ~rid ~id ~code message
   in
-  let text =
-    match parsed with
-    | Error message -> fail ~id:Json.Null ~code:"bad_request" message
-    | Ok request ->
-      let id = Option.value ~default:Json.Null (Json.member "id" request) in
-      (try
-         (match Json.member "schema_version" request with
-          | None | Some Json.Null -> ()
-          | Some v ->
-            (match Json.to_int v with
-             | Some version when version = Json_export.schema_version -> ()
-             | Some version ->
-               raise
-                 (Request_error
-                    { code = "schema_version";
-                      message =
-                        Printf.sprintf
-                          "unsupported schema version %d (server speaks %d)"
-                          version Json_export.schema_version;
-                    })
-             | None -> bad_request "schema_version must be an integer"));
-         let meth =
-           match Json.member "method" request with
-           | Some (Json.String m) -> m
-           | Some _ -> bad_request "method must be a string"
-           | None -> bad_request "missing method"
-         in
-         meth_seen := meth;
-         let p = params request in
-         let seconds =
-           Option.value ~default:t.timeout_seconds (opt_float "timeout" request)
-         in
-         let result =
+  (match parsed with
+   | Error message -> fail ~id:Json.Null ~code:"bad_request" message
+   | Ok request ->
+     let id = Option.value ~default:Json.Null (Json.member "id" request) in
+     (try
+        (match Json.member "schema_version" request with
+         | None | Some Json.Null -> ()
+         | Some v ->
+           (match Json.to_int v with
+            | Some version when version = Json_export.schema_version -> ()
+            | Some version ->
+              raise
+                (Request_error
+                   { code = "schema_version";
+                     message =
+                       Printf.sprintf
+                         "unsupported schema version %d (server speaks %d)"
+                         version Json_export.schema_version;
+                   })
+            | None -> bad_request "schema_version must be an integer"));
+        let meth =
+          match Json.member "method" request with
+          | Some (Json.String m) -> m
+          | Some _ -> bad_request "method must be a string"
+          | None -> bad_request "missing method"
+        in
+        meth_seen := meth;
+        let p = params request in
+        let seconds =
+          Option.value ~default:t.timeout_seconds (opt_float "timeout" request)
+        in
+        open_reply reply ~rid ~id ~status:"ok";
+        Buffer.add_string reply ",\"result\":";
+        (match
            Telemetry.with_tag rid (fun () ->
                Hb_util.Timeout.with_timeout ~seconds (fun () ->
-                   dispatch t client ~meth p))
-         in
-         ok ~rid ~id result
-       with
-       | Request_error { code; message } -> fail ~id ~code message
-       | Hb_util.Timeout.Timeout seconds ->
-         fail ~id ~code:"timeout"
-           (Printf.sprintf "request exceeded its %gs budget" seconds)
-       | e ->
-         (match Error.of_exn e with
-          | Some err -> fail ~id ~code:(Error.code err) (Error.to_string err)
-          | None ->
-            (* Unrecognised exceptions must not kill the daemon either. *)
-            fail ~id ~code:"internal" (Printexc.to_string e)))
-  in
+                   dispatch t client ~meth p reply))
+         with
+         | Tree result -> Json.add reply result
+         | Written -> ());
+        Buffer.add_char reply '}'
+      with
+      | Request_error { code; message } -> fail ~id ~code message
+      | Hb_util.Timeout.Timeout seconds ->
+        fail ~id ~code:"timeout"
+          (Printf.sprintf "request exceeded its %gs budget" seconds)
+      | e ->
+        (match Error.of_exn e with
+         | Some err -> fail ~id ~code:(Error.code err) (Error.to_string err)
+         | None ->
+           (* Unrecognised exceptions must not kill the daemon either. *)
+           fail ~id ~code:"internal" (Printexc.to_string e))));
+  let text = Buffer.contents reply in
   let service_ms = (Unix.gettimeofday () -. wall0) *. 1000.0 in
   let queue_ms =
     match queue_wait_s with Some s -> s *. 1000.0 | None -> 0.0
@@ -1114,7 +1131,9 @@ let reject_line t ~code ~message line =
     | exception _ -> (Json.Null, next_rid t, "?")
   in
   if String.equal code "overloaded" then Telemetry.incr c_rejected;
-  let text = error ~rid ~id ~code message in
+  let reply = Buffer.create 256 in
+  error reply ~rid ~id ~code message;
+  let text = Buffer.contents reply in
   if Log.on Log.Info then
     Log.info "serve.request"
       [ ("request_id", Log.String rid);

@@ -201,42 +201,43 @@ let escape s =
    primitive after building the format in a fresh buffer. *)
 external format_float : string -> float -> string = "caml_format_float"
 
-let number f =
-  if not (Float.is_finite f) then "null"
-  else if Float.is_integer f && Float.abs f <= 9.007199254740992e15 then
-    format_float "%.0f" f
-  else
-    (* Shortest representation that still round-trips a double. *)
-    let s = format_float "%.12g" f in
-    if float_of_string s = f then s else format_float "%.17g" f
+let add_number buffer f =
+  Buffer.add_string buffer
+    (if not (Float.is_finite f) then "null"
+     else if Float.is_integer f && Float.abs f <= 9.007199254740992e15 then
+       format_float "%.0f" f
+     else
+       (* Shortest representation that still round-trips a double. *)
+       let s = format_float "%.12g" f in
+       if float_of_string s = f then s else format_float "%.17g" f)
+
+let rec add buffer = function
+  | Null -> Buffer.add_string buffer "null"
+  | Bool b -> Buffer.add_string buffer (if b then "true" else "false")
+  | Number f -> add_number buffer f
+  | String s -> add_quoted buffer s
+  | List items ->
+    Buffer.add_char buffer '[';
+    List.iteri
+      (fun i item ->
+         if i > 0 then Buffer.add_char buffer ',';
+         add buffer item)
+      items;
+    Buffer.add_char buffer ']'
+  | Obj members ->
+    Buffer.add_char buffer '{';
+    List.iteri
+      (fun i (key, item) ->
+         if i > 0 then Buffer.add_char buffer ',';
+         add_quoted buffer key;
+         Buffer.add_char buffer ':';
+         add buffer item)
+      members;
+    Buffer.add_char buffer '}'
 
 let to_string value =
   let buffer = Buffer.create 256 in
-  let rec emit = function
-    | Null -> Buffer.add_string buffer "null"
-    | Bool b -> Buffer.add_string buffer (if b then "true" else "false")
-    | Number f -> Buffer.add_string buffer (number f)
-    | String s -> add_quoted buffer s
-    | List items ->
-      Buffer.add_char buffer '[';
-      List.iteri
-        (fun i item ->
-           if i > 0 then Buffer.add_char buffer ',';
-           emit item)
-        items;
-      Buffer.add_char buffer ']'
-    | Obj members ->
-      Buffer.add_char buffer '{';
-      List.iteri
-        (fun i (key, item) ->
-           if i > 0 then Buffer.add_char buffer ',';
-           add_quoted buffer key;
-           Buffer.add_char buffer ':';
-           emit item)
-        members;
-      Buffer.add_char buffer '}'
-  in
-  emit value;
+  add buffer value;
   Buffer.contents buffer
 
 let member name = function

@@ -2,10 +2,12 @@
     compact single-line printer.
 
     Exists for the daemon front end: requests arrive as newline-delimited
-    JSON and replies must leave as one line each, so multi-line documents
-    (like {!Hb_sta.Json_export} reports) are parsed and re-emitted
-    compactly inside a reply envelope. Deliberately tiny — no streaming,
-    no number-precision preservation beyond [float] — and free of
+    JSON and replies leave as one line each. A reply envelope is printed
+    once into one buffer ({!add}); a method whose result is a large
+    document, like the {!Hb_sta.Json_export} report, appends that text
+    in the same compact form straight into the envelope's buffer, so it
+    is never parsed back. Deliberately tiny — no streaming, no
+    number-precision preservation beyond [float] — and free of
     third-party dependencies, like the rest of the repo. *)
 
 type t =
@@ -33,6 +35,15 @@ val parse_result : string -> (t, string) result
     separators. Numbers that are integral (and within [2^53]) print
     without a fractional part; non-finite numbers print as [null]. *)
 val to_string : t -> string
+
+(** [add buffer v] appends the text {!to_string} gives for [v]. *)
+val add : Buffer.t -> t -> unit
+
+(** [add_number buffer f] appends the text {!to_string} gives for
+    [Number f]: [null] when [f] is not finite, [%.0f] when it is integral
+    and within [2^53], else [%.12g] when that reads back as [f] and
+    [%.17g] when it does not. *)
+val add_number : Buffer.t -> float -> unit
 
 (** [add_quoted buffer s] appends the JSON string literal for [s] to
     [buffer], quotes included, with the body {!escape} gives. The one

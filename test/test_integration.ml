@@ -78,14 +78,12 @@ let test_file_round_trip_analysis () =
 let test_figure1_settling_times () =
   let design, system = Hb_workload.Figures.figure1 () in
   let ctx = Hb_sta.Context.make ~design ~system () in
-  let settling =
-    Hb_sta.Passes.settling_times ctx.Hb_sta.Context.passes
-      ~table:ctx.Hb_sta.Context.table
-  in
   let main =
     List.fold_left
       (fun acc (_, m, n) -> if n > snd acc then (m, n) else acc)
-      (0, 0) settling.Hb_sta.Passes.per_cluster
+      (0, 0)
+      (Hb_sta.Passes.cluster_settling_times ctx.Hb_sta.Context.passes
+         ~table:ctx.Hb_sta.Context.table)
   in
   Alcotest.(check (pair int int))
     "time-multiplexed cone: 2 passes instead of 4" (2, 4) main

@@ -430,22 +430,25 @@ let analysed ?(config = Hb_sta.Config.default) (design, system) =
   Hb_sta.Engine.analyse ~design ~system
     ~config:{ config with Hb_sta.Config.parallel_jobs = 1 } ()
 
+let check_same_bytes what ~expected actual =
+  if not (String.equal expected actual) then begin
+    let n = Int.min (String.length expected) (String.length actual) in
+    let rec first i =
+      if i < n && expected.[i] = actual.[i] then first (i + 1) else i
+    in
+    let at = first 0 in
+    let around s = String.sub s at (Int.min 60 (String.length s - at)) in
+    Alcotest.failf "%s: first difference at byte %d: %S against %S" what at
+      (around actual) (around expected)
+  end
+
 let check_report_bytes name report =
   List.iter
     (fun paths ->
-       let expected = Printf_report.report ~paths report in
-       let actual = Hb_sta.Json_export.report ~paths report in
-       if not (String.equal expected actual) then begin
-         let n = Int.min (String.length expected) (String.length actual) in
-         let rec first i =
-           if i < n && expected.[i] = actual.[i] then first (i + 1) else i
-         in
-         let at = first 0 in
-         let around s = String.sub s at (Int.min 60 (String.length s - at)) in
-         Alcotest.failf
-           "%s, paths %d: first difference at byte %d: %S against %S" name
-           paths at (around actual) (around expected)
-       end)
+       check_same_bytes
+         (Printf.sprintf "%s, paths %d" name paths)
+         ~expected:(Printf_report.report ~paths report)
+         (Hb_sta.Json_export.report ~paths report))
     [ 0; 5 ]
 
 let catalog name =
@@ -511,6 +514,155 @@ let test_report_bytes () =
   Fun.protect
     ~finally:Hb_util.Telemetry.reset
     (fun () -> check_report_bytes "pipeline with telemetry" report)
+
+(* ------------------------------------------------------------------ *)
+(* Serve's analyse reply against the parsed report                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The analyse reply as serve built it before it wrote the report into
+   the reply in the compact layout: the pretty report parsed back into a
+   [Json.t] and printed inside the envelope. *)
+let reparsed_reply ~id ~request_id ~paths report =
+  let open Hb_util.Json in
+  to_string
+    (Obj
+       [ ("schema_version",
+          Number (float_of_int Hb_sta.Json_export.schema_version));
+         ("id", Number (float_of_int id));
+         ("request_id", String request_id);
+         ("status", String "ok");
+         ("result", parse (Hb_sta.Json_export.report ~paths report));
+       ])
+
+(* The peak RSS a served report carries: the one value of a report that
+   is read afresh at each [Session.analyse]. *)
+let served_peak reply =
+  let open Hb_util.Json in
+  let ( let* ) = Option.bind in
+  let* result = member "result" (parse reply) in
+  let* timings = member "timings" result in
+  let* peak = member "peak_rss_bytes" timings in
+  to_int peak
+
+(* The daemon loads a snapshot of an analysed session, and the test
+   restores the same snapshot: both then answer [analyse] from the same
+   cached analysis, constraints, hold check and timings, so the served
+   reply must equal the reparsed one byte for byte once the reference
+   takes the served peak RSS. [freeze] runs after both are loaded and
+   before the first reply. *)
+let check_served_reply ?(config = Hb_sta.Config.default) ?(freeze = ignore)
+    name (design, system) =
+  let config = { config with Hb_sta.Config.parallel_jobs = 1 } in
+  let path = Filename.temp_file "hb_reply" ".hbs" in
+  let session = Hb_sta.Session.create ~design ~system ~config () in
+  ignore (Hb_sta.Session.analyse session : Hb_sta.Session.report);
+  Hb_sta.Session.save_snapshot session ~path;
+  Hb_sta.Session.close session;
+  let daemon = Hb_sta.Serve.create () in
+  let restored = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+        Option.iter Hb_sta.Session.close !restored;
+        Hb_sta.Serve.shutdown_sessions daemon;
+        Sys.remove path)
+    (fun () ->
+       let load =
+         Hb_util.Json.to_string
+           (Hb_util.Json.Obj
+              [ ("id", Hb_util.Json.Number 0.0);
+                ("method", Hb_util.Json.String "load");
+                ( "params",
+                  Hb_util.Json.Obj [ ("snapshot", Hb_util.Json.String path) ]
+                );
+              ])
+       in
+       let loaded = Hb_sta.Serve.handle_line daemon load in
+       Alcotest.(check bool) (name ^ " loads") true
+         (contains ~needle:{|"status":"ok"|} loaded);
+       let session = Hb_sta.Session.of_snapshot ~path in
+       restored := Some session;
+       freeze ();
+       List.iter
+         (fun paths ->
+            let id = paths + 1 in
+            let request_id = Printf.sprintf "reply-%d" paths in
+            let served =
+              Hb_sta.Serve.handle_line daemon
+                (Printf.sprintf
+                   {|{"id":%d,"request_id":"%s","method":"analyse","params":{"paths":%d}}|}
+                   id request_id paths)
+            in
+            let report = Hb_sta.Session.analyse session in
+            let report =
+              { report with
+                Hb_sta.Session.timings =
+                  { report.Hb_sta.Session.timings with
+                    Hb_sta.Session.peak_rss_bytes = served_peak served } }
+            in
+            check_same_bytes
+              (Printf.sprintf "%s, paths %d" name paths)
+              ~expected:(reparsed_reply ~id ~request_id ~paths report)
+              served)
+         [ 0; 5 ])
+
+(* A design with no endpoint: its worst slack is infinite. *)
+let endless_design () =
+  let b = Hb_netlist.Builder.create ~name:"endless" ~library:lib in
+  Hb_netlist.Builder.add_port b ~name:"clk"
+    ~direction:Hb_netlist.Design.Port_in ~is_clock:true;
+  Hb_netlist.Builder.add_port b ~name:"a"
+    ~direction:Hb_netlist.Design.Port_in ~is_clock:false;
+  Hb_netlist.Builder.add_instance b ~name:"g" ~cell:"inv_x1"
+    ~connections:[ ("a", "a"); ("y", "n") ] ();
+  let system =
+    Hb_clock.System.make ~overall_period:2.0
+      [ Hb_clock.Waveform.make ~name:"clk" ~multiplier:1 ~rise:0.0 ~width:0.8 ]
+  in
+  (Hb_netlist.Builder.freeze b, system)
+
+let test_served_reply_bytes () =
+  List.iter
+    (fun name -> check_served_reply name (catalog name))
+    [ "des"; "alu"; "sm1f"; "dsp"; "scale10k" ];
+  List.iter
+    (fun (name, early) ->
+       let config =
+         { Hb_sta.Config.default with
+           Hb_sta.Config.default_input_arrival = -.early }
+       in
+       let design = catalog name in
+       Alcotest.(check bool)
+         (Printf.sprintf "%s %g ns early has hold violations" name early)
+         true
+         ((analysed ~config design).Hb_sta.Engine.hold_violations <> []);
+       check_served_reply ~config
+         (Printf.sprintf "%s %g ns early" name early) design)
+    [ ("sm1f", 30.0); ("sm1f", 45.0); ("scale10k", 30.0); ("scale10k", 45.0) ];
+  check_served_reply "awkward names" (awkward_design ());
+  let design = endless_design () in
+  Alcotest.(check bool) "worst slack is infinite" false
+    (Float.is_finite
+       (analysed design).Hb_sta.Engine.outcome.Hb_sta.Algorithm1.final
+         .Hb_sta.Slacks.worst);
+  check_served_reply "no endpoint" design;
+  (* Gauges carry the numbers whose shortest form differs most from
+     %.6f: non-finite, negative zero, too small or too large for six
+     decimals, past 2^53. Recording stops once both sessions are
+     loaded, so the two renders read one telemetry snapshot. *)
+  let config = { Hb_sta.Config.default with Hb_sta.Config.telemetry = true } in
+  let freeze () =
+    List.iteri
+      (fun i v ->
+         Hb_util.Telemetry.set_gauge
+           (Hb_util.Telemetry.gauge (Printf.sprintf "reply.number_%02d" i))
+           v)
+      [ infinity; neg_infinity; -0.0; 1e-7; -1e-7; 5e-5; 0.1 +. 0.2;
+        123456789.123456; 9007199254740993.0; 1e16; 1.5e300 ];
+    Hb_util.Telemetry.set_enabled false
+  in
+  Fun.protect ~finally:Hb_util.Telemetry.reset (fun () ->
+      check_served_reply ~config ~freeze "pipeline with telemetry"
+        (catalog "pipeline"))
 
 (* ------------------------------------------------------------------ *)
 (* Pretty printers                                                    *)
@@ -717,7 +869,9 @@ let () =
        [ Alcotest.test_case "well formed" `Quick test_json_well_formed;
          Alcotest.test_case "endpoints sorted" `Quick test_json_endpoint_sorted;
          Alcotest.test_case "metrics block" `Quick test_json_metrics_block;
-         Alcotest.test_case "bytes = printf writer" `Quick test_report_bytes ]);
+         Alcotest.test_case "bytes = printf writer" `Quick test_report_bytes;
+         Alcotest.test_case "serve reply = parsed report" `Quick
+           test_served_reply_bytes ]);
       ("printers",
        [ Alcotest.test_case "time" `Quick test_time_pp;
          Alcotest.test_case "interval" `Quick test_interval_pp;

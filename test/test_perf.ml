@@ -697,12 +697,12 @@ let analysed_scale10k () =
   report
 
 (* The report of an analysed scale10k session with its 5 worst paths is
-   114,503 bytes. Appending every row into one buffer takes about 110k
+   114,503 bytes. Appending every row into one buffer takes about 99k
    words: 46k are the buffer's doublings from 4,096 bytes and its final
    copy, the rest the endpoint sort, a boxed float and a short string
-   per number, the settling-time list and the paths. Printing each row
-   through [Printf.ksprintf] with a per-call escaper and sorting (label,
-   slack) pairs took 544k. *)
+   per number and the paths. A per-cluster settling-time list added
+   11.5k. Printing each row through [Printf.ksprintf] with a per-call
+   escaper and sorting (label, slack) pairs took 544k. *)
 let test_report_allocation () =
   let report = analysed_scale10k () in
   let words =
@@ -711,8 +711,8 @@ let test_report_allocation () =
   if words >= 120_000.0 then
     Alcotest.failf "Json_export.report allocated %.0f words" words
 
-(* Serve's analyse result is the report parsed back into a [Json.t]; its
-   compact text is about 71,780 bytes on scale10k. Printing it takes
+(* Printing a large tree: the scale10k report parsed back into a
+   [Json.t], whose compact text is about 71,780 bytes. Printing it takes
    about 60k words, and 236k with [Printf] numbers and a per-call
    escaper. *)
 let test_reply_allocation () =
@@ -721,6 +721,33 @@ let test_reply_allocation () =
   let words = words_of (fun () -> Hb_util.Json.to_string result) in
   if words >= 100_000.0 then
     Alcotest.failf "Json.to_string allocated %.0f words" words
+
+(* One served [analyse] reply on a loaded scale10k session whose
+   analysis is cached, asked as the what-if workload asks it (no
+   constraints, no hold check, no paths): about 71k words, more than
+   half of them the reply buffer's doublings from 256 bytes and its
+   final copy, most of the rest a few short strings and boxed floats per
+   number. Rendering the pretty report, parsing it back into a [Json.t]
+   and printing that inside the envelope took 352k. *)
+let test_served_reply_allocation () =
+  let daemon =
+    Hb_sta.Serve.create
+      ~generators:[ ("scale10k", fun () -> Hb_workload.Scale.scale10k ()) ]
+      ()
+  in
+  let send line = Hb_sta.Serve.handle_line daemon line in
+  ignore
+    (send
+       {|{"id":0,"method":"load","params":{"generator":"scale10k","jobs":1}}|}
+     : string);
+  let analyse =
+    {|{"id":1,"method":"analyse","params":{"constraints":false,"hold":false}}|}
+  in
+  ignore (send analyse : string);
+  let words = words_of (fun () -> send analyse) in
+  Hb_sta.Serve.shutdown_sessions daemon;
+  if words >= 150_000.0 then
+    Alcotest.failf "a served analyse reply allocated %.0f words" words
 
 (* ------------------------------------------------------------------ *)
 (* Relaxation                                                         *)
@@ -910,6 +937,8 @@ let () =
             test_report_allocation;
           Alcotest.test_case "serve reply allocation" `Quick
             test_reply_allocation;
+          Alcotest.test_case "served analyse allocation" `Quick
+            test_served_reply_allocation;
         ] );
       ( "graph",
         [ Alcotest.test_case "parse allocation" `Quick test_parse_allocation;

@@ -379,16 +379,13 @@ let test_passes_same_edge_full_period () =
 let test_passes_figure1 () =
   let design, system = Hb_workload.Figures.figure1 () in
   let ctx = context_of design system in
-  let settling =
-    Hb_sta.Passes.settling_times ctx.Hb_sta.Context.passes
-      ~table:ctx.Hb_sta.Context.table
-  in
   (* The shared-cone cluster needs 2 passes where per-edge accounting
      needs 4. *)
   let best = ref (0, 0) in
   List.iter
     (fun (_, m, n) -> if n > snd !best then best := (m, n))
-    settling.Hb_sta.Passes.per_cluster;
+    (Hb_sta.Passes.cluster_settling_times ctx.Hb_sta.Context.passes
+       ~table:ctx.Hb_sta.Context.table);
   Alcotest.(check (pair int int)) "figure 1 cluster passes" (2, 4) !best
 
 (* ------------------------------------------------------------------ *)
@@ -777,12 +774,17 @@ let test_settling_minimized_never_worse () =
   List.iter
     (fun (design, system) ->
        let ctx = context_of design system in
-       let s =
-         Hb_sta.Passes.settling_times ctx.Hb_sta.Context.passes
-           ~table:ctx.Hb_sta.Context.table
-       in
+       let passes = ctx.Hb_sta.Context.passes in
+       let table = ctx.Hb_sta.Context.table in
+       let s = Hb_sta.Passes.settling_times passes ~table in
        Alcotest.(check bool) "minimized <= naive" true
-         (s.Hb_sta.Passes.minimized_passes <= s.Hb_sta.Passes.naive_settling_times))
+         (s.Hb_sta.Passes.minimized_passes <= s.Hb_sta.Passes.naive_settling_times);
+       Alcotest.(check (pair int int)) "totals = per-cluster sums"
+         (List.fold_left
+            (fun (m, n) (_, m', n') -> (m + m', n + n'))
+            (0, 0)
+            (Hb_sta.Passes.cluster_settling_times passes ~table))
+         (s.Hb_sta.Passes.minimized_passes, s.Hb_sta.Passes.naive_settling_times))
     [ Hb_workload.Figures.figure1 ();
       Hb_workload.Pipelines.two_phase ~width:4 ~stages:4 ~gates_per_stage:20 ();
       Hb_workload.Chips.sm1f ();
