@@ -107,16 +107,6 @@ let finish () =
   List.iter (fun (id, message) -> Printf.printf "  %s: %s\n" id message) failed;
   exit (if failed = [] then 0 else 1)
 
-(* Temp-and-rename so a crash (or ctrl-C) mid-write never leaves a
-   truncated BENCH_*.json for the regression harness to parse; readers
-   see either the old document or the complete new one. *)
-let write_file_atomic path content =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  (try output_string oc content with e -> close_out_noerr oc; raise e);
-  close_out oc;
-  Sys.rename tmp path
-
 (* One table cell and, when [key] is not empty, its JSON field. A
    [field] cell has no [head] and goes to the JSON file only. *)
 type cell = {
@@ -180,7 +170,7 @@ let emit ?bench ?(fields = []) ?list rows =
       | None -> List.concat_map keyed rows
     in
     let path = Printf.sprintf "BENCH_%s.json" name in
-    write_file_atomic path
+    Hb_util.Text.write_atomic path
       (Json.to_string
          (Json.Obj ((("benchmark", Json.String name) :: fields) @ body))
        ^ "\n");
@@ -1079,7 +1069,7 @@ let telemetry_bench () =
   let hbn = Filename.temp_file "hb_p3" ".hbn" in
   Hb_netlist.Hbn_format.write_file design hbn;
   let hbc = Filename.temp_file "hb_p3" ".hbc" in
-  write_file_atomic hbc (Hb_clock.System.to_string system);
+  Hb_util.Text.write_atomic hbc (Hb_clock.System.to_string system);
   Hb_util.Log.reset ();
   Hb_util.Log.set_level Hb_util.Log.Debug;
   Hb_util.Log.set_sink (fun _ -> ());
@@ -1188,7 +1178,7 @@ let telemetry_bench () =
   (* Optional Chrome trace of the instrumented runs: --trace FILE. *)
   (match argv_value "--trace" with
    | Some path ->
-     write_file_atomic path (Telemetry.trace_json snap);
+     Hb_util.Text.write_atomic path (Telemetry.trace_json snap);
      Printf.printf "wrote %s\n" path
    | None -> ());
   (* Leave the registry as the later sections expect it: off and empty. *)

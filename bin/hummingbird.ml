@@ -20,22 +20,16 @@ open Cmdliner
 
 let library = Hb_cell.Library.default ()
 
+(* Every file read goes through [Error.reading], so a reader's error
+   names its file. *)
 let load_design path =
-  if Filename.check_suffix path ".blif" then
-    Hb_netlist.Blif.parse_file ~library path
-  else Hb_netlist.Hbn_format.parse_file ~library path
+  Hb_sta.Error.reading path (fun () ->
+      if Filename.check_suffix path ".blif" then
+        Hb_netlist.Blif.parse_file ~library path
+      else Hb_netlist.Hbn_format.parse_file ~library path)
 
-let load_clocks path = Hb_clock.System.parse_file path
-
-(* Temp-and-rename so readers (and a kill mid-write) never see a
-   truncated trace/metrics/flight document. *)
-let write_file_atomic path content =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  (try output_string oc content
-   with e -> close_out_noerr oc; raise e);
-  close_out oc;
-  Sys.rename tmp path
+let load_clocks path =
+  Hb_sta.Error.reading path (fun () -> Hb_clock.System.parse_file path)
 
 let log_level_arg =
   Arg.(value & opt string "off"
@@ -99,7 +93,9 @@ let load_config ?(rise_fall = false) ?jobs timing =
   let config =
     match timing with
     | None -> base
-    | Some path -> Hb_sta.Config_format.parse_file ~base path
+    | Some path ->
+      Hb_sta.Error.reading path (fun () ->
+          Hb_sta.Config_format.parse_file ~base path)
   in
   (* -j on the command line outranks the timing file's parallel-jobs. *)
   match jobs with
@@ -144,7 +140,10 @@ let analyse_cmd =
           match annotations with
           | None -> base_delays
           | Some path ->
-            let annotation = Hb_sta.Annotation.parse_file path in
+            let annotation =
+              Hb_sta.Error.reading path (fun () ->
+                  Hb_sta.Annotation.parse_file path)
+            in
             (match Hb_sta.Annotation.unused annotation ~design with
              | [] -> ()
              | stale ->
@@ -185,7 +184,7 @@ let analyse_cmd =
          | None -> ());
         (match trace with
          | Some path ->
-           write_file_atomic path
+           Hb_util.Text.write_atomic path
              (Hb_util.Telemetry.trace_json (Hb_util.Telemetry.snapshot ()));
            Printf.eprintf "trace written to %s\n" path
          | None -> ());
@@ -328,9 +327,7 @@ let generate_cmd =
           let design, system = make () in
           let hbn = out_prefix ^ ".hbn" and hbc = out_prefix ^ ".hbc" in
           Hb_netlist.Hbn_format.write_file design hbn;
-          let oc = open_out hbc in
-          output_string oc (Hb_clock.System.to_string system);
-          close_out oc;
+          Hb_util.Text.write_atomic hbc (Hb_clock.System.to_string system);
           Printf.printf "wrote %s and %s\n" hbn hbc)
   in
   let which =
@@ -649,7 +646,9 @@ let serve_cmd =
           match timing with
           | None -> Hb_sta.Config.default
           | Some path ->
-            Hb_sta.Config_format.parse_file ~base:Hb_sta.Config.default path
+            Hb_sta.Error.reading path (fun () ->
+                Hb_sta.Config_format.parse_file ~base:Hb_sta.Config.default
+                  path)
         in
         let pick directive flag key =
           match flag with
@@ -697,7 +696,7 @@ let serve_cmd =
           | Some path ->
             Some
               (fun doc ->
-                try write_file_atomic path doc with Sys_error _ -> ())
+                try Hb_util.Text.write_atomic path doc with Sys_error _ -> ())
         in
         let daemon =
           Hb_sta.Serve.create ~timeout_seconds:timeout ~prometheus ?dump
@@ -717,13 +716,15 @@ let serve_cmd =
             (match trace with
              | Some path ->
                (try
-                  write_file_atomic path (Hb_util.Telemetry.trace_json snapshot)
+                  Hb_util.Text.write_atomic path
+                    (Hb_util.Telemetry.trace_json snapshot)
                 with Sys_error _ -> ())
              | None -> ());
             match metrics_file with
             | Some path ->
               (try
-                 write_file_atomic path (Hb_util.Telemetry.prometheus snapshot)
+                 Hb_util.Text.write_atomic path
+                   (Hb_util.Telemetry.prometheus snapshot)
                with Sys_error _ -> ())
             | None -> ()
           end
@@ -779,7 +780,7 @@ let serve_cmd =
                 | None -> ());
                Hb_util.Telemetry.sample_runtime ();
                (try
-                  write_file_atomic path
+                  Hb_util.Text.write_atomic path
                     (Hb_util.Telemetry.prometheus
                        (Hb_util.Telemetry.snapshot ()))
                 with Sys_error _ -> ());
@@ -796,7 +797,8 @@ let serve_cmd =
                   let doc = Hb_sta.Serve.flight_json daemon in
                   match flight_file with
                   | Some path ->
-                    (try write_file_atomic path doc with Sys_error _ -> ())
+                    (try Hb_util.Text.write_atomic path doc
+                     with Sys_error _ -> ())
                   | None -> prerr_endline doc))
          with Invalid_argument _ | Sys_error _ -> ());
         (match socket with
@@ -1274,7 +1276,7 @@ let validate_cmd =
               p.Hb_workload.Fuzz.seed f.Hb_workload.Fuzz.check
               f.Hb_workload.Fuzz.detail
               (Hb_workload.Fuzz.repro_command f);
-            write_file_atomic artifact
+            Hb_util.Text.write_atomic artifact
               (Hb_util.Json.to_string (Hb_workload.Fuzz.failure_json f) ^ "\n")
           in
           let outcome =

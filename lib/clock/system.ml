@@ -51,69 +51,43 @@ let with_overall_period t period = make ~overall_period:period t.waveforms
 (* .hbc parsing                                                       *)
 (* ------------------------------------------------------------------ *)
 
-exception Parse_error of { line : int; message : string }
+module Text = Hb_util.Text
 
-let fail_line lineno fmt =
-  Format.kasprintf
-    (fun m -> raise (Parse_error { line = lineno; message = m })) fmt
-
-let float_field lineno name value =
-  match float_of_string_opt value with
-  | Some f -> f
-  | None -> fail_line lineno "%s: expected a number, got %S" name value
-
-let int_field lineno name value =
-  match int_of_string_opt value with
-  | Some i -> i
-  | None -> fail_line lineno "%s: expected an integer, got %S" name value
+exception Parse_error = Text.Parse_error
 
 let parse text =
   let period = ref None in
   let waveforms = ref [] in
-  let parse_line lineno line =
-    let tokens =
-      String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
-    in
-    match tokens with
-    | [] -> ()
-    | comment :: _ when String.length comment > 0 && comment.[0] = '#' -> ()
+  let parse_line (r : Text.t) =
+    let lineno = r.line in
+    match Text.tokens r with
     | [ "period"; value ] ->
       (match !period with
-       | Some _ -> fail_line lineno "duplicate 'period'"
-       | None -> period := Some (float_field lineno "period" value))
-    | [ "clock"; name; "multiplier"; m; "rise"; r; "width"; w ] ->
+       | Some _ -> Text.error lineno "duplicate 'period'"
+       | None -> period := Some (Text.float_field lineno "period" value))
+    | [ "clock"; name; "multiplier"; m; "rise"; rise; "width"; width ] ->
       let waveform =
         try
           Waveform.make ~name
-            ~multiplier:(int_field lineno "multiplier" m)
-            ~rise:(float_field lineno "rise" r)
-            ~width:(float_field lineno "width" w)
-        with Invalid_argument msg -> fail_line lineno "%s" msg
+            ~multiplier:(Text.int_field lineno "multiplier" m)
+            ~rise:(Text.float_field lineno "rise" rise)
+            ~width:(Text.float_field lineno "width" width)
+        with Invalid_argument msg -> Text.error lineno "%s" msg
       in
       waveforms := waveform :: !waveforms
-    | directive :: _ ->
-      fail_line lineno
+    | _ ->
+      Text.error lineno
         "unknown directive %S (expected 'period <T>' or 'clock <name> multiplier <m> rise <r> width <w>')"
-        directive
+        (Text.token r 0)
   in
-  List.iteri (fun i line -> parse_line (i + 1) line) (String.split_on_char '\n' text);
+  ignore (Text.walk text parse_line);
   match !period with
-  | None ->
-    raise (Parse_error { line = 0; message = "missing 'period' directive" })
+  | None -> Text.error 0 "missing 'period' directive"
   | Some overall_period ->
     (try make ~overall_period (List.rev !waveforms)
-     with Invalid_argument msg ->
-       raise (Parse_error { line = 0; message = msg }))
+     with Invalid_argument msg -> Text.error 0 "%s" msg)
 
-let parse_file path =
-  let ic = open_in path in
-  let length = in_channel_length ic in
-  let text =
-    try really_input_string ic length
-    with e -> close_in ic; raise e
-  in
-  close_in ic;
-  parse text
+let parse_file path = parse (Text.read_file path)
 
 let to_string t =
   let buffer = Buffer.create 256 in

@@ -43,14 +43,13 @@ val edges : t -> (Edge.t * Hb_util.Time.t) array
     example to stretch and shrink the clock). *)
 val with_overall_period : t -> Hb_util.Time.t -> t
 
-(** Raised by {!parse} on malformed [.hbc] input. [line] is 1-based;
-    0 means the failure is not tied to a single line (e.g. a missing
-    [period] directive or a cross-waveform validation error). Classified
-    as a parse error by [Hb_sta.Error.of_exn]. *)
+(** {!Hb_util.Text.Parse_error}. [line] 0 means the failure is not tied
+    to a single line (a missing [period] directive or a cross-waveform
+    validation error). *)
 exception Parse_error of { line : int; message : string }
 
 (** [parse text] reads the [.hbc] format.
-    @raise Parse_error with a line-numbered message on malformed input. *)
+    @raise Parse_error on malformed input. *)
 val parse : string -> t
 
 val parse_file : string -> t

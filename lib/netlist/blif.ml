@@ -1,7 +1,6 @@
-exception Parse_error of { line : int; message : string }
+exception Parse_error = Hb_util.Text.Parse_error
 
-let error line fmt =
-  Format.kasprintf (fun message -> raise (Parse_error { line; message })) fmt
+let error = Hb_util.Text.error
 
 (* Logical lines: '#' comments stripped, '\' continuations joined. Returns
    (line_number_of_first_physical_line, tokens). *)
@@ -103,8 +102,8 @@ type gate_spec = {
 
 type model = {
   mutable name : string option;
-  mutable inputs : string list;   (* reversed *)
-  mutable outputs : string list;  (* reversed *)
+  mutable inputs : (string * int) list;   (* (name, line), reversed *)
+  mutable outputs : (string * int) list;  (* (name, line), reversed *)
   mutable latches : latch_spec list;  (* reversed *)
   mutable names : names_spec list;    (* reversed *)
   mutable gates : gate_spec list;     (* reversed *)
@@ -143,10 +142,12 @@ let parse ~library text =
          | None, _ -> error line ".model expects exactly one name")
       | ".inputs" :: rest ->
         finish_names ();
-        model.inputs <- List.rev_append rest model.inputs
+        model.inputs <-
+          List.rev_append (List.map (fun n -> (n, line)) rest) model.inputs
       | ".outputs" :: rest ->
         finish_names ();
-        model.outputs <- List.rev_append rest model.outputs
+        model.outputs <-
+          List.rev_append (List.map (fun n -> (n, line)) rest) model.outputs
       | ".names" :: rest ->
         finish_names ();
         (match List.rev rest with
@@ -242,20 +243,23 @@ let parse ~library text =
            model.gates)
   in
   let builder = Builder.create ~name ~library in
+  (* Ports reach the builder inputs first, in file order, so a name
+     declared twice is refused at its second declaration in that order. *)
+  let add_port ~direction ~is_clock (name, line) =
+    try Builder.add_port builder ~name ~direction ~is_clock
+    with Invalid_argument message -> error line "%s" message
+  in
   List.iter
-    (fun input ->
-       Builder.add_port builder ~name:input ~direction:Design.Port_in
-         ~is_clock:(List.mem input control_nets))
+    (fun ((input, _) as port) ->
+       add_port ~direction:Design.Port_in
+         ~is_clock:(List.mem input control_nets) port)
     declared_inputs;
-  List.iter
-    (fun output ->
-       Builder.add_port builder ~name:output ~direction:Design.Port_out
-         ~is_clock:false)
+  List.iter (add_port ~direction:Design.Port_out ~is_clock:false)
     declared_outputs;
   (* Promote undeclared, undriven control nets to clock ports. *)
   List.iter
     (fun control ->
-       if (not (List.mem control declared_inputs))
+       if (not (List.mem_assoc control declared_inputs))
        && not (List.mem control driven_nets) then
          Builder.add_port builder ~name:control ~direction:Design.Port_in
            ~is_clock:true)
@@ -312,12 +316,4 @@ let parse ~library text =
     (List.rev model.gates);
   Builder.freeze builder
 
-let parse_file ~library path =
-  let ic = open_in path in
-  let length = in_channel_length ic in
-  let text =
-    try really_input_string ic length
-    with e -> close_in ic; raise e
-  in
-  close_in ic;
-  parse ~library text
+let parse_file ~library path = parse ~library (Hb_util.Text.read_file path)

@@ -28,10 +28,11 @@
     netlist. Clock nets named by [.latch] controls are promoted to clock
     input ports when not driven inside the model. *)
 
-(** Every malformed-input failure, carrying the 1-based physical line of
-    the offending logical line (for continuation lines, the first
-    physical line; for a missing [.model]/[.end], the last line of the
-    text). Unknown [.latch] trigger types, bad cover-row widths, and
+(** {!Hb_util.Text.Parse_error}: every malformed-input failure, carrying
+    the 1-based physical line of the offending logical line (for
+    continuation lines, the first physical line; for a missing
+    [.model]/[.end], the last line of the text). Unknown [.latch]
+    trigger types, bad cover-row widths, a port declared twice, and
     missing terminator directives all surface here — never as an
     assertion or an anonymous [Failure]. *)
 exception Parse_error of { line : int; message : string }

@@ -23,11 +23,12 @@
 
     Only [' '] separates tokens: a tab or a ['\r'] is part of one. *)
 
+(** {!Hb_util.Text.Parse_error}. *)
 exception Parse_error of { line : int; message : string }
 
 (** [parse ~library text] builds the design described by [text].
-    @raise Parse_error on malformed input.
-    @raise Invalid_argument on a duplicate port, from {!Builder.add_port}.
+    @raise Parse_error on malformed input, a line that {!Builder}
+    refuses (a duplicate port, say) included.
     @raise Failure when the netlist fails {!Builder.freeze} validation. *)
 val parse : library:Hb_cell.Library.t -> string -> Design.t
 

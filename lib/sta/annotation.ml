@@ -7,51 +7,35 @@ type t = (string * entry) list
 let entries t = t
 let of_entries pairs = pairs
 
-let fail_line lineno fmt =
-  Format.kasprintf
-    (fun m -> failwith (Printf.sprintf "delay annotation line %d: %s" lineno m))
-    fmt
+module Text = Hb_util.Text
 
-let float_field lineno name value =
-  match float_of_string_opt value with
-  | Some f when f >= 0.0 -> f
-  | Some _ -> fail_line lineno "%s: must be non-negative" name
-  | None -> fail_line lineno "%s: expected a number, got %S" name value
+let non_negative lineno name value =
+  let f = Text.float_field lineno name value in
+  if not (f >= 0.0) then Text.error lineno "%s: must be non-negative" name;
+  f
 
 let parse text =
   let entries = ref [] in
-  let parse_line lineno line =
-    let tokens =
-      String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
-    in
-    match tokens with
-    | [] -> ()
-    | comment :: _ when String.length comment > 0 && comment.[0] = '#' -> ()
+  let parse_line (r : Text.t) =
+    let lineno = r.line in
+    match Text.tokens r with
     | [ "delay"; inst; "rise"; rise; "fall"; fall ] ->
       entries :=
         ( inst,
           Fixed
-            { rise = float_field lineno "rise" rise;
-              fall = float_field lineno "fall" fall } )
+            { rise = non_negative lineno "rise" rise;
+              fall = non_negative lineno "fall" fall } )
         :: !entries
     | [ "scale"; inst; factor ] ->
-      let f = float_field lineno "scale" factor in
-      if f <= 0.0 then fail_line lineno "scale: factor must be positive";
+      let f = non_negative lineno "scale" factor in
+      if f <= 0.0 then Text.error lineno "scale: factor must be positive";
       entries := (inst, Scaled f) :: !entries
-    | directive :: _ -> fail_line lineno "unknown directive %S" directive
+    | _ -> Text.error lineno "unknown directive %S" (Text.token r 0)
   in
-  List.iteri (fun i line -> parse_line (i + 1) line) (String.split_on_char '\n' text);
+  ignore (Text.walk text parse_line);
   List.rev !entries
 
-let parse_file path =
-  let ic = open_in path in
-  let length = in_channel_length ic in
-  let text =
-    try really_input_string ic length
-    with e -> close_in ic; raise e
-  in
-  close_in ic;
-  parse text
+let parse_file path = parse (Text.read_file path)
 
 let empty = []
 let count t = List.length t

@@ -36,7 +36,7 @@ val entries : t -> (string * entry) list
 val of_entries : (string * entry) list -> t
 
 (** [parse text] reads annotation directives.
-    @raise Failure with a line-numbered message on malformed input. *)
+    @raise Hb_util.Text.Parse_error on malformed input. *)
 val parse : string -> t
 
 val parse_file : string -> t

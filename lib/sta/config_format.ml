@@ -1,23 +1,10 @@
-let fail_line lineno fmt =
-  Format.kasprintf
-    (fun m -> failwith (Printf.sprintf "timing spec line %d: %s" lineno m))
-    fmt
-
-let float_field lineno name value =
-  match float_of_string_opt value with
-  | Some f -> f
-  | None -> fail_line lineno "%s: expected a number, got %S" name value
-
-let int_field lineno name value =
-  match int_of_string_opt value with
-  | Some i -> i
-  | None -> fail_line lineno "%s: expected an integer, got %S" name value
+module Text = Hb_util.Text
 
 let polarity_field lineno value ~clock ~pulse =
   match value with
   | "leading" -> Hb_clock.Edge.leading ~clock ~pulse
   | "trailing" -> Hb_clock.Edge.trailing ~clock ~pulse
-  | other -> fail_line lineno "expected 'leading' or 'trailing', got %S" other
+  | other -> Text.error lineno "expected 'leading' or 'trailing', got %S" other
 
 (* The serve-* directives: each one's lower bound and the field it
    sets. The serve command checks its flags against the same bounds. *)
@@ -44,37 +31,34 @@ let check_serve_setting name n =
 
 let parse ?(base = Config.default) text =
   let config = ref base in
-  let parse_line lineno line =
-    let tokens =
-      String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
-    in
-    match tokens with
-    | [] -> ()
-    | comment :: _ when String.length comment > 0 && comment.[0] = '#' -> ()
+  let parse_line (r : Text.t) =
+    let lineno = r.line in
+    match Text.tokens r with
     | [ "io-clock"; name ] ->
       config := { !config with Config.io_clock = Some name }
     | [ "default-input-arrival"; v ] ->
       config :=
         { !config with
           Config.default_input_arrival =
-            float_field lineno "default-input-arrival" v }
+            Text.float_field lineno "default-input-arrival" v }
     | [ "default-output-required"; v ] ->
       config :=
         { !config with
           Config.default_output_required =
-            float_field lineno "default-output-required" v }
+            Text.float_field lineno "default-output-required" v }
     | [ "rise-fall"; flag ] ->
       (match flag with
        | "on" -> config := { !config with Config.rise_fall = true }
        | "off" -> config := { !config with Config.rise_fall = false }
-       | other -> fail_line lineno "rise-fall: expected on/off, got %S" other)
+       | other -> Text.error lineno "rise-fall: expected on/off, got %S" other)
     | [ "max-iterations"; v ] ->
       config :=
         { !config with
-          Config.max_transfer_iterations = int_field lineno "max-iterations" v }
+          Config.max_transfer_iterations =
+            Text.int_field lineno "max-iterations" v }
     | [ "multicycle"; inst; n ] ->
-      let n = int_field lineno "multicycle" n in
-      if n < 1 then fail_line lineno "multicycle: count must be >= 1";
+      let n = Text.int_field lineno "multicycle" n in
+      if n < 1 then Text.error lineno "multicycle: count must be >= 1";
       config :=
         { !config with
           Config.multicycle =
@@ -83,74 +67,67 @@ let parse ?(base = Config.default) text =
       config :=
         { !config with
           Config.partial_transfer_divisor =
-            float_field lineno "partial-divisor" v }
+            Text.float_field lineno "partial-divisor" v }
     | [ "incremental"; flag ] ->
       (match flag with
        | "on" -> config := { !config with Config.incremental = true }
        | "off" -> config := { !config with Config.incremental = false }
-       | other -> fail_line lineno "incremental: expected on/off, got %S" other)
+       | other ->
+         Text.error lineno "incremental: expected on/off, got %S" other)
     | [ "macro"; flag ] ->
       (match flag with
        | "on" -> config := { !config with Config.macro = true }
        | "off" -> config := { !config with Config.macro = false }
-       | other -> fail_line lineno "macro: expected on/off, got %S" other)
+       | other -> Text.error lineno "macro: expected on/off, got %S" other)
     | [ "telemetry"; flag ] ->
       (match flag with
        | "on" -> config := { !config with Config.telemetry = true }
        | "off" -> config := { !config with Config.telemetry = false }
-       | other -> fail_line lineno "telemetry: expected on/off, got %S" other)
+       | other -> Text.error lineno "telemetry: expected on/off, got %S" other)
     | [ "log-level"; name ] ->
       (match Hb_util.Log.level_of_string name with
        | Some l -> config := { !config with Config.log_level = l }
        | None ->
-         fail_line lineno
+         Text.error lineno
            "log-level: expected off/error/warn/info/debug, got %S" name)
     | [ "parallel-jobs"; v ] ->
       let jobs =
         if v = "auto" then Hb_util.Pool.recommended_jobs ()
-        else int_field lineno "parallel-jobs" v
+        else Text.int_field lineno "parallel-jobs" v
       in
-      if jobs < 1 then fail_line lineno "parallel-jobs: must be >= 1";
+      if jobs < 1 then Text.error lineno "parallel-jobs: must be >= 1";
       config := { !config with Config.parallel_jobs = jobs }
     | [ name; v ] when String.starts_with ~prefix:"serve-" name ->
       (match serve_setting name with
-       | None -> fail_line lineno "unknown directive %S" name
+       | None -> Text.error lineno "unknown directive %S" name
        | Some (_, _, set) ->
          let n =
            if name = "serve-workers" && v = "auto" then 0
-           else int_field lineno name v
+           else Text.int_field lineno name v
          in
          (match check_serve_setting name n with
           | Ok n -> config := set !config n
-          | Error message -> fail_line lineno "%s" message))
+          | Error message -> Text.error lineno "%s" message))
     | [ direction; port; "clock"; clock; polarity; "pulse"; pulse;
         "offset"; offset ]
       when direction = "input" || direction = "output" ->
-      let pulse = int_field lineno "pulse" pulse in
-      if pulse < 0 then fail_line lineno "pulse: must be non-negative";
+      let pulse = Text.int_field lineno "pulse" pulse in
+      if pulse < 0 then Text.error lineno "pulse: must be non-negative";
       let edge = polarity_field lineno polarity ~clock ~pulse in
       let timing =
-        { Config.edge; offset = float_field lineno "offset" offset }
+        { Config.edge; offset = Text.float_field lineno "offset" offset }
       in
       config :=
         { !config with
           Config.port_overrides =
             (port, timing)
             :: List.remove_assoc port !config.Config.port_overrides }
-    | directive :: _ -> fail_line lineno "unknown directive %S" directive
+    | _ -> Text.error lineno "unknown directive %S" (Text.token r 0)
   in
-  List.iteri (fun i line -> parse_line (i + 1) line) (String.split_on_char '\n' text);
+  ignore (Text.walk text parse_line);
   !config
 
-let parse_file ?base path =
-  let ic = open_in path in
-  let length = in_channel_length ic in
-  let text =
-    try really_input_string ic length
-    with e -> close_in ic; raise e
-  in
-  close_in ic;
-  parse ?base text
+let parse_file ?base path = parse ?base (Text.read_file path)
 
 let to_string (config : Config.t) =
   let buffer = Buffer.create 256 in

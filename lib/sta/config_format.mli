@@ -21,7 +21,7 @@
 
 (** [parse ?base text] overlays the directives in [text] on [base]
     (default {!Config.default}).
-    @raise Failure with a line-numbered message on malformed input. *)
+    @raise Hb_util.Text.Parse_error on malformed input. *)
 val parse : ?base:Config.t -> string -> Config.t
 
 val parse_file : ?base:Config.t -> string -> Config.t

@@ -37,16 +37,11 @@ let to_string = function
 
 let of_exn = function
   | Error t -> Some t
-  | Hb_netlist.Hbn_format.Parse_error { line; message } ->
-    Some (Parse { file = None; line; message })
-  | Hb_netlist.Blif.Parse_error { line; message } ->
+  | Hb_util.Text.Parse_error { line; message } ->
     Some (Parse { file = None; line; message })
   | Hb_util.Json.Parse_error { position; message } ->
     Some (Parse { file = None; line = 0;
                   message = Printf.sprintf "at byte %d: %s" position message })
-  | Hb_clock.System.Parse_error { line; message } ->
-    Some (Parse { file = None; line;
-                  message = Printf.sprintf "clock spec: %s" message })
   | Elements.Build_error message -> Some (Build message)
   | Config.Config_error message -> Some (Build message)
   | Cluster.Cycle_error message -> Some (Cycle message)
@@ -70,3 +65,8 @@ let wrap f =
      | None ->
        let bt = Printexc.get_raw_backtrace () in
        Printexc.raise_with_backtrace e bt)
+
+let reading path f =
+  match wrap f with
+  | Ok value -> value
+  | Result.Error t -> raise (Error (in_file path t))

@@ -1,10 +1,11 @@
 (** Unified analysis errors.
 
-    The stack historically signalled failures through five ad-hoc
-    exceptions ([Hbn_format.Parse_error], [Hb_clock.System.Parse_error],
-    [Elements.Build_error], [Config.Config_error],
-    [Cluster.Cycle_error], [Passes.Pass_error], [Failure]) plus
-    [Sys_error] and, with the daemon, [Hb_util.Timeout.Timeout].
+    The stack signals failures through its own exceptions
+    ([Hb_util.Text.Parse_error], which every text reader raises,
+    [Hb_util.Json.Parse_error], [Elements.Build_error],
+    [Config.Config_error], [Cluster.Cycle_error], [Passes.Pass_error],
+    [Failure]) plus [Sys_error] and, with the daemon,
+    [Hb_util.Timeout.Timeout].
     Embedders — the CLI, the serve loop, library users of {!Session} —
     want one closed type to match on and one stable machine-readable
     code per failure class. The raising APIs are the interface;
@@ -38,6 +39,11 @@ val of_exn : exn -> t option
     one (parsers report positions only; the caller knows the path).
     Other constructors pass through unchanged. *)
 val in_file : string -> t -> t
+
+(** [reading path f] runs [f ()], a read of the file [path]; an
+    exception {!of_exn} recognises escapes as {!Error}, with [path]
+    attached by {!in_file}. *)
+val reading : string -> (unit -> 'a) -> 'a
 
 (** [wrap f] runs [f ()], catching exactly the exceptions {!of_exn}
     recognises. *)

@@ -456,15 +456,6 @@ let with_session_write c f =
 
 (* --- method handlers: each returns the "result" value --------------- *)
 
-(* Attach the file name to parse errors so the reply pinpoints which of
-   the loaded files was bad. *)
-let loading path f =
-  try f () with
-  | e ->
-    (match Error.of_exn e with
-     | Some err -> raise (Error.Error (Error.in_file path err))
-     | None -> raise e)
-
 let handle_load t c p =
   (* Either a registered generator name, or netlist/clocks file paths.
      The registry key is built from the raw parameters — resolving a hit
@@ -572,7 +563,7 @@ let handle_load t c p =
               (List.assoc name t.generators) ()
             | `Files (netlist, clocks) ->
               let design =
-                loading netlist (fun () ->
+                Error.reading netlist (fun () ->
                     if Filename.check_suffix netlist ".blif" then
                       Hb_netlist.Blif.parse_file ~library:t.library netlist
                     else
@@ -580,7 +571,8 @@ let handle_load t c p =
                         netlist)
               in
               let system =
-                loading clocks (fun () -> Hb_clock.System.parse_file clocks)
+                Error.reading clocks (fun () ->
+                    Hb_clock.System.parse_file clocks)
               in
               (design, system)
           in
@@ -588,7 +580,7 @@ let handle_load t c p =
             match timing with
             | None -> Config.default
             | Some path ->
-              loading path (fun () ->
+              Error.reading path (fun () ->
                   Config_format.parse_file ~base:Config.default path)
           in
           let config =
@@ -689,7 +681,8 @@ let edit_of_json t i ~op p =
     Edit.Annotate
       (match opt_text "text" p, opt_text "file" p with
        | Some text, None -> Annotation.parse text
-       | None, Some file -> loading file (fun () -> Annotation.parse_file file)
+       | None, Some file ->
+         Error.reading file (fun () -> Annotation.parse_file file)
        | Some _, Some _ -> bad_request "give either text or file, not both"
        | None, None -> bad_request "missing required parameter: text or file")
   | "set_offset" ->

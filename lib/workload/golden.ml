@@ -308,24 +308,9 @@ let pretty = function
 
 let save ~dir e =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let target = path ~dir e.design in
-  let tmp = target ^ ".tmp" in
-  let oc = open_out tmp in
-  (try output_string oc (pretty (to_json e))
-   with exn -> close_out_noerr oc; raise exn);
-  close_out oc;
-  Sys.rename tmp target
+  Hb_util.Text.write_atomic (path ~dir e.design) (pretty (to_json e))
 
 let load ~dir name =
   let file = path ~dir name in
   if not (Sys.file_exists file) then None
-  else begin
-    let ic = open_in file in
-    let length = in_channel_length ic in
-    let text =
-      try really_input_string ic length
-      with exn -> close_in_noerr ic; raise exn
-    in
-    close_in ic;
-    Some (of_json (Hb_util.Json.parse text))
-  end
+  else Some (of_json (Hb_util.Json.parse (Hb_util.Text.read_file file)))

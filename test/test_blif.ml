@@ -138,7 +138,12 @@ let test_positioned_errors () =
     ".inputs a\n.outputs o\n.names a o\n1 1\n.end\n";
   (* Cover-row width mismatch: diagnosed at the row. *)
   expect_error_at ~line:3 ~contains:"width"
-    ".model x\n.names a b o\n111 1\n.end\n"
+    ".model x\n.names a b o\n111 1\n.end\n";
+  (* A port named twice: diagnosed at the line that repeats it. *)
+  expect_error_at ~line:2 ~contains:"duplicate port a"
+    ".model x\n.inputs a a\n.outputs o\n.names a o\n1 1\n.end\n";
+  expect_error_at ~line:3 ~contains:"duplicate port a"
+    ".model x\n.inputs a\n.outputs a\n.end\n"
 
 let test_blif_analyses_end_to_end () =
   (* A two-stage BLIF design through the whole analyser. *)

@@ -60,7 +60,8 @@ let test_hbt_round_trip () =
 
 let expect_hbt_failure text =
   match Hb_sta.Config_format.parse text with
-  | exception Failure _ -> ()
+  | exception Hb_util.Text.Parse_error { line; _ } ->
+    Alcotest.(check int) ("line of " ^ text) 1 line
   | _ -> Alcotest.fail "expected parse failure"
 
 let test_hbt_errors () =
@@ -108,9 +109,9 @@ let test_serve_bound (name, lowest) () =
   (match
      Hb_sta.Config_format.parse (Printf.sprintf "%s %d\n" name (lowest - 1))
    with
-   | exception Failure m ->
-     Alcotest.(check string) "directive message"
-       ("timing spec line 1: " ^ message) m
+   | exception Hb_util.Text.Parse_error { line; message = m } ->
+     Alcotest.(check int) "directive line" 1 line;
+     Alcotest.(check string) "directive message" message m
    | _ -> Alcotest.fail "directive below its bound parsed");
   ignore (Hb_sta.Config_format.parse (Printf.sprintf "%s %d\n" name lowest))
 
@@ -329,7 +330,8 @@ let test_multicycle_in_hbt () =
   Alcotest.(check (list (pair string int))) "last wins" [ ("u1", 2) ]
     config.Hb_sta.Config.multicycle;
   (match Hb_sta.Config_format.parse "multicycle u1 0\n" with
-   | exception Failure _ -> ()
+   | exception Hb_util.Text.Parse_error { line; _ } ->
+     Alcotest.(check int) "line" 1 line
    | _ -> Alcotest.fail "expected rejection of n=0");
   let round =
     Hb_sta.Config_format.parse (Hb_sta.Config_format.to_string config)
@@ -512,7 +514,8 @@ let test_annotation_parse () =
 
 let expect_annotation_failure text =
   match Hb_sta.Annotation.parse text with
-  | exception Failure _ -> ()
+  | exception Hb_util.Text.Parse_error { line; _ } ->
+    Alcotest.(check int) ("line of " ^ text) 1 line
   | _ -> Alcotest.fail "expected failure"
 
 let test_annotation_errors () =

@@ -167,6 +167,139 @@ let test_default_designs_cover_catalog () =
          (List.mem name Hb_workload.Catalog.names))
     Golden.default_designs
 
+(* ------------------------------------------------------------------ *)
+(* Reader boundaries                                                  *)
+(* ------------------------------------------------------------------ *)
+
+module Text = Hb_util.Text
+
+let library = Hb_cell.Library.default ()
+
+let sample name = Text.read_file (Filename.concat "../examples/data" name)
+
+let small_designs =
+  lazy
+    (List.map
+       (fun name -> (Option.get (Hb_workload.Catalog.find name)) ())
+       [ "figure1"; "ring"; "sm1h"; "pipeline"; "sm1f" ])
+
+(* Each reader, whether each of its faults must be a parse error, and
+   its seed texts: the shipped samples and the small catalog designs
+   written out. *)
+let readers =
+  lazy
+    (let designs = Lazy.force small_designs in
+     let hbt =
+       { Hb_sta.Config.default with
+         Hb_sta.Config.io_clock = Some "c1";
+         multicycle = [ ("u1", 2) ];
+         port_overrides =
+           [ ( "din",
+               { Hb_sta.Config.edge =
+                   Hb_clock.Edge.trailing ~clock:"c1" ~pulse:0;
+                 offset = 3.5 } ) ] }
+     in
+     [ ( "hbn",
+         (fun text -> ignore (Hb_netlist.Hbn_format.parse ~library text)),
+         false,
+         sample "figure1.hbn" :: sample "latch_ring.hbn"
+         :: List.map (fun (d, _) -> Hb_netlist.Hbn_format.write d) designs );
+       ( "blif",
+         (fun text -> ignore (Hb_netlist.Blif.parse ~library text)),
+         false,
+         [ sample "gated.blif";
+           "# gate level\n.model two\t# named\n.inputs a b \\\n  c\n\
+            .outputs y\n.latch n1 q re clk 0\n.gate nand2_x1 a=a b=b y=n1\n\
+            .names q c y\n11 1\n.end\n" ] );
+       ( "hbc",
+         (fun text -> ignore (Hb_clock.System.parse text)),
+         true,
+         sample "figure1.hbc" :: sample "latch_ring.hbc"
+         :: List.map (fun (_, s) -> Hb_clock.System.to_string s) designs );
+       ( "hbt",
+         (fun text -> ignore (Hb_sta.Config_format.parse text)),
+         true,
+         [ sample "figure1.hbt"; Hb_sta.Config_format.to_string hbt ] );
+       ( "hbd",
+         (fun text -> ignore (Hb_sta.Annotation.parse text)),
+         true,
+         [ "# measured and what-if delays\ndelay u1 rise 1.85 fall 1.60\n\
+            scale u2 0.8\n" ] ) ])
+
+(* One to four edits, each deleting a byte, inserting one of the bytes
+   the line formats give a meaning to, or duplicating a byte. *)
+let mutate rng text =
+  let alphabet = " \t\r\n#\\=0123456789" in
+  let edit text =
+    let n = String.length text in
+    let at = Hb_util.Rng.int rng (n + 1) in
+    let before = String.sub text 0 at and after = String.sub text at (n - at) in
+    match Hb_util.Rng.int rng 3 with
+    | 0 when at < n -> before ^ String.sub after 1 (n - at - 1)
+    | 1 when at < n -> before ^ String.make 1 text.[at] ^ after
+    | _ ->
+      let byte = alphabet.[Hb_util.Rng.int rng (String.length alphabet)] in
+      before ^ String.make 1 byte ^ after
+  in
+  let rec apply k text = if k = 0 then text else apply (k - 1) (edit text) in
+  apply (1 + Hb_util.Rng.int rng 4) text
+
+let mutants_per_format = 2000
+
+(* [f format must_parse read text] for every seed text and every mutant,
+   the same texts on every call. *)
+let iter_reader_inputs f =
+  List.iter
+    (fun (format, read, must_parse, seeds) ->
+       let rng = Hb_util.Rng.create 0x5EEDL in
+       List.iter (f format must_parse read) seeds;
+       let seeds = Array.of_list seeds in
+       for i = 0 to mutants_per_format - 1 do
+         f format must_parse read (mutate rng seeds.(i mod Array.length seeds))
+       done)
+    (Lazy.force readers)
+
+(* The line walk the readers of .hbc, .hbt and .hbd had before
+   [Text.walk]: split at '\n' and ' ', drop empty tokens, skip '#'
+   lines. *)
+let reference_lines text =
+  List.concat
+    (List.mapi
+       (fun i line ->
+          match
+            List.filter (fun s -> s <> "") (String.split_on_char ' ' line)
+          with
+          | [] -> []
+          | first :: _ when first.[0] = '#' -> []
+          | tokens -> [ (i + 1, tokens) ])
+       (String.split_on_char '\n' text))
+
+let test_walk_matches_reference () =
+  iter_reader_inputs (fun format _ _ text ->
+      let lines = ref [] in
+      let last =
+        Text.walk text (fun r ->
+            lines := (r.Text.line, Text.tokens r) :: !lines)
+      in
+      if List.rev !lines <> reference_lines text then
+        Alcotest.failf "%s: walk differs from the reference on %S" format text;
+      Alcotest.(check int) "last line"
+        (List.length (String.split_on_char '\n' text)) last)
+
+let test_reader_errors_classified () =
+  iter_reader_inputs (fun format must_parse read text ->
+      match read text with
+      | () -> ()
+      | exception e ->
+        (match Hb_sta.Error.of_exn e with
+         | None ->
+           Alcotest.failf "%s: unclassified %s on %S" format
+             (Printexc.to_string e) text
+         | Some err ->
+           if must_parse && Hb_sta.Error.code err <> "parse" then
+             Alcotest.failf "%s: %s on %S" format (Hb_sta.Error.to_string err)
+               text))
+
 let () =
   Alcotest.run "hb_fuzz"
     [ ("fuzz",
@@ -190,4 +323,8 @@ let () =
          Alcotest.test_case "checked-in corpus" `Quick test_checked_in_corpus;
          Alcotest.test_case "default designs" `Quick
            test_default_designs_cover_catalog ]);
+      ("readers",
+       [ Alcotest.test_case "walk = split" `Quick test_walk_matches_reference;
+         Alcotest.test_case "errors classified" `Quick
+           test_reader_errors_classified ]);
     ]

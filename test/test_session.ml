@@ -1930,6 +1930,16 @@ let test_error_classifier () =
   Alcotest.(check string) "file attached"
     "parse error: des.hbn:12: unknown cell"
     (Hb_sta.Error.to_string located);
+  (match
+     Hb_sta.Error.wrap (fun () ->
+         Hb_sta.Error.reading "t.hbt" (fun () ->
+             Hb_sta.Config_format.parse "rise-fall maybe\n"))
+   with
+   | Error err ->
+     Alcotest.(check string) "reading names the file"
+       "parse error: t.hbt:1: rise-fall: expected on/off, got \"maybe\""
+       (Hb_sta.Error.to_string err)
+   | Ok _ -> Alcotest.fail "reading should raise");
   (match Hb_sta.Error.wrap (fun () -> 41 + 1) with
    | Ok v -> Alcotest.(check int) "wrap ok" 42 v
    | Error _ -> Alcotest.fail "wrap should succeed");
