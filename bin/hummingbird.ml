@@ -88,16 +88,14 @@ let timing_arg =
        & info [ "t"; "timing" ] ~docv:"FILE.hbt"
            ~doc:"Timing constraints: port references and analysis knobs.")
 
-let load_config ?(rise_fall = false) ?jobs timing =
-  let base = { Hb_sta.Config.default with Hb_sta.Config.rise_fall } in
+let load_config ?jobs timing =
   let config =
     match timing with
-    | None -> base
+    | None -> Hb_sta.Config.default
     | Some path ->
       Hb_sta.Error.reading path (fun () ->
-          Hb_sta.Config_format.parse_file ~base path)
+          Hb_sta.Config_format.parse_file path)
   in
-  (* -j on the command line outranks the timing file's parallel-jobs. *)
   match jobs with
   | None -> config
   | Some jobs when jobs >= 1 -> { config with Hb_sta.Config.parallel_jobs = jobs }
@@ -113,15 +111,16 @@ let analyse_cmd =
         setup_logging log_level log_file;
         let design = load_design netlist in
         let system = load_clocks clocks in
-        let config = load_config ~rise_fall ?jobs timing in
+        (* A flag given on the command line outranks the timing file:
+           -j in [load_config], the switches here. --trace needs the
+           spans, so it implies --telemetry. *)
+        let config = load_config ?jobs timing in
         let config =
-          if macro then { config with Hb_sta.Config.macro = true } else config
-        in
-        (* --trace needs the spans, so it implies --telemetry. *)
-        let config =
-          if telemetry || trace <> None then
-            { config with Hb_sta.Config.telemetry = true }
-          else config
+          { config with
+            Hb_sta.Config.rise_fall = rise_fall || config.Hb_sta.Config.rise_fall;
+            macro = macro || config.Hb_sta.Config.macro;
+            telemetry =
+              telemetry || trace <> None || config.Hb_sta.Config.telemetry }
         in
         let base_delays =
           match Hb_sta.Delays.of_name delay_model, delay_model with
@@ -629,8 +628,8 @@ let corners_cmd =
 
 let serve_cmd =
   let run timeout socket telemetry trace prometheus metrics_file flight_file
-      log_level log_file timing backlog max_clients workers queue max_sessions
-      memory_budget monitor slo_p99_ms slo_error_rate metrics_interval =
+      log_level log_file backlog max_clients workers queue max_sessions
+      memory_budget_mb monitor slo_p99_ms slo_error_rate metrics_interval =
     handle_errors (fun () ->
         setup_logging log_level log_file;
         (match metrics_interval with
@@ -639,47 +638,18 @@ let serve_cmd =
          | Some _ when metrics_file = None ->
            failwith "--metrics-interval requires --metrics-file PATH"
          | _ -> ());
-        (* Daemon knobs: flag > .hbt serve-* key > built-in default. The
-           --timing file configures the daemon only; each load request
-           still names its own timing spec. *)
-        let file_config =
-          match timing with
-          | None -> Hb_sta.Config.default
-          | Some path ->
-            Hb_sta.Error.reading path (fun () ->
-                Hb_sta.Config_format.parse_file ~base:Hb_sta.Config.default
-                  path)
+        let at_least lowest flag n =
+          if n < lowest then
+            failwith (Printf.sprintf "--%s must be >= %d" flag lowest)
         in
-        let pick directive flag key =
-          match flag with
-          | None -> key
-          | Some n ->
-            (match Hb_sta.Config_format.check_serve_setting directive n with
-             | Ok n -> n
-             | Error message -> failwith message)
-        in
-        let backlog =
-          pick "serve-backlog" backlog file_config.Hb_sta.Config.serve_backlog
-        in
-        let max_clients =
-          pick "serve-max-clients" max_clients
-            file_config.Hb_sta.Config.serve_max_clients
-        in
+        at_least 1 "backlog" backlog;
+        at_least 1 "max-clients" max_clients;
+        at_least 0 "workers" workers;
+        at_least 1 "queue" queue;
+        Option.iter (at_least 0 "max-sessions") max_sessions;
+        Option.iter (at_least 0 "memory-budget-mb") memory_budget_mb;
         let workers =
-          match
-            pick "serve-workers" workers file_config.Hb_sta.Config.serve_workers
-          with
-          | 0 -> Hb_util.Pool.recommended_jobs ()
-          | n -> n
-        in
-        let queue = pick "serve-queue" queue file_config.Hb_sta.Config.serve_queue in
-        let max_sessions =
-          pick "serve-max-sessions" max_sessions
-            file_config.Hb_sta.Config.serve_max_sessions
-        in
-        let memory_budget_mb =
-          pick "serve-memory-budget-mb" memory_budget
-            file_config.Hb_sta.Config.serve_memory_budget_mb
+          if workers = 0 then Hb_util.Pool.recommended_jobs () else workers
         in
         (* Spans for --trace and observations for the metrics outputs
            both need the registry recording. *)
@@ -700,8 +670,8 @@ let serve_cmd =
         in
         let daemon =
           Hb_sta.Serve.create ~timeout_seconds:timeout ~prometheus ?dump
-            ~generators:Hb_workload.Catalog.generators ~max_sessions
-            ~memory_budget_mb ()
+            ~generators:Hb_workload.Catalog.generators ?max_sessions
+            ?memory_budget_mb ()
         in
         (* Write trace/metrics exactly once on the way out, whatever the
            exit path: normal return, handle_errors' exit 1, SIGTERM (the
@@ -966,50 +936,36 @@ let serve_cmd =
              pool of worker domains) and loaded designs persist in a \
              shared session registry across connections.")
   in
-  let serve_timing_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "timing" ] ~docv:"FILE"
-          ~doc:
-            "Read daemon defaults (serve-backlog, serve-max-clients, \
-             serve-workers, serve-queue, serve-max-sessions, \
-             serve-memory-budget-mb) from this .hbt timing spec; \
-             explicit flags win. Load requests still name their own \
-             timing spec.")
-  in
-  let serve_opt_int name doc =
-    Arg.(value & opt (some int) None & info [ name ] ~docv:"N" ~doc)
+  let int_flag name absent number doc =
+    Arg.(value & opt number absent & info [ name ] ~docv:"N" ~doc)
   in
   let backlog_arg =
-    serve_opt_int "backlog"
-      "Listen backlog of the daemon socket (default 64, or the .hbt \
-       serve-backlog key)."
+    int_flag "backlog" 64 Arg.int "Listen backlog of the daemon socket."
   in
   let max_clients_arg =
-    serve_opt_int "max-clients"
+    int_flag "max-clients" 64 Arg.int
       "Maximum simultaneous client connections; further connections get \
-       one structured overloaded reply and are closed (default 64)."
+       one structured overloaded reply and are closed."
   in
   let workers_arg =
-    serve_opt_int "workers"
-      "Worker domains executing requests (default: the machine's \
-       recommended domain count). With more than one, per-session \
+    int_flag "workers" 0 Arg.int
+      "Worker domains executing requests; 0 picks the machine's \
+       recommended domain count. With more than one, per-session \
        analysis pools are clamped to one job."
   in
   let queue_arg =
-    serve_opt_int "queue"
+    int_flag "queue" 64 Arg.int
       "Bound on queued requests; a full queue makes the daemon answer \
-       overloaded instead of queueing without limit (default 64)."
+       overloaded instead of queueing without limit."
   in
   let max_sessions_arg =
-    serve_opt_int "max-sessions"
+    int_flag "max-sessions" None Arg.(some int)
       "Resident preprocessed sessions kept in the registry before \
        least-recently-used unbound ones are evicted; 0 means unlimited \
        (default 8)."
   in
   let memory_budget_arg =
-    serve_opt_int "memory-budget-mb"
+    int_flag "memory-budget-mb" None Arg.(some int)
       "Soft RSS budget in megabytes: while current RSS exceeds it, idle \
        sessions are evicted; 0 means unlimited (default 0)."
   in
@@ -1084,10 +1040,10 @@ let serve_cmd =
           persistent analysis sessions shared across concurrent clients")
     Term.(const run $ timeout_arg $ socket_arg $ telemetry_arg $ trace_arg
           $ prometheus_arg $ metrics_file_arg $ flight_file_arg
-          $ log_level_arg $ log_file_arg $ serve_timing_arg $ backlog_arg
-          $ max_clients_arg $ workers_arg $ queue_arg $ max_sessions_arg
-          $ memory_budget_arg $ monitor_arg $ slo_p99_ms_arg
-          $ slo_error_rate_arg $ metrics_interval_arg)
+          $ log_level_arg $ log_file_arg $ backlog_arg $ max_clients_arg
+          $ workers_arg $ queue_arg $ max_sessions_arg $ memory_budget_arg
+          $ monitor_arg $ slo_p99_ms_arg $ slo_error_rate_arg
+          $ metrics_interval_arg)
 
 (* ------------------------------------------------------------------ *)
 (* snapshot                                                           *)

@@ -113,6 +113,8 @@ type model = {
 let split_binding line token =
   match String.index_opt token '=' with
   | None -> error line "expected <pin>=<net>, got %S" token
+  | Some i when i = 0 || i = String.length token - 1 ->
+    error line "empty pin or net in %S" token
   | Some i ->
     ( String.sub token 0 i,
       String.sub token (i + 1) (String.length token - i - 1) )
@@ -220,9 +222,9 @@ let parse ~library text =
      clock ports). *)
   let declared_inputs = List.rev model.inputs in
   let declared_outputs = List.rev model.outputs in
+  let latches = List.rev model.latches in
   let control_nets =
-    List.sort_uniq String.compare
-      (List.map (fun l -> l.l_control) (List.rev model.latches))
+    List.sort_uniq String.compare (List.map (fun l -> l.l_control) latches)
   in
   let driven_nets =
     List.sort_uniq String.compare
@@ -256,13 +258,16 @@ let parse ~library text =
     declared_inputs;
   List.iter (add_port ~direction:Design.Port_out ~is_clock:false)
     declared_outputs;
-  (* Promote undeclared, undriven control nets to clock ports. *)
+  (* Promote undeclared, undriven control nets to clock ports, each at
+     the line of the first .latch it clocks (a declared output is
+     refused there). *)
   List.iter
     (fun control ->
        if (not (List.mem_assoc control declared_inputs))
        && not (List.mem control driven_nets) then
-         Builder.add_port builder ~name:control ~direction:Design.Port_in
-           ~is_clock:true)
+         let first = List.find (fun l -> l.l_control = control) latches in
+         add_port ~direction:Design.Port_in ~is_clock:true
+           (control, first.l_line))
     control_nets;
   (* Latches. *)
   List.iteri
@@ -291,7 +296,7 @@ let parse ~library text =
          ~connections:
            [ ("d", latch.l_input); ("ck", control_net); ("q", latch.l_output) ]
          ())
-    (List.rev model.latches);
+    latches;
   (* .names macros. *)
   List.iteri
     (fun i spec ->

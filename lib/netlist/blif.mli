@@ -26,15 +26,17 @@
     transparent latches map directly; [al] (active-low) get a synthesized
     inverter on the control path, making the sense explicit in the
     netlist. Clock nets named by [.latch] controls are promoted to clock
-    input ports when not driven inside the model. *)
+    input ports when not driven inside the model; one that is a declared
+    output is refused at the first [.latch] it clocks. *)
 
 (** {!Hb_util.Text.Parse_error}: every malformed-input failure, carrying
     the 1-based physical line of the offending logical line (for
     continuation lines, the first physical line; for a missing
     [.model]/[.end], the last line of the text). Unknown [.latch]
-    trigger types, bad cover-row widths, a port declared twice, and
-    missing terminator directives all surface here — never as an
-    assertion or an anonymous [Failure]. *)
+    trigger types, bad cover-row widths, an empty pin or net in a
+    [.gate] binding, a port declared twice, and missing terminator
+    directives all surface here — never as an assertion or an anonymous
+    [Failure]. *)
 exception Parse_error of { line : int; message : string }
 
 (** [parse ~library text] reads one [.model].

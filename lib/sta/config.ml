@@ -16,13 +16,6 @@ type t = {
   parallel_jobs : int;
   macro : bool;
   telemetry : bool;
-  log_level : Hb_util.Log.level;
-  serve_backlog : int;
-  serve_max_clients : int;
-  serve_workers : int;
-  serve_queue : int;
-  serve_max_sessions : int;
-  serve_memory_budget_mb : int;
 }
 
 let default =
@@ -38,13 +31,6 @@ let default =
     parallel_jobs = Hb_util.Pool.recommended_jobs ();
     macro = false;
     telemetry = false;
-    log_level = Hb_util.Log.Off;
-    serve_backlog = 64;
-    serve_max_clients = 64;
-    serve_workers = 0;
-    serve_queue = 64;
-    serve_max_sessions = 8;
-    serve_memory_budget_mb = 0;
   }
 
 let sequential =

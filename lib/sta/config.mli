@@ -1,7 +1,10 @@
 (** Analysis configuration.
 
     Binds the design's boundary to the clock system: which clock edge each
-    non-clock primary port is timed against, and global knobs. *)
+    non-clock primary port is timed against, and the knobs an analysis
+    reads. Nothing else lives here: the serve daemon's settings are
+    [hummingbird serve]'s flags, and the log threshold is the CLI's
+    [--log-level]. *)
 
 (** Timing reference of one primary port. *)
 type port_timing = {
@@ -64,39 +67,8 @@ type t = {
           during analysis; default [false]. Disabled instrumentation
           costs one atomic flag read per site. Surfaced in the JSON
           report's ["metrics"] block, {!Report.summary}, and the CLI's
-          [--trace] Chrome trace output *)
-  log_level : Hb_util.Log.level;
-      (** structured-log threshold applied when a {!Session} is created
-          with this config; default [Off]. Like [telemetry], a session
-          only ever raises the process level (an explicit CLI
-          [--log-level] is never silently lowered) *)
-  serve_backlog : int;
-      (** listen(2) backlog of the serve daemon's Unix socket; default 64.
-          [.hbt] directive [serve-backlog] *)
-  serve_max_clients : int;
-      (** maximum simultaneous serve connections; further accepts get a
-          structured [overloaded] reply and are closed. Default 64.
-          [.hbt] directive [serve-max-clients] *)
-  serve_workers : int;
-      (** scheduler worker domains executing serve requests; [0] (the
-          default) picks [Domain.recommended_domain_count ()]. With more
-          than one worker, per-session analysis pools are clamped to one
-          job — concurrency comes from the request scheduler. [.hbt]
-          directive [serve-workers N|auto] *)
-  serve_queue : int;
-      (** admission-control bound on queued serve requests; a full queue
-          yields an immediate [overloaded] reply. Default 64. [.hbt]
-          directive [serve-queue] *)
-  serve_max_sessions : int;
-      (** resident sessions the serve registry keeps before evicting the
-          least recently used unbound one; [0] = unlimited. Default 8.
-          [.hbt] directive [serve-max-sessions] *)
-  serve_memory_budget_mb : int;
-      (** soft RSS budget (megabytes): while current RSS
-          ({!Hb_util.Rss.current_bytes}) exceeds it, idle sessions are
-          evicted LRU-first. [0] (default) = unlimited. Best-effort —
-          never a correctness input. [.hbt] directive
-          [serve-memory-budget-mb] *)
+          [--trace] Chrome trace output. A {!Session} created with it
+          switches the process's recording on, never off *)
 }
 
 val default : t

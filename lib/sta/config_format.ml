@@ -6,29 +6,6 @@ let polarity_field lineno value ~clock ~pulse =
   | "trailing" -> Hb_clock.Edge.trailing ~clock ~pulse
   | other -> Text.error lineno "expected 'leading' or 'trailing', got %S" other
 
-(* The serve-* directives: each one's lower bound and the field it
-   sets. The serve command checks its flags against the same bounds. *)
-let serve_settings =
-  [ ("serve-backlog", 1, fun c n -> { c with Config.serve_backlog = n });
-    ("serve-max-clients", 1, fun c n -> { c with Config.serve_max_clients = n });
-    (* 0 is "auto": the machine's recommended domain count. *)
-    ("serve-workers", 0, fun c n -> { c with Config.serve_workers = n });
-    ("serve-queue", 1, fun c n -> { c with Config.serve_queue = n });
-    (* 0 is "unlimited" for both. *)
-    ("serve-max-sessions", 0, fun c n -> { c with Config.serve_max_sessions = n });
-    ( "serve-memory-budget-mb", 0,
-      fun c n -> { c with Config.serve_memory_budget_mb = n } ) ]
-
-let serve_setting name =
-  List.find_opt (fun (key, _, _) -> key = name) serve_settings
-
-let check_serve_setting name n =
-  match serve_setting name with
-  | None -> invalid_arg ("Config_format.check_serve_setting: " ^ name)
-  | Some (_, lowest, _) ->
-    if n >= lowest then Ok n
-    else Error (Printf.sprintf "%s: must be >= %d" name lowest)
-
 let parse ?(base = Config.default) text =
   let config = ref base in
   let parse_line (r : Text.t) =
@@ -84,12 +61,6 @@ let parse ?(base = Config.default) text =
        | "on" -> config := { !config with Config.telemetry = true }
        | "off" -> config := { !config with Config.telemetry = false }
        | other -> Text.error lineno "telemetry: expected on/off, got %S" other)
-    | [ "log-level"; name ] ->
-      (match Hb_util.Log.level_of_string name with
-       | Some l -> config := { !config with Config.log_level = l }
-       | None ->
-         Text.error lineno
-           "log-level: expected off/error/warn/info/debug, got %S" name)
     | [ "parallel-jobs"; v ] ->
       let jobs =
         if v = "auto" then Hb_util.Pool.recommended_jobs ()
@@ -97,17 +68,6 @@ let parse ?(base = Config.default) text =
       in
       if jobs < 1 then Text.error lineno "parallel-jobs: must be >= 1";
       config := { !config with Config.parallel_jobs = jobs }
-    | [ name; v ] when String.starts_with ~prefix:"serve-" name ->
-      (match serve_setting name with
-       | None -> Text.error lineno "unknown directive %S" name
-       | Some (_, _, set) ->
-         let n =
-           if name = "serve-workers" && v = "auto" then 0
-           else Text.int_field lineno name v
-         in
-         (match check_serve_setting name n with
-          | Ok n -> config := set !config n
-          | Error message -> Text.error lineno "%s" message))
     | [ direction; port; "clock"; clock; polarity; "pulse"; pulse;
         "offset"; offset ]
       when direction = "input" || direction = "output" ->
@@ -144,15 +104,6 @@ let to_string (config : Config.t) =
   add "parallel-jobs %d\n" config.Config.parallel_jobs;
   add "macro %s\n" (if config.Config.macro then "on" else "off");
   add "telemetry %s\n" (if config.Config.telemetry then "on" else "off");
-  add "log-level %s\n" (Hb_util.Log.level_name config.Config.log_level);
-  add "serve-backlog %d\n" config.Config.serve_backlog;
-  add "serve-max-clients %d\n" config.Config.serve_max_clients;
-  (match config.Config.serve_workers with
-   | 0 -> add "serve-workers auto\n"
-   | n -> add "serve-workers %d\n" n);
-  add "serve-queue %d\n" config.Config.serve_queue;
-  add "serve-max-sessions %d\n" config.Config.serve_max_sessions;
-  add "serve-memory-budget-mb %d\n" config.Config.serve_memory_budget_mb;
   List.iter
     (fun (inst, n) -> add "multicycle %s %d\n" inst n)
     config.Config.multicycle;

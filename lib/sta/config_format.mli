@@ -16,7 +16,8 @@
     v}
 
     [input]/[output] lines override the timing reference of one named
-    port; the remaining directives set the global knobs. Unmentioned
+    port; the remaining directives set the global knobs, one directive
+    per {!Config.t} field (doc/FORMATS.md gives the grammar). Unmentioned
     fields keep their values from the base configuration. *)
 
 (** [parse ?base text] overlays the directives in [text] on [base]
@@ -25,14 +26,6 @@
 val parse : ?base:Config.t -> string -> Config.t
 
 val parse_file : ?base:Config.t -> string -> Config.t
-
-(** [check_serve_setting directive n] is [Ok n] when [n] is in range for
-    the serve-* [directive] (for example ["serve-queue"]), else [Error]
-    with the message a timing file gets, such as
-    ["serve-queue: must be >= 1"]. The serve command checks its flags
-    with it.
-    @raise Invalid_argument when [directive] is not a serve-* directive. *)
-val check_serve_setting : string -> int -> (int, string) result
 
 (** [to_string config] renders a [.hbt] document that {!parse} reads back
     to an equivalent configuration. *)

@@ -68,17 +68,17 @@ let timed f =
 let override_provider overrides base =
   Annotation.overlay ~suffix:"+session" overrides ~base
 
-let create ~design ~system ?(config = Config.default)
-    ?(delays = Delays.lumped) () =
+(* A config that asks for telemetry switches the process's recording
+   on; a session never switches it off. *)
+let start_telemetry config =
   if config.Config.telemetry && not (Hb_util.Telemetry.enabled ()) then begin
     Hb_util.Telemetry.set_enabled true;
     Hb_util.Telemetry.reset ()
-  end;
-  (* Only ever raise the process threshold: a CLI --log-level that
-     already enabled logging is never lowered by a config file. *)
-  if config.Config.log_level <> Hb_util.Log.Off
-     && Hb_util.Log.level () = Hb_util.Log.Off
-  then Hb_util.Log.set_level config.Config.log_level;
+  end
+
+let create ~design ~system ?(config = Config.default)
+    ?(delays = Delays.lumped) () =
+  start_telemetry config;
   let overrides = Hashtbl.create 16 in
   let provider = override_provider overrides delays in
   let ctx, cpu, wall =
@@ -707,15 +707,7 @@ let of_snapshot ~path =
   | Error e -> raise (Error.Error e)
   | Ok payload ->
     let state : snapshot_state = Marshal.from_string payload 0 in
-    let config = state.sp_ctx.Context.config in
-    if config.Config.telemetry && not (Hb_util.Telemetry.enabled ())
-    then begin
-      Hb_util.Telemetry.set_enabled true;
-      Hb_util.Telemetry.reset ()
-    end;
-    if config.Config.log_level <> Hb_util.Log.Off
-       && Hb_util.Log.level () = Hb_util.Log.Off
-    then Hb_util.Log.set_level config.Config.log_level;
+    start_telemetry state.sp_ctx.Context.config;
     let base_delays =
       match state.sp_base with
       | `Lumped -> Delays.lumped

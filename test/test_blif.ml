@@ -143,7 +143,17 @@ let test_positioned_errors () =
   expect_error_at ~line:2 ~contains:"duplicate port a"
     ".model x\n.inputs a a\n.outputs o\n.names a o\n1 1\n.end\n";
   expect_error_at ~line:3 ~contains:"duplicate port a"
-    ".model x\n.inputs a\n.outputs a\n.end\n"
+    ".model x\n.inputs a\n.outputs a\n.end\n";
+  (* An empty pin or net in a .gate binding: diagnosed at the .gate. *)
+  expect_error_at ~line:4 ~contains:"empty pin or net in \"a=\""
+    ".model x\n.inputs a b\n.outputs y\n.gate nand2_x1 a= b=b y=y\n.end\n";
+  expect_error_at ~line:4 ~contains:"empty pin or net in \"=a\""
+    ".model x\n.inputs a b\n.outputs y\n.gate nand2_x1 =a b=b y=y\n.end\n";
+  (* A latch control that is a declared output nothing drives cannot
+     become a clock input: diagnosed at the first .latch it clocks. *)
+  expect_error_at ~line:4 ~contains:"duplicate port ck"
+    ".model x\n.inputs a\n.outputs ck q\n.latch a q re ck 0\n\
+     .latch a r re ck 0\n.end\n"
 
 let test_blif_analyses_end_to_end () =
   (* A two-stage BLIF design through the whole analyser. *)

@@ -69,7 +69,10 @@ let test_hbt_errors () =
   expect_hbt_failure "rise-fall maybe\n";
   expect_hbt_failure "max-iterations many\n";
   expect_hbt_failure "input a clock c sideways pulse 0 offset 1\n";
-  expect_hbt_failure "input a clock c leading pulse -1 offset 1\n"
+  expect_hbt_failure "input a clock c leading pulse -1 offset 1\n";
+  (* Daemon and log settings are command-line flags, not directives. *)
+  expect_hbt_failure "serve-queue 8\n";
+  expect_hbt_failure "log-level info\n"
 
 let test_hbt_overlay_keeps_base () =
   let base =
@@ -91,29 +94,6 @@ let test_hbt_last_override_wins () =
   (match List.assoc_opt "a" config.Hb_sta.Config.port_overrides with
    | Some timing -> check_time "latest offset" 7.0 timing.Hb_sta.Config.offset
    | None -> Alcotest.fail "missing override")
-
-(* Each serve-* setting has one lower bound. The directive parser and
-   the serve command's flags both check against it, with one message. *)
-let serve_bounds =
-  [ ("serve-backlog", 1); ("serve-max-clients", 1); ("serve-workers", 0);
-    ("serve-queue", 1); ("serve-max-sessions", 0);
-    ("serve-memory-budget-mb", 0) ]
-
-let test_serve_bound (name, lowest) () =
-  let message = Printf.sprintf "%s: must be >= %d" name lowest in
-  let result = Alcotest.(result int string) in
-  Alcotest.check result "lowest accepted" (Ok lowest)
-    (Hb_sta.Config_format.check_serve_setting name lowest);
-  Alcotest.check result "below rejected" (Error message)
-    (Hb_sta.Config_format.check_serve_setting name (lowest - 1));
-  (match
-     Hb_sta.Config_format.parse (Printf.sprintf "%s %d\n" name (lowest - 1))
-   with
-   | exception Hb_util.Text.Parse_error { line; message = m } ->
-     Alcotest.(check int) "directive line" 1 line;
-     Alcotest.(check string) "directive message" message m
-   | _ -> Alcotest.fail "directive below its bound parsed");
-  ignore (Hb_sta.Config_format.parse (Printf.sprintf "%s %d\n" name lowest))
 
 (* ------------------------------------------------------------------ *)
 (* Paths.enumerate                                                    *)
@@ -742,11 +722,6 @@ let () =
          Alcotest.test_case "errors" `Quick test_hbt_errors;
          Alcotest.test_case "overlay keeps base" `Quick test_hbt_overlay_keeps_base;
          Alcotest.test_case "last override wins" `Quick test_hbt_last_override_wins ]);
-      ("serve",
-       List.map
-         (fun ((name, _) as bound) ->
-            Alcotest.test_case name `Quick (test_serve_bound bound))
-         serve_bounds);
       ("enumerate",
        [ Alcotest.test_case "diamond" `Quick test_enumerate_diamond;
          Alcotest.test_case "limit" `Quick test_enumerate_limit;

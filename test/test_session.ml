@@ -1769,6 +1769,29 @@ let test_serve_concurrent_parity () =
   Alcotest.(check string) "concurrent final report equals serial"
     (Json.to_string serial) (Json.to_string concurrent)
 
+(* A timing file carries analysis settings only. A log-level line is
+   an unknown directive, so a load naming such a file is a parse error
+   and leaves the daemon's log threshold where its flags put it. *)
+let test_serve_load_log_level () =
+  let hbn, hbc = write_workload_files () in
+  let hbt = Filename.temp_file "hb_session" ".hbt" in
+  Hb_util.Text.write_atomic hbt "log-level debug\n";
+  Fun.protect
+    ~finally:(fun () ->
+        Hb_util.Log.set_level Hb_util.Log.Off;
+        List.iter Sys.remove [ hbn; hbc; hbt ])
+    (fun () ->
+       let daemon = Hb_sta.Serve.create () in
+       let reply =
+         Hb_sta.Serve.handle_line daemon
+           (Printf.sprintf
+              {|{"id":1,"method":"load","params":{"netlist":"%s","clocks":"%s","timing":"%s"}}|}
+              hbn hbc hbt)
+       in
+       Alcotest.(check string) "load refused" "parse" (reply_error_code reply);
+       Alcotest.(check bool) "log level still off" true
+         (Hb_util.Log.level () = Hb_util.Log.Off))
+
 (* A request line nested a million levels deep is refused at the first
    level past the parser's cap, without reading the rest of it. *)
 let test_serve_deep_nesting () =
@@ -2095,7 +2118,9 @@ let () =
          Alcotest.test_case "observability" `Quick test_serve_observability;
          Alcotest.test_case "single-edit replies" `Quick
            test_serve_single_edit_replies;
-         Alcotest.test_case "deep nesting" `Quick test_serve_deep_nesting ]);
+         Alcotest.test_case "deep nesting" `Quick test_serve_deep_nesting;
+         Alcotest.test_case "load rejects log-level" `Quick
+           test_serve_load_log_level ]);
       ("concurrent",
        [ Alcotest.test_case "shared session" `Quick test_serve_shared_session;
          Alcotest.test_case "admission control" `Quick test_serve_admission;
