@@ -264,6 +264,15 @@ let serve_request ?request_id send ~id meth params =
     when List.assoc_opt "status" obj = Some (Json.String "ok") -> Ok ()
   | _ -> Error reply
 
+(* The params of an [edit] request scaling [instance]'s delays. *)
+let scale_edit instance factor =
+  [ ( "commands",
+      Json.List
+        [ Json.Obj
+            [ ("op", Json.String "scale_delay");
+              ("instance", Json.String instance);
+              ("factor", Json.Number factor) ] ] ) ]
+
 (* Runs each stream on a thread of its own and joins them all; returns
    the wall seconds and how many streams raised. A thread's exception
    ends only that thread, so the caller gates on the count. *)
@@ -1084,15 +1093,12 @@ let telemetry_bench () =
        [ ("netlist", Json.String hbn); ("clocks", Json.String hbc) ]);
       (Some "bench-p3", "analyse", []);
       (None, "paths", [ ("limit", Json.Number 10.0) ]);
-      (None, "scale_delay",
-       [ ( "instance",
-           Json.String
-             (Hb_netlist.Design.instance design 0).Hb_netlist.Design.inst_name );
-         ("factor", Json.Number 1.05) ]);
+      (None, "edit",
+       scale_edit
+         (Hb_netlist.Design.instance design 0).Hb_netlist.Design.inst_name
+         1.05);
       (* The error reply that must produce a flight-recorder dump. *)
-      (None, "scale_delay",
-       [ ("instance", Json.String "no-such-instance");
-         ("factor", Json.Number 1.1) ]);
+      (None, "edit", scale_edit "no-such-instance" 1.1);
       (None, "shutdown", []) ];
   Sys.remove hbn;
   Sys.remove hbc;
@@ -1538,10 +1544,9 @@ let serve_load_bench ?(smoke = false) () =
        let before = histogram "serve.request_seconds" in
        let whatif i client () =
          for k = 1 to whatif_iters do
-           call client "scale_delay"
-             [ ("instance", Json.String targets.(i));
-               ( "factor",
-                 Json.Number (0.9 +. (0.02 *. float_of_int ((i + k) mod 10))) ) ];
+           call client "edit"
+             (scale_edit targets.(i)
+                (0.9 +. (0.02 *. float_of_int ((i + k) mod 10))));
            call client "analyse"
              [ ("constraints", Json.Bool false); ("hold", Json.Bool false) ]
          done

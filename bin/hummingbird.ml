@@ -627,7 +627,7 @@ let corners_cmd =
 (* ------------------------------------------------------------------ *)
 
 let serve_cmd =
-  let run timeout socket telemetry trace prometheus metrics_file flight_file
+  let run timeout socket telemetry trace metrics_file flight_file
       log_level log_file backlog max_clients workers queue max_sessions
       memory_budget_mb monitor slo_p99_ms slo_error_rate metrics_interval =
     handle_errors (fun () ->
@@ -653,7 +653,7 @@ let serve_cmd =
         in
         (* Spans for --trace and observations for the metrics outputs
            both need the registry recording. *)
-        if telemetry || trace <> None || prometheus || metrics_file <> None
+        if telemetry || trace <> None || metrics_file <> None
            || monitor <> None || slo_p99_ms <> None || slo_error_rate <> None
            || metrics_interval <> None
         then begin
@@ -669,7 +669,7 @@ let serve_cmd =
                 try Hb_util.Text.write_atomic path doc with Sys_error _ -> ())
         in
         let daemon =
-          Hb_sta.Serve.create ~timeout_seconds:timeout ~prometheus ?dump
+          Hb_sta.Serve.create ~timeout_seconds:timeout ?dump
             ~generators:Hb_workload.Catalog.generators ?max_sessions
             ?memory_budget_mb ()
         in
@@ -703,28 +703,21 @@ let serve_cmd =
         (* Telemetry plane: an SLO tracker whenever any monitoring flag
            is given (so the windowed gauges exist even without explicit
            budgets), and an HTTP listener started per serve mode — the
-           socket mode passes its scheduler so /readyz can report queue
-           saturation. *)
-        let slo =
-          if
-            monitor <> None || slo_p99_ms <> None || slo_error_rate <> None
-            || metrics_interval <> None
-          then begin
-            let slo =
-              Hb_sta.Serve.Slo.create ?p99_budget_ms:slo_p99_ms
-                ?error_budget:slo_error_rate ()
-            in
-            Hb_sta.Serve.attach_slo daemon slo;
-            Some slo
-          end
-          else None
-        in
+           socket mode starts it once the daemon owns its scheduler, so
+           /readyz can report queue saturation. *)
+        if
+          monitor <> None || slo_p99_ms <> None || slo_error_rate <> None
+          || metrics_interval <> None
+        then
+          Hb_sta.Serve.attach_slo daemon
+            (Hb_sta.Serve.Slo.create ?p99_budget_ms:slo_p99_ms
+               ?error_budget:slo_error_rate ());
         let monitor_server = ref None in
-        let start_monitor ?scheduler () =
+        let start_monitor () =
           match monitor with
           | None -> ()
           | Some port ->
-            let m = Hb_sta.Monitor.start ~port ?scheduler ?slo daemon in
+            let m = Hb_sta.Monitor.start ~port daemon in
             Hb_util.Log.info "serve.monitor"
               [ ("port", Hb_util.Log.Int (Hb_sta.Monitor.port m)) ];
             monitor_server := Some m
@@ -744,15 +737,10 @@ let serve_cmd =
            let rec dump_loop () =
              Thread.delay interval;
              if not !dumped then begin
-               (match slo with
-                | Some slo ->
-                  ignore (Hb_sta.Serve.Slo.tick slo : Hb_sta.Serve.Slo.status)
-                | None -> ());
-               Hb_util.Telemetry.sample_runtime ();
                (try
                   Hb_util.Text.write_atomic path
                     (Hb_util.Telemetry.prometheus
-                       (Hb_util.Telemetry.snapshot ()))
+                       (Hb_sta.Serve.scrape daemon))
                 with Sys_error _ -> ());
                dump_loop ()
              end
@@ -797,7 +785,7 @@ let serve_cmd =
            let sched =
              Hb_sta.Serve.start_scheduler daemon ~workers ~queue_capacity:queue
            in
-           start_monitor ~scheduler:sched ();
+           start_monitor ();
            (* Connection table: live client fds (so shutdown can unblock
               idle readers) and reader threads (so teardown can join
               them). The acceptor wake is a once-only shutdown of the
@@ -972,8 +960,7 @@ let serve_cmd =
   let telemetry_arg =
     Arg.(value & flag & info [ "telemetry" ]
            ~doc:"Record work counters, request histograms and phase spans \
-                 (implied by $(b,--trace), $(b,--prometheus) and \
-                 $(b,--metrics-file)).")
+                 (implied by $(b,--trace) and $(b,--metrics-file)).")
   in
   let trace_arg =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
@@ -981,12 +968,6 @@ let serve_cmd =
                  JSON to $(docv); spans recorded while serving a request \
                  carry its request id. Written atomically, also on fatal \
                  errors and SIGTERM.")
-  in
-  let prometheus_arg =
-    Arg.(value & flag & info [ "prometheus" ]
-           ~doc:"Make Prometheus text exposition the default format of \
-                 the $(b,metrics) request (clients can still ask for \
-                 \"format\": \"json\").")
   in
   let metrics_file_arg =
     Arg.(value & opt (some string) None & info [ "metrics-file" ] ~docv:"FILE"
@@ -1036,10 +1017,10 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the batch/daemon front end: newline-delimited JSON requests \
-          (load/annotate/analyse/paths/shutdown) against a registry of \
+          (load/edit/analyse/paths/shutdown) against a registry of \
           persistent analysis sessions shared across concurrent clients")
     Term.(const run $ timeout_arg $ socket_arg $ telemetry_arg $ trace_arg
-          $ prometheus_arg $ metrics_file_arg $ flight_file_arg
+          $ metrics_file_arg $ flight_file_arg
           $ log_level_arg $ log_file_arg $ backlog_arg $ max_clients_arg
           $ workers_arg $ queue_arg $ max_sessions_arg $ memory_budget_arg
           $ monitor_arg $ slo_p99_ms_arg $ slo_error_rate_arg

@@ -1,7 +1,7 @@
 (* The live telemetry plane: the HTTP face a fleet operator points
    Prometheus and a load balancer at. Pure assembly — every endpoint is
-   a thin thunk over state that already exists (the telemetry registry,
-   the serve daemon, the SLO tracker); the listener itself is
+   a thin thunk over the serve daemon, which owns the telemetry scrape,
+   its SLO tracker and its scheduler; the listener itself is
    {!Hb_util.Httpd}. *)
 
 module Httpd = Hb_util.Httpd
@@ -12,32 +12,24 @@ type t = { httpd : Httpd.t }
 
 let prometheus_content_type = "text/plain; version=0.0.4; charset=utf-8"
 
-let buildinfo_body ~started_s extra =
+let buildinfo_body ~started_s =
   Json.to_string
     (Json.Obj
-       ([ ("name", Json.String "hummingbird");
-          ( "schema_version",
-            Json.Number (float_of_int Json_export.schema_version) );
-          ("ocaml", Json.String Sys.ocaml_version);
-          ("word_size", Json.Number (float_of_int Sys.word_size));
-          ("os_type", Json.String Sys.os_type);
-          ("pid", Json.Number (float_of_int (Unix.getpid ())));
-          ("started_ts", Json.Number started_s);
-        ]
-        @ List.map (fun (key, value) -> (key, Json.String value)) extra))
+       [ ("name", Json.String "hummingbird");
+         ( "schema_version",
+           Json.Number (float_of_int Json_export.schema_version) );
+         ("ocaml", Json.String Sys.ocaml_version);
+         ("word_size", Json.Number (float_of_int Sys.word_size));
+         ("os_type", Json.String Sys.os_type);
+         ("pid", Json.Number (float_of_int (Unix.getpid ())));
+         ("started_ts", Json.Number started_s);
+       ])
 
-let start ?(addr = "127.0.0.1") ~port ?scheduler ?slo ?(buildinfo = []) daemon
-    =
+let start ?(addr = "127.0.0.1") ~port daemon =
   let started_s = Unix.gettimeofday () in
   let metrics () =
-    (* A scrape refreshes what only moves on scrape: the SLO window
-       (and its burn gauges) and the runtime sampler. *)
-    (match slo with
-     | Some slo -> ignore (Serve.Slo.tick slo : Serve.Slo.status)
-     | None -> ());
-    Telemetry.sample_runtime ();
     Httpd.response ~content_type:prometheus_content_type
-      (Telemetry.prometheus (Telemetry.snapshot ()))
+      (Telemetry.prometheus (Serve.scrape daemon))
   in
   let healthz () =
     (* Liveness: the accept thread answered, so the process is alive.
@@ -45,7 +37,7 @@ let start ?(addr = "127.0.0.1") ~port ?scheduler ?slo ?(buildinfo = []) daemon
     Httpd.response "ok\n"
   in
   let readyz () =
-    match Serve.readiness ?scheduler daemon with
+    match Serve.readiness daemon with
     | Serve.Ready -> Httpd.response "ready\n"
     | Serve.Draining -> Httpd.response ~status:503 "draining\n"
     | Serve.Saturated { depth; capacity } ->
@@ -56,7 +48,7 @@ let start ?(addr = "127.0.0.1") ~port ?scheduler ?slo ?(buildinfo = []) daemon
     Httpd.response ~content_type:"application/json"
       (Serve.flight_json daemon)
   in
-  let buildinfo_body = buildinfo_body ~started_s buildinfo in
+  let buildinfo_body = buildinfo_body ~started_s in
   let buildinfo () =
     Httpd.response ~content_type:"application/json" buildinfo_body
   in

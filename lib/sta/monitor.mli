@@ -4,36 +4,29 @@
     at; `hummingbird serve --monitor PORT` mounts it.
 
     Endpoints (GET only, one response per connection):
-    - [/metrics] — Prometheus text exposition of the live registry.
-      Each scrape first ticks the SLO tracker (when given) and refreshes
-      the [runtime.*] gauges ({!Hb_util.Telemetry.sample_runtime}), so
-      GC/RSS/domain values and SLO burn are at most one scrape old.
+    - [/metrics] — Prometheus text exposition of {!Serve.scrape}: the
+      daemon's SLO tracker (when attached) is ticked and the
+      [runtime.*] gauges refreshed first, so GC/RSS/domain values and
+      SLO burn are at most one scrape old.
     - [/healthz] — liveness: always 200 while the process serves HTTP,
       including during drain.
     - [/readyz] — readiness ({!Serve.readiness}): 200 [ready], or 503
       [draining] once SIGTERM drain / shutdown began, or 503
-      [overloaded] while the scheduler queue is at its admission bound.
+      [overloaded: queue N/N] while the daemon's scheduler queue is at
+      its admission bound.
     - [/flight] — the current flight-recorder JSON document
       ({!Serve.flight_json}).
     - [/buildinfo] — JSON: name, protocol schema version, OCaml
-      version, word size, OS, pid, start timestamp, plus any
-      [buildinfo] pairs given at {!start}. *)
+      version, word size, OS, pid, start timestamp. *)
 
 type t
 
-(** [start ?addr ~port ?scheduler ?slo ?buildinfo daemon] binds and
-    starts serving immediately ([port] 0 picks a free port — read it
-    back with {!port}). [scheduler] feeds queue saturation into
-    [/readyz]; [slo] is ticked on every [/metrics] scrape. Raises
-    [Unix.Unix_error] when the bind fails. *)
-val start :
-  ?addr:string ->
-  port:int ->
-  ?scheduler:Serve.scheduler ->
-  ?slo:Serve.Slo.t ->
-  ?buildinfo:(string * string) list ->
-  Serve.t ->
-  t
+(** [start ?addr ~port daemon] binds and starts serving immediately
+    ([port] 0 picks a free port — read it back with {!port}). Everything
+    an endpoint reports comes from [daemon]: its scrape, its attached
+    SLO tracker and, once {!Serve.start_scheduler} ran, its scheduler
+    queue. Raises [Unix.Unix_error] when the bind fails. *)
+val start : ?addr:string -> port:int -> Serve.t -> t
 
 (** The actually bound port. *)
 val port : t -> int

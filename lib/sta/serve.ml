@@ -99,9 +99,13 @@ module Slo = struct
     breached : bool;
   }
 
+  let g_window_seconds = Telemetry.gauge "slo.window_seconds"
+  let g_window_observations = Telemetry.gauge "slo.window_observations"
   let g_window_p50 = Telemetry.gauge "slo.window_p50_ms"
   let g_window_p99 = Telemetry.gauge "slo.window_p99_ms"
   let g_window_error_rate = Telemetry.gauge "slo.window_error_rate"
+  let g_p99_budget = Telemetry.gauge "slo.p99_budget_ms"
+  let g_error_budget = Telemetry.gauge "slo.error_budget"
   let g_p99_burn = Telemetry.gauge "slo.p99_burn"
   let g_error_burn = Telemetry.gauge "slo.error_burn"
   let g_breached = Telemetry.gauge "slo.breached"
@@ -141,34 +145,32 @@ module Slo = struct
     Telemetry.window_tick t.s_window;
     let s = status t in
     let set g = function Some v -> Telemetry.set_gauge g v | None -> () in
+    set g_window_seconds s.window_seconds;
+    Telemetry.set_gauge g_window_observations (float_of_int s.observations);
     set g_window_p50 s.p50_ms;
     set g_window_p99 s.p99_ms;
     set g_window_error_rate s.error_rate;
+    set g_p99_budget s.p99_budget_ms;
+    set g_error_budget s.error_budget;
     set g_p99_burn s.p99_burn;
     set g_error_burn s.error_burn;
     Telemetry.set_gauge g_breached (if s.breached then 1.0 else 0.0);
     s
-
-  let status_json s =
-    let opt = function Some v -> Json.Number v | None -> Json.Null in
-    Json.Obj
-      [ ("window_seconds", opt s.window_seconds);
-        ("observations", Json.Number (float_of_int s.observations));
-        ("p50_ms", opt s.p50_ms);
-        ("p99_ms", opt s.p99_ms);
-        ("error_rate", opt s.error_rate);
-        ("p99_budget_ms", opt s.p99_budget_ms);
-        ("error_budget", opt s.error_budget);
-        ("p99_burn", opt s.p99_burn);
-        ("error_burn", opt s.error_burn);
-        ("breached", Json.Bool s.breached);
-      ]
 end
+
+(* A request line waiting in the scheduler queue. *)
+type job = {
+  j_client : client;
+  j_line : string;
+  j_enqueued_s : float;  (* when [submit] pushed it — queue wait = dequeue - this *)
+  j_mutex : Mutex.t;
+  j_cond : Condition.t;
+  mutable j_reply : string option;
+}
 
 type t = {
   timeout_seconds : float;
   library : Hb_cell.Library.t;
-  prometheus : bool;  (* default metrics exposition format *)
   dump : (string -> unit) option;  (* flight-recorder sink *)
   generators :
     (string * (unit -> Hb_netlist.Design.t * Hb_clock.System.t)) list;
@@ -184,14 +186,21 @@ type t = {
   ring_mutex : Mutex.t;        (* guards the flight-recorder ring *)
   summaries : summary option array;
   mutable summary_next : int;
-  mutable scheduler_attached : bool;
-      (* a scheduler owns drain/teardown; [shutdown] only flags stop *)
+  mutable scheduler : scheduler option;
+      (* set by [start_scheduler]: the scheduler owns drain/teardown
+         ([shutdown] only flags stop), and [readiness] reads its queue *)
   mutable serialize_pool : bool;
       (* > 1 scheduler domains: clamp per-session analysis pools to one
          job so deadline checks run on the guarded domain and no two
          requests race the shared pool's single job slot *)
-  mutable slo : Slo.t option;
-      (* attached tracker: [metrics] replies and scrapes tick it *)
+  mutable slo : Slo.t option;  (* attached tracker: every [scrape] ticks it *)
+}
+
+and scheduler = {
+  s_t : t;
+  s_queue : job Squeue.t;
+  mutable s_domains : unit Domain.t list;
+  s_capacity : int;
 }
 
 (* Serve-layer failures that are not analysis errors: protocol problems
@@ -223,12 +232,12 @@ let apply_edits s edits =
          { code = Error.code error;
            message = prefix ^ Error.to_string error })
 
-let create ?(timeout_seconds = 0.0) ?library ?(prometheus = false) ?dump
-    ?(generators = []) ?(max_sessions = 8) ?(memory_budget_mb = 0) () =
+let create ?(timeout_seconds = 0.0) ?library ?dump ?(generators = [])
+    ?(max_sessions = 8) ?(memory_budget_mb = 0) () =
   let library =
     match library with Some l -> l | None -> Hb_cell.Library.default ()
   in
-  { timeout_seconds; library; prometheus; dump; generators;
+  { timeout_seconds; library; dump; generators;
     max_sessions = Stdlib.max 0 max_sessions;
     memory_budget_bytes = Stdlib.max 0 memory_budget_mb * 1024 * 1024;
     reg_mutex = Mutex.create ();
@@ -240,12 +249,19 @@ let create ?(timeout_seconds = 0.0) ?library ?(prometheus = false) ?dump
     ring_mutex = Mutex.create ();
     summaries = Array.make summary_capacity None;
     summary_next = 0;
-    scheduler_attached = false;
+    scheduler = None;
     serialize_pool = false;
     slo = None;
   }
 
 let attach_slo t slo = t.slo <- Some slo
+
+(* A scrape refreshes what only moves on scrape — the SLO window and its
+   gauges, and the runtime gauges — before snapshotting the registry. *)
+let scrape t =
+  Option.iter (fun slo -> ignore (Slo.tick slo : Slo.status)) t.slo;
+  Telemetry.sample_runtime ();
+  Telemetry.snapshot ()
 
 let finished t = Atomic.get t.stopping
 let request_stop t = Atomic.set t.stopping true
@@ -267,7 +283,22 @@ let set_active_clients n = Telemetry.set_gauge g_active_clients (float_of_int n)
 
 (* --- flight recorder ------------------------------------------------- *)
 
-let push_summary t s =
+(* Every request, executed or rejected, leaves one [serve.request]
+   access-log line (Info, id first) and one flight-recorder summary.
+   [wall_ms] stays the headline (queue + service); the split beside it
+   is what makes saturation visible — under load a fast handler with a
+   deep queue shows small service_ms and growing queue_ms. *)
+let record t s =
+  if Log.on Log.Info then
+    Log.info "serve.request"
+      [ ("request_id", Log.String s.rs_id);
+        ("method", Log.String s.rs_method);
+        ("outcome", Log.String s.rs_outcome);
+        ("wall_ms", Log.Float s.rs_wall_ms);
+        ("queue_ms", Log.Float s.rs_queue_ms);
+        ("service_ms", Log.Float (s.rs_wall_ms -. s.rs_queue_ms));
+        ("cpu_ms", Log.Float s.rs_cpu_ms);
+      ];
   Mutex.lock t.ring_mutex;
   t.summaries.(t.summary_next mod summary_capacity) <- Some s;
   t.summary_next <- t.summary_next + 1;
@@ -456,10 +487,122 @@ let with_session_write c f =
 
 (* --- method handlers: each returns the "result" value --------------- *)
 
+(* [load]'s registry step, under [t.reg_mutex]: bind [c] to the session
+   for [key], built from [source] on a miss. The texts come in as
+   arguments, not in a closure, so they die once parsed. *)
+let bind_session t c ~key ~source ~timing ~explicit_jobs ~telemetry ~macro
+    ~delays =
+  (* Rebind: drop the client's current session first so it can be
+     evicted if this load pushes the registry over budget. *)
+  (match c.c_entry with
+   | Some e -> e.e_binds <- e.e_binds - 1; c.c_entry <- None
+   | None -> ());
+  let shared, e =
+    match List.find_opt (fun e -> String.equal e.e_key key) t.entries with
+    | Some e ->
+      Telemetry.incr c_sessions_shared;
+      if Log.on Log.Info then
+        Log.info "serve.session_shared" [ ("key", Log.String key) ];
+      (true, e)
+    | None ->
+      (* Parsed inputs → a session, configured after them, so a bad
+         netlist or clocks text is reported before a bad timing text. *)
+      let create (design, system) =
+        let config =
+          match timing with
+          | None -> Config.default
+          | Some (path, text) ->
+            Error.reading path (fun () ->
+                Config_format.parse ~base:Config.default text)
+        in
+        let config =
+          match explicit_jobs with
+          | None -> config
+          | Some jobs -> { config with Config.parallel_jobs = jobs }
+        in
+        let config =
+          if t.serialize_pool && config.Config.parallel_jobs > 1 then begin
+            if Log.on Log.Warn then
+              Log.warn "serve.jobs_clamped"
+                [ ("requested", Log.Int config.Config.parallel_jobs) ];
+            { config with Config.parallel_jobs = 1 }
+          end
+          else config
+        in
+        let config =
+          match telemetry with
+          | None -> config
+          | Some telemetry -> { config with Config.telemetry }
+        in
+        let config =
+          match macro with
+          | None -> config
+          | Some macro -> { config with Config.macro }
+        in
+        Session.create ~design ~system ~config ~delays ()
+      in
+      let fresh =
+        match source with
+        | `Snapshot path ->
+          let s = Session.of_snapshot ~path in
+          if t.serialize_pool
+             && (Session.context s).Context.config.Config.parallel_jobs > 1
+          then begin
+            Session.close s;
+            bad_request
+              "snapshot %s was saved with jobs > 1; this daemon \
+               schedules requests across domains" path
+          end;
+          s
+        | `Generator name -> create ((List.assoc name t.generators) ())
+        | `Files ((netlist, netlist_text), (clocks, clocks_text)) ->
+          let design =
+            Error.reading netlist (fun () ->
+                if Filename.check_suffix netlist ".blif" then
+                  Hb_netlist.Blif.parse ~library:t.library netlist_text
+                else
+                  Hb_netlist.Hbn_format.parse ~library:t.library netlist_text)
+          in
+          let system =
+            Error.reading clocks (fun () -> Hb_clock.System.parse clocks_text)
+          in
+          create (design, system)
+      in
+      let e =
+        { e_key = key;
+          e_session = fresh;
+          e_lock = Rwlock.create ();
+          e_last_used = Unix.gettimeofday ();
+          e_binds = 0;
+        }
+      in
+      t.entries <- e :: t.entries;
+      (false, e)
+  in
+  e.e_binds <- e.e_binds + 1;
+  e.e_last_used <- Unix.gettimeofday ();
+  c.c_entry <- Some e;
+  evict_locked t;
+  let ctx = Session.context e.e_session in
+  let design = ctx.Context.design in
+  Json.Obj
+    [ ("design", Json.String design.Hb_netlist.Design.design_name);
+      ( "instances",
+        Json.Number
+          (float_of_int (Hb_netlist.Design.instance_count design)) );
+      ( "nets",
+        Json.Number (float_of_int (Hb_netlist.Design.net_count design)) );
+      ( "elements",
+        Json.Number (float_of_int (Elements.count ctx.Context.elements)) );
+      ( "clusters",
+        Json.Number
+          (float_of_int (Array.length ctx.Context.table.Cluster.clusters))
+      );
+      ("shared", Json.Bool shared);
+    ]
+
 let handle_load t c p =
-  (* Either a registered generator name, or netlist/clocks file paths.
-     The registry key is built from the raw parameters — resolving a hit
-     must not re-parse or regenerate anything. *)
+  (* A registered generator, a snapshot, or netlist/clocks file paths. *)
   let source =
     match opt_text "snapshot" p with
     | Some path ->
@@ -514,133 +657,40 @@ let handle_load t c p =
     | Some delays -> delays
     | None -> bad_request "unknown delay model %S (lumped|rc)" delay_model
   in
+  (* The registry key is what the load reads, not where from: each file
+     is read once, here, before the registry lock, so a file rewritten
+     under a path loaded before is a miss and a byte-identical copy under
+     other paths is a hit. A hit parses and regenerates nothing. *)
+  let read path = (path, Hb_util.Text.read_file path) in
+  let digest (_, text) = Digest.to_hex (Digest.string text) in
+  let source =
+    match source with
+    | `Files (netlist, clocks) -> `Files (read netlist, read clocks)
+    | (`Generator _ | `Snapshot _) as source -> source
+  in
+  let timing = Option.map read timing in
   let key =
     Printf.sprintf "%s|timing=%s|jobs=%s|telemetry=%s|macro=%s|delays=%s"
       (match source with
        | `Generator name -> "g:" ^ name
-       | `Files (netlist, clocks) -> "f:" ^ netlist ^ ";" ^ clocks
-       | `Snapshot path -> "s:" ^ path)
-      (Option.value ~default:"" timing)
+       | `Files (((path, _) as netlist), clocks) ->
+         Printf.sprintf "f:%s:%s;%s"
+           (if Filename.check_suffix path ".blif" then "blif" else "hbn")
+           (digest netlist) (digest clocks)
+       | `Snapshot path -> "s:" ^ Digest.to_hex (Digest.file path))
+      (match timing with None -> "" | Some file -> digest file)
       (match explicit_jobs with None -> "" | Some j -> string_of_int j)
       (match telemetry with None -> "" | Some b -> string_of_bool b)
       (match macro with None -> "" | Some b -> string_of_bool b)
       delay_model
   in
   Mutex.lock t.reg_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.reg_mutex)
-    (fun () ->
-      (* Rebind: drop the client's current session first so it can be
-         evicted if this load pushes the registry over budget. *)
-      (match c.c_entry with
-       | Some e -> e.e_binds <- e.e_binds - 1; c.c_entry <- None
-       | None -> ());
-      let shared, e =
-        match List.find_opt (fun e -> String.equal e.e_key key) t.entries with
-        | Some e ->
-          Telemetry.incr c_sessions_shared;
-          if Log.on Log.Info then
-            Log.info "serve.session_shared" [ ("key", Log.String key) ];
-          (true, e)
-        | None ->
-          let fresh =
-            match source with
-            | `Snapshot path ->
-              let s = Session.of_snapshot ~path in
-              if t.serialize_pool
-                 && (Session.context s).Context.config.Config.parallel_jobs > 1
-              then begin
-                Session.close s;
-                bad_request
-                  "snapshot %s was saved with jobs > 1; this daemon \
-                   schedules requests across domains" path
-              end;
-              s
-            | (`Generator _ | `Files _) as source ->
-          let design, system =
-            match source with
-            | `Generator name ->
-              (List.assoc name t.generators) ()
-            | `Files (netlist, clocks) ->
-              let design =
-                Error.reading netlist (fun () ->
-                    if Filename.check_suffix netlist ".blif" then
-                      Hb_netlist.Blif.parse_file ~library:t.library netlist
-                    else
-                      Hb_netlist.Hbn_format.parse_file ~library:t.library
-                        netlist)
-              in
-              let system =
-                Error.reading clocks (fun () ->
-                    Hb_clock.System.parse_file clocks)
-              in
-              (design, system)
-          in
-          let config =
-            match timing with
-            | None -> Config.default
-            | Some path ->
-              Error.reading path (fun () ->
-                  Config_format.parse_file ~base:Config.default path)
-          in
-          let config =
-            match explicit_jobs with
-            | None -> config
-            | Some jobs -> { config with Config.parallel_jobs = jobs }
-          in
-          let config =
-            if t.serialize_pool && config.Config.parallel_jobs > 1 then begin
-              if Log.on Log.Warn then
-                Log.warn "serve.jobs_clamped"
-                  [ ("requested", Log.Int config.Config.parallel_jobs) ];
-              { config with Config.parallel_jobs = 1 }
-            end
-            else config
-          in
-          let config =
-            match telemetry with
-            | None -> config
-            | Some telemetry -> { config with Config.telemetry }
-          in
-          let config =
-            match macro with
-            | None -> config
-            | Some macro -> { config with Config.macro }
-          in
-          Session.create ~design ~system ~config ~delays ()
-          in
-          let e =
-            { e_key = key;
-              e_session = fresh;
-              e_lock = Rwlock.create ();
-              e_last_used = Unix.gettimeofday ();
-              e_binds = 0;
-            }
-          in
-          t.entries <- e :: t.entries;
-          (false, e)
-      in
-      e.e_binds <- e.e_binds + 1;
-      e.e_last_used <- Unix.gettimeofday ();
-      c.c_entry <- Some e;
-      evict_locked t;
-      let ctx = Session.context e.e_session in
-      let design = ctx.Context.design in
-      Json.Obj
-        [ ("design", Json.String design.Hb_netlist.Design.design_name);
-          ( "instances",
-            Json.Number
-              (float_of_int (Hb_netlist.Design.instance_count design)) );
-          ( "nets",
-            Json.Number (float_of_int (Hb_netlist.Design.net_count design)) );
-          ( "elements",
-            Json.Number (float_of_int (Elements.count ctx.Context.elements)) );
-          ( "clusters",
-            Json.Number
-              (float_of_int (Array.length ctx.Context.table.Cluster.clusters))
-          );
-          ("shared", Json.Bool shared);
-        ])
+  match
+    bind_session t c ~key ~source ~timing ~explicit_jobs ~telemetry ~macro
+      ~delays
+  with
+  | reply -> Mutex.unlock t.reg_mutex; reply
+  | exception e -> Mutex.unlock t.reg_mutex; raise e
 
 (* The report goes straight into the reply buffer in the compact
    layout, and while the session lock is held: an edit must not move the
@@ -656,18 +706,17 @@ let handle_analyse c p reply =
       let report = Session.analyse ~generate_constraints ~check_hold s in
       Json_export.add_report ~paths Json_export.Compact reply report)
 
-(* One edit command → a typed {!Edit.t}: command [i] of the batch "edit"
-   method, or the params of the single-edit method named [op]. Cell names
+(* Command [i] of an [edit] batch → a typed {!Edit.t}. Cell names
    resolve against the server's library here, so the session layer only
    ever sees resolved cells. *)
-let edit_of_json t i ~op p =
+let edit_of_json t i p =
   let cell_field () =
     let name = req_text "cell" p in
     match Hb_cell.Library.find t.library name with
     | Some cell -> cell
     | None -> bad_request "edit %d: unknown cell %S" i name
   in
-  match op with
+  match req_text "op" p with
   | "set_delay" ->
     Edit.Set_delay
       { instance = req_text "instance" p;
@@ -706,10 +755,32 @@ let edit_of_json t i ~op p =
       }
   | other -> bad_request "edit %d: unknown op %S" i other
 
-(* The batch edit method: validate-then-apply is atomic in the session,
-   so the reply either reports every command applied or the envelope
-   carries the rejection (failing index and op in the message) and the
-   session is untouched. *)
+(* One entry of an [edit] reply's [commands] list, read from the
+   session after the batch: an annotation adds its entry count and the
+   names it matched nowhere, an offset its value after clamping. *)
+let command_reply s edit =
+  let ctx = Session.context s in
+  let extra =
+    match edit with
+    | Edit.Annotate annotation ->
+      let unused = Annotation.unused annotation ~design:ctx.Context.design in
+      [ ("entries", Json.Number (float_of_int (Annotation.count annotation)));
+        ("unused", Json.List (List.map (fun n -> Json.String n) unused));
+      ]
+    | Edit.Set_offset { element; _ } ->
+      let e = Elements.element ctx.Context.elements element in
+      [ ("offset", Json.Number (Hb_sync.Element.o_dz e)) ]
+    | Edit.Set_delay _ | Edit.Scale_delay _ | Edit.Insert_buffer _
+    | Edit.Resize_gate _ | Edit.Remove_gate _ | Edit.Rewire_net _ -> []
+  in
+  Json.Obj
+    (("op", Json.String (Edit.op_name edit))
+     :: ("status", Json.String "applied") :: extra)
+
+(* The one mutation method: validate-then-apply is atomic in the
+   session, so the reply either reports every command applied or the
+   envelope carries the rejection (failing index and op in the message)
+   and the session is untouched. *)
 let handle_edit t c p =
   let commands =
     match Json.member "commands" p with
@@ -722,11 +793,15 @@ let handle_edit t c p =
     List.mapi
       (fun i v ->
         match v with
-        | Json.Obj _ -> edit_of_json t i ~op:(req_text "op" v) v
+        | Json.Obj _ -> edit_of_json t i v
         | _ -> bad_request "edit %d: command must be an object" i)
       commands
   in
-  let result = with_session_write c (fun s -> apply_edits s edits) in
+  let result, replies =
+    with_session_write c (fun s ->
+        let result = apply_edits s edits in
+        (result, List.map (command_reply s) edits))
+  in
   Json.Obj
     [ ("applied", Json.Number (float_of_int result.Session.applied));
       ("structural", Json.Number (float_of_int result.Session.structural));
@@ -734,46 +809,8 @@ let handle_edit t c p =
         Json.Number (float_of_int result.Session.clusters_rebuilt) );
       ( "clusters_invalidated",
         Json.Number (float_of_int result.Session.clusters_invalidated) );
-      ( "commands",
-        Json.List
-          (List.map
-             (fun e ->
-               Json.Obj
-                 [ ("op", Json.String (Edit.op_name e));
-                   ("status", Json.String "applied");
-                 ])
-             edits) );
+      ("commands", Json.List replies);
     ]
-
-(* The reply of a single-edit method, read from the session its one
-   command was just applied to. *)
-let single_edit_reply s = function
-  | Edit.Set_delay { instance; _ } | Edit.Scale_delay { instance; _ } ->
-    Json.Obj [ ("instance", Json.String instance) ]
-  | Edit.Annotate annotation ->
-    let unused =
-      Annotation.unused annotation ~design:(Session.context s).Context.design
-    in
-    Json.Obj
-      [ ("entries", Json.Number (float_of_int (Annotation.count annotation)));
-        ("unused", Json.List (List.map (fun n -> Json.String n) unused));
-      ]
-  | Edit.Set_offset { element; _ } ->
-    (* Read back: the session clamps the offset to the element's window. *)
-    let e = Elements.element (Session.context s).Context.elements element in
-    Json.Obj
-      [ ("element", Json.Number (float_of_int element));
-        ("offset", Json.Number (Hb_sync.Element.o_dz e));
-      ]
-  | Edit.Insert_buffer _ | Edit.Resize_gate _ | Edit.Remove_gate _
-  | Edit.Rewire_net _ ->
-    invalid_arg "Serve.single_edit_reply: structural edits go through \"edit\""
-
-let handle_single_edit t c ~op p =
-  let edit = edit_of_json t 0 ~op p in
-  with_session_write c (fun s ->
-      let _ : Session.apply_result = apply_edits s [ edit ] in
-      single_edit_reply s edit)
 
 let handle_paths c p =
   let limit = Option.value ~default:5 (opt_int "limit" p) in
@@ -836,64 +873,6 @@ let handle_hold c =
              violations) );
     ]
 
-let handle_metrics t p =
-  (* A metrics request is a scrape: refresh what only moves on scrape —
-     the runtime gauges and the SLO window — before snapshotting, so
-     both expositions carry current values. *)
-  let slo_status = Option.map Slo.tick t.slo in
-  Telemetry.sample_runtime ();
-  let snapshot = Telemetry.snapshot () in
-  let format =
-    match opt_text "format" p with
-    | Some f -> f
-    | None -> if t.prometheus then "prometheus" else "json"
-  in
-  let slo_field =
-    match slo_status with
-    | None -> []
-    | Some s -> [ ("slo", Slo.status_json s) ]
-  in
-  match format with
-  | "prometheus" -> Json.String (Telemetry.prometheus snapshot)
-  | "json" ->
-    Json.Obj
-      (slo_field
-       @ [ ( "counters",
-          Json.Obj
-            (List.map
-               (fun (name, value) -> (name, Json.Number (float_of_int value)))
-               snapshot.Telemetry.counters) );
-        ( "gauges",
-          Json.Obj
-            (List.map
-               (fun (name, value) -> (name, Json.Number value))
-               snapshot.Telemetry.gauges) );
-        ( "histograms",
-          Json.Obj
-            (List.map
-               (fun (h : Telemetry.histogram_snapshot) ->
-                 ( h.Telemetry.h_name,
-                   Json.Obj
-                     [ ( "bounds",
-                         Json.List
-                           (Array.to_list
-                              (Array.map
-                                 (fun b -> Json.Number b)
-                                 h.Telemetry.upper_bounds)) );
-                       ( "counts",
-                         Json.List
-                           (Array.to_list
-                              (Array.map
-                                 (fun c -> Json.Number (float_of_int c))
-                                 h.Telemetry.bucket_counts)) );
-                       ("sum", Json.Number h.Telemetry.sum);
-                       ( "count",
-                         Json.Number (float_of_int h.Telemetry.total) );
-                     ] ))
-               snapshot.Telemetry.histograms) );
-         ])
-  | other -> bad_request "unknown metrics format %S (json|prometheus)" other
-
 (* Busy-wait polling the deadline at every iteration — a test hook for
    exercising the timeout path (the engines poll the same way at their
    pass boundaries), not a scheduler. *)
@@ -914,7 +893,7 @@ let handle_shutdown t =
      would race requests already executing. Without one — the stdin loop
      and direct handle_line callers — tear down synchronously, as the
      single-client daemon always did. *)
-  if not t.scheduler_attached then shutdown_sessions t;
+  if Option.is_none t.scheduler then shutdown_sessions t;
   Json.Obj [ ("stopping", Json.Bool true) ]
 
 (* A method's result: a tree for the envelope to print, or [Written]
@@ -931,13 +910,11 @@ let dispatch t c ~meth p reply =
       (match meth with
        | "ping" -> Json.Obj [ ("pong", Json.Bool true) ]
        | "load" -> handle_load t c p
-       | ("set_delay" | "scale_delay" | "annotate" | "set_offset") as op ->
-         handle_single_edit t c ~op p
        | "edit" -> handle_edit t c p
        | "paths" -> handle_paths c p
        | "constraints" -> handle_constraints c
        | "hold" -> handle_hold c
-       | "metrics" -> handle_metrics t p
+       | "metrics" -> Json.String (Telemetry.prometheus (scrape t))
        | "flight" -> flight_tree t
        | "sleep" -> handle_sleep p
        | "shutdown" -> handle_shutdown t
@@ -1078,21 +1055,7 @@ let handle_line ?client ?queue_wait_s t line =
     if clusters > 0 then
       Telemetry.observe h_clusters (float_of_int clusters)
   end;
-  (* The access log: one Info line per request, id first. [wall_ms]
-     stays the headline (queue + service); the split beside it is what
-     makes saturation visible — under load a fast handler with a deep
-     queue shows small service_ms and growing queue_ms. *)
-  if Log.on Log.Info then
-    Log.info "serve.request"
-      [ ("request_id", Log.String rid);
-        ("method", Log.String !meth_seen);
-        ("outcome", Log.String !outcome);
-        ("wall_ms", Log.Float wall_ms);
-        ("queue_ms", Log.Float queue_ms);
-        ("service_ms", Log.Float service_ms);
-        ("cpu_ms", Log.Float cpu_ms);
-      ];
-  push_summary t
+  record t
     { rs_ts = wall0;
       rs_id = rid;
       rs_method = !meth_seen;
@@ -1127,15 +1090,7 @@ let reject_line t ~code ~message line =
   let reply = Buffer.create 256 in
   error reply ~rid ~id ~code message;
   let text = Buffer.contents reply in
-  if Log.on Log.Info then
-    Log.info "serve.request"
-      [ ("request_id", Log.String rid);
-        ("method", Log.String meth);
-        ("outcome", Log.String code);
-        ("wall_ms", Log.Float 0.0);
-        ("cpu_ms", Log.Float 0.0);
-      ];
-  push_summary t
+  record t
     { rs_ts = Unix.gettimeofday ();
       rs_id = rid;
       rs_method = meth;
@@ -1147,22 +1102,6 @@ let reject_line t ~code ~message line =
   text
 
 (* --- the request scheduler ------------------------------------------- *)
-
-type job = {
-  j_client : client;
-  j_line : string;
-  j_enqueued_s : float;  (* when [submit] pushed it — queue wait = dequeue - this *)
-  j_mutex : Mutex.t;
-  j_cond : Condition.t;
-  mutable j_reply : string option;
-}
-
-type scheduler = {
-  s_t : t;
-  s_queue : job Squeue.t;
-  mutable s_domains : unit Domain.t list;
-  s_capacity : int;
-}
 
 let deliver job reply =
   Mutex.lock job.j_mutex;
@@ -1195,7 +1134,6 @@ let worker_loop sched =
 let start_scheduler t ~workers ~queue_capacity =
   let workers = Stdlib.max 1 workers in
   let queue_capacity = Stdlib.max 1 queue_capacity in
-  t.scheduler_attached <- true;
   if workers > 1 then t.serialize_pool <- true;
   let sched =
     { s_t = t;
@@ -1204,6 +1142,7 @@ let start_scheduler t ~workers ~queue_capacity =
       s_capacity = queue_capacity;
     }
   in
+  t.scheduler <- Some sched;
   sched.s_domains <-
     List.init workers (fun _ -> Domain.spawn (fun () -> worker_loop sched));
   if Log.on Log.Info then
@@ -1249,9 +1188,6 @@ let stop_scheduler sched =
   List.iter Domain.join sched.s_domains;
   sched.s_domains <- []
 
-let queue_depth sched = Squeue.length sched.s_queue
-let queue_capacity sched = sched.s_capacity
-
 (* --- readiness -------------------------------------------------------- *)
 
 type readiness =
@@ -1263,10 +1199,10 @@ type readiness =
    and the scheduler queue below its admission bound (at the bound the
    next request would be rejected [overloaded] anyway). Without a
    scheduler (the stdin loop) there is no queue to saturate. *)
-let readiness ?scheduler t =
+let readiness t =
   if Atomic.get t.stopping then Draining
   else
-    match scheduler with
+    match t.scheduler with
     | None -> Ready
     | Some sched ->
       let depth = Squeue.length sched.s_queue in

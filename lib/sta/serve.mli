@@ -23,27 +23,33 @@
     or received after shutdown began). Both are immediate structured
     replies, never silent drops.
 
-    Methods: [ping], [load] (netlist/clocks/timing paths, or the name
-    of a registered ["generator"]), [analyse], [edit] (a ["commands"]
-    list of typed edit objects, applied as one atomic batch),
-    [set_delay], [scale_delay], [annotate] ([text] or [file]) and
-    [set_offset] (one edit command each, decoded like an [edit] command
-    and answered with a method-specific reply), [paths], [constraints],
-    [hold], [metrics], [flight], [sleep] (test hook) and [shutdown]. A request may carry ["schema_version"]: a value the
-    server doesn't speak is rejected with code ["schema_version"];
-    absent means current. A request-level ["timeout"] (seconds)
+    Methods: [ping], [load] (netlist/clocks/timing paths, a
+    ["snapshot"], or the name of a registered ["generator"]),
+    [analyse], [edit], [paths], [constraints], [hold], [metrics],
+    [flight], [sleep] (test hook) and [shutdown]. [edit], the only
+    method that changes a session, applies a ["commands"] list of typed
+    edit objects as one atomic batch and lists one
+    [{"op", "status": "applied"}] entry per command; an [annotate]
+    entry adds ["entries"] and ["unused"], a [set_offset] entry the
+    ["offset"] read back after the batch (the clamped value). A request
+    may carry ["schema_version"]: a value the server doesn't speak is
+    rejected with code ["schema_version"]; absent means current. A
+    request-level ["timeout"] (seconds)
     overrides the server default; budgets are deadline-based
     ({!Hb_util.Timeout}), checked at engine pass boundaries, and
     per-domain — safe under concurrent execution.
 
     {2 Session registry}
 
-    [load] resolves through a registry keyed by the load parameters
-    (source, timing file, jobs, telemetry, macro, delay model): a second
-    client loading the same design binds to the {e same} preprocessed
-    session instead of building its own — the reply carries
-    ["shared": true] and [serve.sessions_shared] counts the hit. Each
-    resident session carries a writer-preferring {!Hb_util.Rwlock}:
+    [load] resolves through a registry keyed by what it read — the
+    netlist format and the digests of the netlist, clocks and timing
+    texts, or of the snapshot file — plus jobs, telemetry, macro and
+    delay model. A second client loading the same bytes, under any
+    paths, binds to the {e same} preprocessed session instead of
+    building its own — the reply carries ["shared": true] and
+    [serve.sessions_shared] counts the hit — and a file rewritten under
+    a path loaded before is a miss. Each resident session carries a
+    writer-preferring {!Hb_util.Rwlock}:
     queries answered entirely from the session's caches
     ({!Session.is_cached}) run concurrently under the read lock;
     anything that mutates session state — delay/offset edits, and the
@@ -52,23 +58,24 @@
     registry exceeds [max_sessions] or the process RSS exceeds
     [memory_budget_mb] ([serve.session_evictions];
     {!Hb_util.Rss.current_bytes}, best-effort). Loads serialize against
-    each other (preprocessing happens under the registry lock); queries
-    on already-resident sessions do not wait for them.
+    each other (files are read and digested before the registry lock,
+    parsed and preprocessed under it); queries on already-resident
+    sessions do not wait for them.
 
     Every request has a request id — the top-level ["request_id"] string
     when the client supplies one, else a generated ["r<n>"] — echoed in
     the reply envelope, carried by the [serve.request] access-log line
-    (request_id/method/outcome/wall_ms/cpu_ms at Info), stamped onto
-    every telemetry span the request records (so [--trace] output ties
-    phases back to requests), and kept in the flight-recorder ring. The
+    (request_id/method/outcome/wall_ms/queue_ms/service_ms/cpu_ms at
+    Info, also for a rejected request), stamped onto every telemetry
+    span the request records (so [--trace] output ties phases back to
+    requests), and kept in the flight-recorder ring. The
     ring and {!flight_json} are mutex-guarded snapshots, safe under
     concurrent requests (the log ring and telemetry shards already
     were).
 
-    [metrics] takes an optional ["format"] param: ["json"] (the
-    counters/gauges/histograms object) or ["prometheus"] (the result is
-    one string of Prometheus text exposition); the default is chosen by
-    [create]'s [prometheus] flag. [flight] returns the flight-recorder
+    [metrics] replies with one string: the Prometheus text exposition
+    of {!scrape}, the same text the monitor's [/metrics] and
+    [--metrics-file] print. [flight] returns the flight-recorder
     document (recent request summaries plus recent log events).
 
     With telemetry enabled, each request feeds the
@@ -102,9 +109,9 @@
     stays silent.
 
     {!Slo} tracks windowed p50/p99 and error rate against optional
-    budgets; {!attach_slo} makes every [metrics] reply and scrape tick
-    the tracker and (JSON format) include its status. {!readiness} is
-    the load-balancer probe behind the monitor's [/readyz]. *)
+    budgets; {!attach_slo} makes every {!scrape} tick the tracker.
+    {!readiness} is the load-balancer probe behind the monitor's
+    [/readyz]. *)
 
 type t
 
@@ -112,12 +119,10 @@ type t
 
 (** Windowed latency/error objectives over the live registry: a
     {!Hb_util.Telemetry.window} over [serve.request_seconds] with the
-    (errors, requests) counter pair. [tick] refreshes the exported
-    [slo.window_p50_ms], [slo.window_p99_ms], [slo.window_error_rate],
-    [slo.p99_burn], [slo.error_burn] and [slo.breached] gauges, so any
-    Prometheus exposition taken afterwards carries current burn
-    status. Burn = windowed value / budget; breached when any burn
-    exceeds 1. *)
+    (errors, requests) counter pair. [tick] refreshes one [slo.*] gauge
+    per {!status} field, so any Prometheus exposition taken afterwards
+    carries current burn status. Burn = windowed value / budget;
+    breached when any burn exceeds 1. *)
 module Slo : sig
   type t
 
@@ -152,21 +157,13 @@ module Slo : sig
 
   (** Status without advancing the window or touching gauges. *)
   val status : t -> status
-
-  val status_json : status -> Hb_util.Json.t
 end
 
-(** [attach_slo t slo] wires the tracker into [metrics] replies: every
-    [metrics] request ticks it, and the JSON format reply gains an
-    ["slo"] status object. *)
-val attach_slo : t -> Slo.t -> unit
-
-(** [create ?timeout_seconds ?library ?prometheus ?dump ?generators
-    ?max_sessions ?memory_budget_mb ()] prepares a daemon with no design
-    loaded. [timeout_seconds] (default 0 = unlimited) bounds each
-    request; [library] (default [Hb_cell.Library.default ()]) resolves
-    cells for [load]; [prometheus] (default false) makes Prometheus text
-    the default [metrics] exposition; [dump] receives the
+(** [create ?timeout_seconds ?library ?dump ?generators ?max_sessions
+    ?memory_budget_mb ()] prepares a daemon with no design loaded.
+    [timeout_seconds] (default 0 = unlimited) bounds each request;
+    [library] (default [Hb_cell.Library.default ()]) resolves cells for
+    [load]; [dump] receives the
     flight-recorder JSON document after every error reply and on IO
     failure in {!run} (exceptions from [dump] are swallowed).
     [generators] (default [[]]) registers named built-in designs [load]
@@ -180,13 +177,21 @@ val attach_slo : t -> Slo.t -> unit
 val create :
   ?timeout_seconds:float ->
   ?library:Hb_cell.Library.t ->
-  ?prometheus:bool ->
   ?dump:(string -> unit) ->
   ?generators:(string * (unit -> Hb_netlist.Design.t * Hb_clock.System.t)) list ->
   ?max_sessions:int ->
   ?memory_budget_mb:int ->
   unit ->
   t
+
+(** [attach_slo t slo] makes [slo] the daemon's tracker: every
+    {!scrape} ticks it. *)
+val attach_slo : t -> Slo.t -> unit
+
+(** [scrape t] ticks the attached SLO tracker, refreshes the
+    [runtime.*] gauges and snapshots the registry: what [metrics],
+    the monitor's [/metrics] and [--metrics-interval] render. *)
+val scrape : t -> Hb_util.Telemetry.snapshot
 
 (** One connection's server-side identity: which registry session its
     [load] bound it to. A client processes one request at a time (the
@@ -258,7 +263,8 @@ val shutdown_sessions : t -> unit
 type scheduler
 
 (** [start_scheduler t ~workers ~queue_capacity] spawns [workers]
-    (>= 1, clamped) worker domains over a queue of [queue_capacity].
+    (>= 1, clamped) worker domains over a queue of [queue_capacity] and
+    attaches the scheduler to [t], whose {!readiness} reads its queue.
     With more than one worker, sessions loaded thereafter have their
     analysis pools clamped to one job (an explicit ["jobs"] > 1 becomes
     [bad_request]); request-level concurrency replaces pool-level
@@ -276,11 +282,6 @@ val submit : scheduler -> client -> string -> string
     called, executed normally otherwise) and joins them. *)
 val stop_scheduler : scheduler -> unit
 
-(** Racy snapshots of the scheduler queue — gauges and probes only. *)
-val queue_depth : scheduler -> int
-
-val queue_capacity : scheduler -> int
-
 (** {2 Readiness}
 
     The answer a load balancer needs before routing another request
@@ -296,9 +297,9 @@ type readiness =
       (** the scheduler queue is at its admission bound — the next
           request would be answered [overloaded] *)
 
-(** [readiness ?scheduler t]. Without a scheduler (the stdin loop)
-    saturation cannot happen; draining still can. *)
-val readiness : ?scheduler:scheduler -> t -> readiness
+(** [readiness t]. Without a scheduler (the stdin loop) saturation
+    cannot happen; draining still can. *)
+val readiness : t -> readiness
 
 (** [run t ic oc] reads requests from [ic] and writes one flushed reply
     line each to [oc], until [shutdown] or end of input; every session

@@ -209,10 +209,10 @@ val window_observations : window -> int
     [gc_compactions], [gc_heap_words], [gc_top_heap_words]),
     {!Hb_util.Rss} ([rss_bytes], [rss_peak_bytes], best-effort) and the
     shard registry ([runtime.domains]: domains that have recorded
-    telemetry). Call it on scrape — the monitor's [/metrics] handler,
-    the [metrics] serve method and the periodic metrics dump all do —
-    so exported values are at most one scrape old. No-op while
-    disabled. *)
+    telemetry). Call it on scrape, so exported values are at most one
+    scrape old: the serve daemon's one scrape ([Hb_sta.Serve.scrape],
+    behind the [metrics] method, the monitor's [/metrics] and the
+    periodic metrics dump) does. No-op while disabled. *)
 val sample_runtime : unit -> unit
 
 (** [prometheus snapshot] renders the counters, gauges and histograms in

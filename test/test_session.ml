@@ -1281,7 +1281,7 @@ let test_serve_transcript () =
        ignore (ok {|{"id":9,"method":"paths","params":{"limit":2}}|});
        ignore
          (error ~code:"invalid"
-            {|{"id":10,"method":"set_delay","params":{"instance":"ghost","rise":1,"fall":1}}|});
+            {|{"id":10,"method":"edit","params":{"commands":[{"op":"set_delay","instance":"ghost","rise":1,"fall":1}]}}|});
        (* A timed-out request is answered in a structured way and the
           daemon keeps serving the same session afterwards. *)
        ignore
@@ -1299,7 +1299,7 @@ let test_serve_transcript () =
        ignore
          (ok
             (Printf.sprintf
-               {|{"id":14,"method":"scale_delay","params":{"instance":"%s","factor":1.1}}|}
+               {|{"id":14,"method":"edit","params":{"commands":[{"op":"scale_delay","instance":"%s","factor":1.1}]}}|}
                instance));
        let timeout_message line =
          reply_error_message (error ~code:"timeout" line)
@@ -1446,7 +1446,7 @@ let test_serve_observability () =
        Alcotest.(check int) "no dump while healthy" 0 (List.length !dumps);
        let failed =
          send
-           {|{"id":4,"method":"scale_delay","request_id":"obs-bad","params":{"instance":"no-such-instance","factor":1.1}}|}
+           {|{"id":4,"method":"edit","request_id":"obs-bad","params":{"commands":[{"op":"scale_delay","instance":"no-such-instance","factor":1.1}]}}|}
        in
        Alcotest.(check string) "error reply" "error" (reply_status failed);
        Alcotest.(check string) "error echoes id" "obs-bad" (reply_rid failed);
@@ -1480,9 +1480,7 @@ let test_serve_observability () =
             (Printf.sprintf "expected exactly one dump, got %d"
                (List.length dumps)));
        (* Prometheus exposition through the wire. *)
-       let metrics =
-         send {|{"id":5,"method":"metrics","params":{"format":"prometheus"}}|}
-       in
+       let metrics = send {|{"id":5,"method":"metrics"}|} in
        (match reply_result metrics with
         | Json.String text ->
           Alcotest.(check bool) "request histogram exposed" true
@@ -1699,7 +1697,7 @@ let test_serve_concurrent_parity () =
   in
   let scale i (instance, factor) =
     Printf.sprintf
-      {|{"id":%d,"method":"scale_delay","params":{"instance":"%s","factor":%g}}|}
+      {|{"id":%d,"method":"edit","params":{"commands":[{"op":"scale_delay","instance":"%s","factor":%g}]}}|}
       i instance factor
   in
   let analyse =
@@ -1792,6 +1790,58 @@ let test_serve_load_log_level () =
        Alcotest.(check bool) "log level still off" true
          (Hb_util.Log.level () = Hb_util.Log.Off))
 
+(* The registry keys a load on what it read, not on its paths: a timing
+   file rewritten under a path loaded before builds a fresh session that
+   reads the new file, and a byte-identical copy of the same three files
+   under other paths shares the resident one. *)
+let test_serve_load_rereads () =
+  let design, system = Hb_workload.Figures.figure1 () in
+  let dir = Filename.temp_dir "hb_session" "" in
+  let file name = Filename.concat dir name in
+  let write name text = Hb_util.Text.write_atomic (file name) text in
+  let netlist = Hb_netlist.Hbn_format.write design in
+  let clocks = Hb_clock.System.to_string system in
+  write "a.hbn" netlist;
+  write "a.hbc" clocks;
+  write "a.hbt" "rise-fall off\n";
+  Fun.protect
+    ~finally:(fun () ->
+        Array.iter (fun name -> Sys.remove (file name)) (Sys.readdir dir);
+        Sys.rmdir dir)
+    (fun () ->
+       let daemon = Hb_sta.Serve.create () in
+       let send line = Hb_sta.Serve.handle_line daemon line in
+       let load prefix =
+         let reply =
+           send
+             (Printf.sprintf
+                {|{"id":1,"method":"load","params":{"netlist":"%s","clocks":"%s","timing":"%s"}}|}
+                (file (prefix ^ ".hbn")) (file (prefix ^ ".hbc"))
+                (file (prefix ^ ".hbt")))
+         in
+         Alcotest.(check string) ("load " ^ prefix) "ok" (reply_status reply);
+         shared_of reply
+       in
+       let worst_slack () =
+         match
+           Json.member "worst_slack"
+             (reply_result (send {|{"id":2,"method":"analyse"}|}))
+         with
+         | Some (Json.Number v) -> Printf.sprintf "%.3f" v
+         | _ -> Alcotest.fail "analyse reply lacks worst_slack"
+       in
+       Alcotest.(check bool) "first load is fresh" false (load "a");
+       Alcotest.(check string) "rise-fall off" "4.255" (worst_slack ());
+       write "a.hbt" "default-output-required -3\n";
+       Alcotest.(check bool) "rewritten timing file is a miss" false
+         (load "a");
+       Alcotest.(check string) "the new timing file" "1.255" (worst_slack ());
+       write "b.hbn" netlist;
+       write "b.hbc" clocks;
+       write "b.hbt" "default-output-required -3\n";
+       Alcotest.(check bool) "identical copy shares" true (load "b");
+       Alcotest.(check string) "shared session" "1.255" (worst_slack ()))
+
 (* A request line nested a million levels deep is refused at the first
    level past the parser's cap, without reading the rest of it. *)
 let test_serve_deep_nesting () =
@@ -1807,9 +1857,11 @@ let test_serve_deep_nesting () =
     (reply_error_message reply);
   if seconds > 0.5 then Alcotest.failf "the reply took %.2f s" seconds
 
-(* The four single-edit methods keep their own reply shapes, and each
-   leaves the session exactly where the equivalent "edit" batch does. *)
-let test_serve_single_edit_replies () =
+(* [edit] is the one mutation method. Its reply lists one entry per
+   command: an annotation adds its entry count and unused names, an
+   offset the value the session clamped it to. The four delay ops are
+   not methods of their own. *)
+let test_serve_edit_replies () =
   let design, system =
     Hb_workload.Pipelines.two_phase ~width:3 ~stages:3 ~gates_per_stage:12 ()
   in
@@ -1839,91 +1891,80 @@ let test_serve_single_edit_replies () =
   Alcotest.(check bool) "request lies past the window" true
     (clamped <> requested);
   let inst i = List.nth instances i in
-  let file_text = Printf.sprintf "scale %s 1.2" (inst 3) in
   let hbd = Filename.temp_file "hb_session" ".hbd" in
-  let oc = open_out hbd in
-  output_string oc file_text;
-  close_out oc;
+  Hb_util.Text.write_atomic hbd (Printf.sprintf "scale %s 1.2" (inst 3));
   Fun.protect
     ~finally:(fun () -> Sys.remove hbd)
     (fun () ->
-       let daemon () =
-         let generators = [ ("pipe", fun () -> (design, system)) ] in
-         let d = Hb_sta.Serve.create ~generators () in
-         let send line = Hb_sta.Serve.handle_line d line in
-         Alcotest.(check string) "load" "ok"
-           (reply_status
-              (send {|{"id":1,"method":"load","params":{"generator":"pipe"}}|}));
+       let generators = [ ("pipe", fun () -> (design, system)) ] in
+       let daemon = Hb_sta.Serve.create ~generators () in
+       let send line = Hb_sta.Serve.handle_line daemon line in
+       Alcotest.(check string) "load" "ok"
+         (reply_status
+            (send {|{"id":1,"method":"load","params":{"generator":"pipe"}}|}));
+       let edit commands =
          send
-       in
-       let single = daemon () in
-       let batch = daemon () in
-       let report send =
-         let reply = send {|{"id":2,"method":"analyse"}|} in
-         Alcotest.(check string) "analyse ok" "ok" (reply_status reply);
-         match reply_result reply with
-         | Json.Obj fields ->
-           Json.to_string
-             (Json.Obj (List.filter (fun (k, _) -> k <> "timings") fields))
-         | _ -> Alcotest.fail "analyse result is not an object"
-       in
-       let step ~meth ~params ~command expected =
-         let reply =
-           single
-             (Printf.sprintf {|{"id":3,"method":"%s","params":%s}|} meth params)
-         in
-         Alcotest.(check string) (meth ^ " ok") "ok" (reply_status reply);
-         Alcotest.(check string) (meth ^ " reply") expected
-           (Json.to_string (reply_result reply));
-         Alcotest.(check string) (meth ^ " batch ok") "ok"
-           (reply_status
-              (batch
-                 (Printf.sprintf
-                    {|{"id":4,"method":"edit","params":{"commands":[%s]}}|}
-                    command)));
-         Alcotest.(check string) (meth ^ " matches the batch") (report batch)
-           (report single)
-       in
-       let delay =
-         Printf.sprintf {|"instance":"%s","rise":0.9,"fall":1.1|} (inst 0)
-       in
-       step ~meth:"set_delay" ~params:("{" ^ delay ^ "}")
-         ~command:({|{"op":"set_delay",|} ^ delay ^ "}")
-         (Printf.sprintf {|{"instance":"%s"}|} (inst 0));
-       let scale = Printf.sprintf {|"instance":"%s","factor":0.7|} (inst 1) in
-       step ~meth:"scale_delay" ~params:("{" ^ scale ^ "}")
-         ~command:({|{"op":"scale_delay",|} ^ scale ^ "}")
-         (Printf.sprintf {|{"instance":"%s"}|} (inst 1));
-       let text =
-         Printf.sprintf {|"text":"scale %s 0.6\ndelay ghost rise 1 fall 1"|}
-           (inst 2)
-       in
-       step ~meth:"annotate" ~params:("{" ^ text ^ "}")
-         ~command:({|{"op":"annotate",|} ^ text ^ "}")
-         {|{"entries":2,"unused":["ghost"]}|};
-       step ~meth:"annotate"
-         ~params:(Printf.sprintf {|{"file":"%s"}|} hbd)
-         ~command:(Printf.sprintf {|{"op":"annotate","text":"%s"}|} file_text)
-         {|{"entries":1,"unused":[]}|};
-       let both =
-         single
            (Printf.sprintf
-              {|{"id":5,"method":"annotate","params":{"text":"scale %s 2","file":"%s"}}|}
-              (inst 0) hbd)
+              {|{"id":2,"method":"edit","params":{"commands":[%s]}}|}
+              (String.concat "," commands))
        in
+       let entries label commands =
+         let reply = edit commands in
+         Alcotest.(check string) (label ^ " ok") "ok" (reply_status reply);
+         match Json.member "commands" (reply_result reply) with
+         | Some (Json.List l) -> List.map Json.to_string l
+         | _ -> Alcotest.fail (label ^ ": reply lacks its commands")
+       in
+       Alcotest.(check (list string)) "delay entries"
+         [ {|{"op":"set_delay","status":"applied"}|};
+           {|{"op":"scale_delay","status":"applied"}|} ]
+         (entries "delays"
+            [ Printf.sprintf
+                {|{"op":"set_delay","instance":"%s","rise":0.9,"fall":1.1}|}
+                (inst 0);
+              Printf.sprintf
+                {|{"op":"scale_delay","instance":"%s","factor":0.7}|}
+                (inst 1) ]);
+       Alcotest.(check (list string)) "annotate text"
+         [ {|{"op":"annotate","status":"applied","entries":2,"unused":["ghost"]}|} ]
+         (entries "annotate text"
+            [ Printf.sprintf
+                {|{"op":"annotate","text":"scale %s 0.6\ndelay ghost rise 1 fall 1"}|}
+                (inst 2) ]);
+       Alcotest.(check (list string)) "annotate file"
+         [ {|{"op":"annotate","status":"applied","entries":1,"unused":[]}|} ]
+         (entries "annotate file"
+            [ Printf.sprintf {|{"op":"annotate","file":"%s"}|} hbd ]);
        Alcotest.(check string) "text and file" "bad_request"
-         (reply_error_code both);
-       let offset =
-         Printf.sprintf {|"element":%d,"value":%g|} element requested
-       in
-       step ~meth:"set_offset" ~params:("{" ^ offset ^ "}")
-         ~command:({|{"op":"set_offset",|} ^ offset ^ "}")
-         (Json.to_string
-            (Json.Obj
-               [ ("element", Json.Number (float_of_int element));
-                 ("offset", Json.Number clamped) ]));
-       ignore (single {|{"id":6,"method":"shutdown"}|});
-       ignore (batch {|{"id":6,"method":"shutdown"}|}))
+         (reply_error_code
+            (edit
+               [ Printf.sprintf
+                   {|{"op":"annotate","text":"scale %s 2","file":"%s"}|}
+                   (inst 0) hbd ]));
+       Alcotest.(check (list string)) "clamped offset"
+         [ Json.to_string
+             (Json.Obj
+                [ ("op", Json.String "set_offset");
+                  ("status", Json.String "applied");
+                  ("offset", Json.Number clamped) ]) ]
+         (entries "set_offset"
+            [ Printf.sprintf {|{"op":"set_offset","element":%d,"value":%g}|}
+                element requested ]);
+       List.iter
+         (fun meth ->
+            let reply =
+              send
+                (Printf.sprintf
+                   {|{"id":3,"method":"%s","params":{"instance":"%s","factor":2}}|}
+                   meth (inst 0))
+            in
+            Alcotest.(check string) (meth ^ " code") "bad_request"
+              (reply_error_code reply);
+            Alcotest.(check string) (meth ^ " message")
+              (Printf.sprintf "unknown method %S" meth)
+              (reply_error_message reply))
+         [ "set_delay"; "scale_delay"; "annotate"; "set_offset" ];
+       ignore (send {|{"id":4,"method":"shutdown"}|}))
 
 (* ------------------------------------------------------------------ *)
 (* Error, Timeout, preprocess timings, Json                           *)
@@ -2116,11 +2157,12 @@ let () =
        [ Alcotest.test_case "transcript" `Quick test_serve_transcript;
          Alcotest.test_case "run channel" `Quick test_serve_run_channel;
          Alcotest.test_case "observability" `Quick test_serve_observability;
-         Alcotest.test_case "single-edit replies" `Quick
-           test_serve_single_edit_replies;
+         Alcotest.test_case "edit replies" `Quick test_serve_edit_replies;
          Alcotest.test_case "deep nesting" `Quick test_serve_deep_nesting;
          Alcotest.test_case "load rejects log-level" `Quick
-           test_serve_load_log_level ]);
+           test_serve_load_log_level;
+         Alcotest.test_case "load rereads changed files" `Quick
+           test_serve_load_rereads ]);
       ("concurrent",
        [ Alcotest.test_case "shared session" `Quick test_serve_shared_session;
          Alcotest.test_case "admission control" `Quick test_serve_admission;
