@@ -477,7 +477,7 @@ let ablate_block_vs_paths () =
   Printf.printf
     "same verdicts, very different cost (the reason Section 7 chooses the\n\
      block method). Both evaluate from scratch: the block method runs on a\n\
-     sequential context, which has no incremental cache. Wall seconds,\n\
+     sequential context, which re-evaluates every cluster. Wall seconds,\n\
      median of 3; every endpoint's slack must agree to 1e-6.\n\n";
   emit
     (List.map
@@ -945,11 +945,11 @@ let path_engine ?(designs = path_engine_designs) ?(ks = [ 10; 100; 1000 ]) () =
   let largest = List.fold_left Stdlib.max 0 ks in
   Printf.printf
     "k-worst path enumeration (Paths.enumerate) into the 16 worst\n\
-     endpoints: shared-prefix predecessor pool with arena scratch and\n\
-     admissible-bound pruning. At each k, every endpoint's rank slacks\n\
-     must equal the first k of the k=%d run bit for bit; wall seconds\n\
-     median of 3, allocation bytes of one sweep on every heap (minor +\n\
-     major - promoted words).\n\n"
+     endpoints: shared-prefix predecessor pool in grow-only per-domain\n\
+     scratch and admissible-bound pruning. At each k, every endpoint's\n\
+     rank slacks must equal the first k of the k=%d run bit for bit;\n\
+     wall seconds median of 3, allocation bytes of one sweep on every\n\
+     heap (minor + major - promoted words).\n\n"
     largest;
   let rows =
     List.concat_map

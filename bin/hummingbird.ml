@@ -103,6 +103,18 @@ let load_config ?jobs timing =
     Printf.eprintf "error: --jobs must be >= 1 (got %d)\n" jobs;
     exit 1
 
+let delays_of_name name =
+  match Hb_sta.Delays.of_name name with
+  | Some delays -> delays
+  | None ->
+    Printf.eprintf "unknown delay model %s (%s)\n" name
+      (String.concat "|" Hb_sta.Delays.names);
+    exit 1
+
+let delay_model_doc =
+  Printf.sprintf "Component-delay estimator: %s."
+    (String.concat ", " Hb_sta.Delays.names)
+
 let analyse_cmd =
   let run netlist clocks paths constraints flag_file rise_fall macro timing
       dot delay_model annotations json jobs telemetry trace log_level
@@ -122,19 +134,7 @@ let analyse_cmd =
             telemetry =
               telemetry || trace <> None || config.Hb_sta.Config.telemetry }
         in
-        let base_delays =
-          match Hb_sta.Delays.of_name delay_model, delay_model with
-          | Some delays, _ -> delays
-          | None, "rc-chain" ->
-            Hb_sta.Delays.rc
-              ~parameters:
-                { Hb_rc.Wire_model.default with
-                  Hb_rc.Wire_model.topology = Hb_rc.Wire_model.Chain }
-              ()
-          | None, other ->
-            Printf.eprintf "unknown delay model %s (lumped|rc|rc-chain)\n" other;
-            exit 1
-        in
+        let base_delays = delays_of_name delay_model in
         let delays =
           match annotations with
           | None -> base_delays
@@ -221,7 +221,7 @@ let analyse_cmd =
   in
   let delay_model =
     Arg.(value & opt string "lumped" & info [ "delay-model" ] ~docv:"MODEL"
-           ~doc:"Component-delay estimator: lumped, rc or rc-chain.")
+           ~doc:delay_model_doc)
   in
   let annotations =
     Arg.(value & opt (some file) None & info [ "delays" ] ~docv:"FILE.hbd"
@@ -679,24 +679,29 @@ let serve_cmd =
            (at_exit runs before the runtime reports it). A killed daemon
            used to leave a truncated, unparseable trace file. *)
         let dumped = ref false in
+        (* A fresh scrape, so the file carries the SLO and runtime gauges
+           as of now. From the SIGTERM handler the scrape can find a lock
+           (the telemetry registry, the SLO window) held by the code it
+           interrupted; OCaml's error-checking mutexes then raise
+           [Sys_error], and the file is left as a failed write leaves it. *)
+        let write_metrics path =
+          try
+            Hb_util.Text.write_atomic path
+              (Hb_util.Telemetry.prometheus (Hb_sta.Serve.scrape daemon))
+          with Sys_error _ -> ()
+        in
         let dump_outputs () =
           if not !dumped then begin
             dumped := true;
-            let snapshot = Hb_util.Telemetry.snapshot () in
             (match trace with
              | Some path ->
                (try
                   Hb_util.Text.write_atomic path
-                    (Hb_util.Telemetry.trace_json snapshot)
+                    (Hb_util.Telemetry.trace_json
+                       (Hb_util.Telemetry.snapshot ()))
                 with Sys_error _ -> ())
              | None -> ());
-            match metrics_file with
-            | Some path ->
-              (try
-                 Hb_util.Text.write_atomic path
-                   (Hb_util.Telemetry.prometheus snapshot)
-               with Sys_error _ -> ())
-            | None -> ()
+            Option.iter write_metrics metrics_file
           end
         in
         at_exit dump_outputs;
@@ -737,11 +742,7 @@ let serve_cmd =
            let rec dump_loop () =
              Thread.delay interval;
              if not !dumped then begin
-               (try
-                  Hb_util.Text.write_atomic path
-                    (Hb_util.Telemetry.prometheus
-                       (Hb_sta.Serve.scrape daemon))
-                with Sys_error _ -> ());
+               write_metrics path;
                dump_loop ()
              end
            in
@@ -1062,16 +1063,7 @@ let snapshot_cmd =
                 "error: give either --generator, or --netlist and --clocks\n";
               exit 1
           in
-          let delays =
-            match Hb_sta.Delays.of_name delay_model with
-            | Some delays -> delays
-            | None ->
-              Printf.eprintf
-                "unknown delay model %s (lumped|rc — only providers \
-                 rebuildable by name can be snapshotted)\n"
-                delay_model;
-              exit 1
-          in
+          let delays = delays_of_name delay_model in
           let session = Hb_sta.Session.create ~design ~system ~delays () in
           if warm then ignore (Hb_sta.Session.analyse session);
           Hb_sta.Session.save_snapshot session ~path:out;
@@ -1115,9 +1107,7 @@ let snapshot_cmd =
   in
   let delay_model =
     Arg.(value & opt string "lumped"
-         & info [ "delay-model" ] ~docv:"MODEL"
-             ~doc:"Component-delay estimator: lumped or rc (providers are \
-                   rebuilt by name on restore).")
+         & info [ "delay-model" ] ~docv:"MODEL" ~doc:delay_model_doc)
   in
   Cmd.v
     (Cmd.info "snapshot"

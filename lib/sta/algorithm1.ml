@@ -92,15 +92,14 @@ let run (ctx : Context.t) =
   let cap = ctx.Context.config.Config.max_transfer_iterations in
   let capped = ref false in
   (* Intermediate snapshots are element-only (and macro-level when
-     configured), written into the arena's two slack buffers; a loop
-     exits through one full compute, which the cluster cache serves
-     without re-evaluating anything, so the outcome's [final] carries the
+     configured), written into two slack buffers per run; a loop exits
+     through one full compute, which the cluster cache serves without
+     re-evaluating anything, so the outcome's [final] carries the
      net-level data paths and reports need. *)
-  let arena = Hb_util.Arena.create () in
   let element_count = Elements.count ctx.Context.elements in
-  let amounts = Hb_util.Arena.floats arena element_count in
-  let input_slack = Hb_util.Arena.floats arena element_count in
-  let output_slack = Hb_util.Arena.floats arena element_count in
+  let amounts = Array.make element_count 0.0 in
+  let input_slack = Array.make element_count 0.0 in
+  let output_slack = Array.make element_count 0.0 in
   let snapshot () = Slacks.compute_transfer ctx ~input_slack ~output_slack in
   (* Iterations 1 and 2: complete transfers to a fixed point; each returns
      [Some slacks] when every slack went strictly positive on the way. *)
@@ -124,9 +123,6 @@ let run (ctx : Context.t) =
     loop ()
   in
   let finish status final forward_cycles backward_cycles =
-    Hb_util.Arena.release arena amounts;
-    Hb_util.Arena.release arena input_slack;
-    Hb_util.Arena.release arena output_slack;
     { status; final; forward_cycles; backward_cycles; capped = !capped }
   in
   match complete_phase Forward with

@@ -4,7 +4,6 @@ type result = {
   ready : Hb_util.Time.t array;
   ready_rise : Hb_util.Time.t array;
   ready_fall : Hb_util.Time.t array;
-  min_ready : Hb_util.Time.t array;
   required : Hb_util.Time.t array;
 }
 
@@ -35,7 +34,6 @@ let create_result ~nets:n =
   { ready = Array.make n Hb_util.Time.neg_infinity;
     ready_rise = Array.make n Hb_util.Time.neg_infinity;
     ready_fall = Array.make n Hb_util.Time.neg_infinity;
-    min_ready = Array.make n Hb_util.Time.infinity;
     required = Array.make n Hb_util.Time.infinity;
   }
 
@@ -60,7 +58,6 @@ let evaluate_into ~passes ~elements ~(cluster : Cluster.t) ~cut ~mode
   let ready = out.ready in
   let ready_rise = out.ready_rise in
   let ready_fall = out.ready_fall in
-  let min_ready = out.min_ready in
   let required = out.required in
   let succ_off = cluster.Cluster.succ_off in
   let succ_arc = cluster.Cluster.succ_arc in
@@ -69,7 +66,6 @@ let evaluate_into ~passes ~elements ~(cluster : Cluster.t) ~cut ~mode
   let arc_to = cluster.Cluster.arc_to in
   let arc_from = cluster.Cluster.arc_from in
   let arc_dmax = cluster.Cluster.arc_dmax in
-  let arc_dmin = cluster.Cluster.arc_dmin in
   let arc_rise = cluster.Cluster.arc_rise in
   let arc_fall = cluster.Cluster.arc_fall in
   let arc_sense = cluster.Cluster.arc_sense in
@@ -123,7 +119,6 @@ let evaluate_into ~passes ~elements ~(cluster : Cluster.t) ~cut ~mode
   done;
   (* Boundary assertions seed the forward phases. *)
   Array.fill ready 0 n Float.neg_infinity;
-  Array.fill min_ready 0 n Float.infinity;
   (match mode with
    | `Scalar -> ()
    | `Rise_fall ->
@@ -138,29 +133,17 @@ let evaluate_into ~passes ~elements ~(cluster : Cluster.t) ~cut ~mode
         +. all.(e).Hb_sync.Element.offsets.Hb_sync.Element.assertion
       in
       let net = inputs.(i).Cluster.net in
-      (match mode with
-       | `Scalar ->
-         if t > ready.(net) then begin
-           ready.(net) <- t;
-           ready_rise.(net) <- t;
-           ready_fall.(net) <- 0.0
-         end
-       | `Rise_fall ->
-         if t > ready_rise.(net) then ready_rise.(net) <- t;
-         if t > ready_fall.(net) then ready_fall.(net) <- t);
-      if t < min_ready.(net) then min_ready.(net) <- t
+      match mode with
+      | `Scalar ->
+        if t > ready.(net) then begin
+          ready.(net) <- t;
+          ready_rise.(net) <- t;
+          ready_fall.(net) <- 0.0
+        end
+      | `Rise_fall ->
+        if t > ready_rise.(net) then ready_rise.(net) <- t;
+        if t > ready_fall.(net) then ready_fall.(net) <- t
     end
-  done;
-  (* Earliest-arrival sweep (hold analysis), an absolute min-delay fold. *)
-  for i = 0 to Array.length topo - 1 do
-    let net = topo.(i) in
-    let t0 = min_ready.(net) in
-    if Float.is_finite t0 then
-      for k = succ_off.(net) to succ_off.(net + 1) - 1 do
-        let j = succ_arc.(k) in
-        let t = t0 +. arc_dmin.(j) in
-        if t < min_ready.(arc_to.(j)) then min_ready.(arc_to.(j)) <- t
-      done
   done;
   (* Forward sweep: equation (1). Under [`Scalar] one worst-delay arrival
      is propagated as a (base, acc) pair; under [`Rise_fall] arcs route

@@ -27,9 +27,6 @@ type result = {
       (** latest rising arrival; equals [ready] in [`Scalar] mode *)
   ready_fall : Hb_util.Time.t array;
       (** latest falling arrival; equals [ready] in [`Scalar] mode *)
-  min_ready : Hb_util.Time.t array;
-      (** earliest arrival per local net; [+inf] where none; used by the
-          supplementary (minimum-delay) checks *)
   required : Hb_util.Time.t array;
       (** required time per local net; [+inf] where unconstrained in this
           pass. The backward sweep always uses worst arc delays, so
@@ -57,7 +54,7 @@ val create_result : nets:int -> result
 (** [evaluate_into ~passes ~elements ~cluster ~cut ~mode out] is
     {!evaluate} writing into the caller-owned buffer [out] (every array
     is fully overwritten). Reusing one buffer per (cluster, pass) across
-    relaxation iterations removes the five per-call array allocations
+    relaxation iterations removes the four per-call array allocations
     from the hot loop; the sweeps themselves allocate nothing. Boundary
     times come from the pass tables ({!Passes.t}[.linear] and the
     element node arrays) and the elements' cached offsets, so the work

@@ -46,9 +46,9 @@ type t = {
       (** reuse cached per-(cluster, pass) block results across
           {!Slacks.compute} calls, re-evaluating only clusters touched by
           an element whose offsets moved since the last call. Results are
-          bit-for-bit identical to a full recompute; disable (with
-          [parallel_jobs = 1]) to force the paper's from-scratch
-          evaluation on every iteration *)
+          bit-for-bit identical to a full recompute; disable to force the
+          paper's from-scratch evaluation of every cluster on every
+          iteration *)
   parallel_jobs : int;
       (** number of domains evaluating clusters concurrently inside one
           [Slacks.compute]; [1] = fully sequential, the default is
@@ -74,8 +74,10 @@ type t = {
 val default : t
 
 (** [sequential] is {!default} with [incremental = false] and
-    [parallel_jobs = 1]: the seed's from-scratch, single-domain
-    evaluation path, kept as the parity/benchmark baseline. *)
+    [parallel_jobs = 1]: the seed's from-scratch evaluation on one
+    domain — every cluster re-evaluated on every {!Slacks.compute}, in
+    cluster order, into the slack cache's rows — kept as the
+    parity/benchmark baseline. *)
 val sequential : t
 
 (** Raised by {!port_timing} when the io clock cannot be resolved

@@ -1,9 +1,7 @@
 type cache = {
-  cache_mode : Block.mode;
   versions : int array;
-  results : Block.result option array array;
+  results : Block.result array array;
   dirty : bool array;
-  arena : Hb_util.Arena.t;
 }
 
 type t = {
@@ -69,52 +67,29 @@ let make ~design ~system ?(config = Config.default) ?delays () =
     macro_cache = None;
   }
 
-(* The slack cache, (re)created on demand. [versions] starts one behind
-   every element (elements start at version >= 0) so the first compute
-   treats every cluster as stale. *)
-let create_cache t ~mode =
-  let release_results arena rows =
-    Array.iter
-      (fun row ->
-         Array.iter
-           (function
-             | None -> ()
-             | Some (r : Block.result) ->
-               Hb_util.Arena.release arena r.Block.ready;
-               Hb_util.Arena.release arena r.Block.ready_rise;
-               Hb_util.Arena.release arena r.Block.ready_fall;
-               Hb_util.Arena.release arena r.Block.min_ready;
-               Hb_util.Arena.release arena r.Block.required)
-           row)
-      rows
-  in
-  let arena =
-    match t.slack_cache with
-    | Some old ->
-      (* Mode switch: recycle the old buffers through the arena. *)
-      release_results old.arena old.results;
-      old.arena
-    | None -> Hb_util.Arena.create ()
-  in
-  let cache =
-    { cache_mode = mode;
-      versions = Array.make (Elements.count t.elements) (-1);
-      results =
-        Array.map
-          (fun (plan : Passes.plan) ->
-             Array.make (List.length plan.Passes.cuts) None)
-          t.passes.Passes.plans;
-      dirty = Array.make (Array.length t.table.Cluster.clusters) false;
-      arena;
-    }
-  in
-  t.slack_cache <- Some cache;
-  cache
+(* One result buffer per pass of the cluster. *)
+let rows (passes : Passes.t) (cluster : Cluster.t) =
+  let nets = Array.length cluster.Cluster.nets in
+  Array.init
+    (List.length passes.Passes.plans.(cluster.Cluster.id).Passes.cuts)
+    (fun _ -> Block.create_result ~nets)
 
-let cache t ~mode =
+(* [versions] starts one behind every element (elements start at version
+   >= 0); every cluster starts dirty, so the first refresh evaluates
+   everything. *)
+let cache t =
   match t.slack_cache with
-  | Some cache when cache.cache_mode = mode -> cache
-  | Some _ | None -> create_cache t ~mode
+  | Some cache -> cache
+  | None ->
+    let clusters = t.table.Cluster.clusters in
+    let cache =
+      { versions = Array.make (Elements.count t.elements) (-1);
+        results = Array.map (rows t.passes) clusters;
+        dirty = Array.make (Array.length clusters) true;
+      }
+    in
+    t.slack_cache <- Some cache;
+    cache
 
 let invalidate_cache t =
   t.slack_cache <- None;
@@ -128,13 +103,6 @@ let macros t =
     t.macro_cache <- Some store;
     store
 
-let release_result arena (r : Block.result) =
-  Hb_util.Arena.release arena r.Block.ready;
-  Hb_util.Arena.release arena r.Block.ready_rise;
-  Hb_util.Arena.release arena r.Block.ready_fall;
-  Hb_util.Arena.release arena r.Block.min_ready;
-  Hb_util.Arena.release arena r.Block.required
-
 let invalidate_clusters t ids =
   let cluster_count = Array.length t.table.Cluster.clusters in
   List.iter
@@ -147,35 +115,7 @@ let invalidate_clusters t ids =
    | Some store -> List.iter (fun id -> store.(id) <- None) ids);
   match t.slack_cache with
   | None -> ()
-  | Some cache ->
-    List.iter
-      (fun id ->
-         let row = cache.results.(id) in
-         Array.iteri
-           (fun cut slot ->
-              match slot with
-              | None -> ()
-              | Some result ->
-                release_result cache.arena result;
-                row.(cut) <- None)
-           row)
-      ids
-
-let cache_result cache (cluster : Cluster.t) ~cut_index =
-  match cache.results.(cluster.Cluster.id).(cut_index) with
-  | Some result -> result
-  | None ->
-    let n = Array.length cluster.Cluster.nets in
-    let result =
-      { Block.ready = Hb_util.Arena.floats cache.arena n;
-        ready_rise = Hb_util.Arena.floats cache.arena n;
-        ready_fall = Hb_util.Arena.floats cache.arena n;
-        min_ready = Hb_util.Arena.floats cache.arena n;
-        required = Hb_util.Arena.floats cache.arena n;
-      }
-    in
-    cache.results.(cluster.Cluster.id).(cut_index) <- Some result;
-    result
+  | Some cache -> List.iter (fun id -> cache.dirty.(id) <- true) ids
 
 (* The incidence rows after an update. An element's row lists the
    clusters of the nets it drives and reads, the clusters where it has a
@@ -227,39 +167,32 @@ let apply_structural ctx ~design ~touched ?delays () =
   let cluster_count = Array.length table.Cluster.clusters in
   let rebuilt = ref 0 in
   Array.iter (fun o -> if o < 0 then incr rebuilt) kept;
-  (* Cache surgery: carry result rows and macros for kept clusters —
-     their arcs, cut lists and element versions are untouched — and
-     start every rebuilt cluster with empty rows, which the refresh
-     logic treats as dirty without any version bump. Buffers of the
-     touched clusters' rows are recycled through the arena. *)
+  (* Cache surgery: carry result rows, dirty flags and macros for kept
+     clusters — their arcs, cut lists and element versions are
+     untouched — and give every rebuilt cluster fresh rows marked dirty.
+     When no kept cluster changes its id the flag array is updated in
+     place. *)
   let slack_cache =
     match ctx.slack_cache with
     | None -> None
     | Some old ->
+      let same_ids = ref (Array.length old.dirty = cluster_count) in
+      Array.iteri (fun c o -> if o >= 0 && o <> c then same_ids := false) kept;
+      let dirty =
+        if !same_ids then old.dirty else Array.make cluster_count true
+      in
       let results =
         Array.mapi
-          (fun c (plan : Passes.plan) ->
-             match kept.(c) with
-             | -1 -> Array.make (List.length plan.Passes.cuts) None
-             | o -> old.results.(o))
-          passes.Passes.plans
-      in
-      List.iter
-        (fun o ->
-           let row = old.results.(o) in
-           Array.iteri
-             (fun cut slot ->
-                match slot with
-                | Some result ->
-                  release_result old.arena result;
-                  row.(cut) <- None
-                | None -> ())
-             row)
-        (List.sort_uniq Int.compare touched);
-      (* [dirty] is scratch that every compute fills first. *)
-      let dirty =
-        if Array.length old.dirty = cluster_count then old.dirty
-        else Array.make cluster_count false
+          (fun c o ->
+             if o < 0 then begin
+               dirty.(c) <- true;
+               rows passes table.Cluster.clusters.(c)
+             end
+             else begin
+               dirty.(c) <- old.dirty.(o);
+               old.results.(o)
+             end)
+          kept
       in
       Some { old with results; dirty }
   in

@@ -5,19 +5,19 @@
     (control-cone tracing, replication, cluster generation and the
     Section 7 pass-minimisation); the algorithms then iterate over it. *)
 
-(** Cached per-(cluster, pass) block results, owned by the incremental
-    slack engine ({!Slacks.compute}). The cache is valid for a single
-    evaluation mode; [versions] snapshots each element's
-    {!Hb_sync.Element.version} as of the last compute, so the next call
-    re-evaluates only clusters incident to an element whose version
-    moved. [dirty] is a reusable per-cluster scratch flag array. *)
+(** The slack cache: the one place block results live, owned by the
+    slack engine ({!Slacks.compute}). Every (cluster, pass) has a row,
+    allocated when the cache is created or its cluster rebuilt.
+    [versions] snapshots each element's {!Hb_sync.Element.version} as of
+    the last refresh; [dirty] marks the clusters whose rows are stale.
+    A refresh marks the clusters incident to an element whose version
+    moved, evaluates every dirty cluster and clears the flags only once
+    all of them are done, so an interrupted refresh leaves them dirty. *)
 type cache = {
-  cache_mode : Block.mode;
   versions : int array;
-  results : Block.result option array array;
+  results : Block.result array array;
       (** indexed by cluster id, then position in the plan's cut list *)
-  dirty : bool array;
-  arena : Hb_util.Arena.t;  (** recycles result buffers across resets *)
+  dirty : bool array;  (** indexed by cluster id *)
 }
 
 type t = {
@@ -50,10 +50,10 @@ val make :
   unit ->
   t
 
-(** [cache t ~mode] returns the slack cache for [mode], creating a fresh
-    one (every cluster stale) when none exists or the cached mode
-    differs. *)
-val cache : t -> mode:Block.mode -> cache
+(** [cache t] returns the slack cache, creating it on first use with
+    every row allocated and every cluster dirty. Rows are evaluated
+    under the configuration's arrival model ([Config.rise_fall]). *)
+val cache : t -> cache
 
 (** [invalidate_cache t] drops the slack cache and every timing macro;
     the next {!Slacks.compute} re-evaluates everything. Needed only when
@@ -62,11 +62,11 @@ val cache : t -> mode:Block.mode -> cache
     macro). *)
 val invalidate_cache : t -> unit
 
-(** [invalidate_clusters t ids] drops only the named clusters' cached
-    results (buffers recycled through the arena) and timing macros: the
-    next {!Slacks.compute} re-evaluates exactly those clusters and serves
-    the rest from cache, and the macro path re-extracts exactly those
-    macros. The targeted counterpart of {!invalidate_cache}, paired with
+(** [invalidate_clusters t ids] marks the named clusters dirty in the
+    slack cache and drops their timing macros: the next {!Slacks.compute}
+    re-evaluates those clusters (and any an offset move made stale) and
+    serves the rest from cache, and the macro path re-extracts exactly
+    those macros. The targeted counterpart of {!invalidate_cache}, paired with
     [Cluster.refresh_instance_delays] when a session edits one instance's
     delay in place.
     @raise Invalid_argument on a cluster id outside the table. *)
@@ -78,11 +78,6 @@ val invalidate_clusters : t -> int list -> unit
     {!invalidate_cache}. *)
 val macros : t -> Macro.t option array
 
-(** [cache_result cache cluster ~cut_index] returns the cached result
-    buffers for the cluster's [cut_index]-th pass, allocating them from
-    the cache's arena on first use. *)
-val cache_result : cache -> Cluster.t -> cut_index:int -> Block.result
-
 (** [apply_structural ctx ~design ~touched ?delays ()] re-targets the
     context at a structurally edited design produced by
     [Hb_netlist.Structural] surgery: net and instance ids are stable,
@@ -90,17 +85,17 @@ val cache_result : cache -> Cluster.t -> cut_index:int -> Block.result
     [touched] lists the {e old} cluster ids an edit may have changed
     (new arcs, changed capacitances, membership churn). Only their nets
     and the appended ones are partitioned again ({!Cluster.update});
-    every other cluster's graph, pass plan, cached slack rows, timing
-    macro, endpoint entries and incidence rows carry over untouched,
-    and rebuilt clusters start with empty cache rows that the
-    incremental refresh picks up as dirty. The element table (with its
+    every other cluster's graph, pass plan, cached slack rows and dirty
+    flag, timing macro, endpoint entries and incidence rows carry over
+    untouched, and each rebuilt cluster gets fresh cache rows marked
+    dirty. The element table (with its
     live offset/version state) is retargeted, not rebuilt. Returns the
     new context and the number of clusters that were rebuilt. Nothing
     is mutated before the new structures are complete, so a raise
     (e.g. {!Cluster.Cycle_error} on a cycle-creating rewire) leaves the
-    input context fully usable; on success its cache buffers are
-    recycled into the returned context, which may share arrays with
-    it, and the old context must be dropped.
+    input context fully usable; on success the returned context shares
+    the kept cache rows and possibly the dirty flags with it, and the
+    old context must be dropped.
     @raise Invalid_argument on a [touched] id outside the old table. *)
 val apply_structural :
   t ->

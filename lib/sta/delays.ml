@@ -42,11 +42,17 @@ let sinks_of_net design out_net =
            0.0 ))
     net.Hb_netlist.Design.loads
 
+let chain =
+  { Hb_rc.Wire_model.default with
+    Hb_rc.Wire_model.topology = Hb_rc.Wire_model.Chain }
+
 let rc ?(parameters = Hb_rc.Wire_model.default) () =
-  (* Non-default wire parameters get a distinct name so consumers that
-     reconstruct a provider by name (snapshot restore) can tell they
-     cannot: only "lumped" and "rc" are rebuildable. *)
-  { name = (if parameters = Hb_rc.Wire_model.default then "rc" else "rc-custom");
+  (* Other wire parameters get a name of their own, so consumers that
+     rebuild a provider by name (snapshot restore) can tell they cannot. *)
+  { name =
+      (if parameters = Hb_rc.Wire_model.default then "rc"
+       else if parameters = chain then "rc-chain"
+       else "rc-custom");
     evaluate =
       (fun ~design ~inst:_ ~arc ~out_net ->
          let sinks = sinks_of_net design out_net in
@@ -69,7 +75,6 @@ let rc ?(parameters = Hb_rc.Wire_model.default) () =
              direction delay.Hb_cell.Delay_model.fall ));
   }
 
-let of_name = function
-  | "lumped" -> Some lumped
-  | "rc" -> Some (rc ())
-  | _ -> None
+let named = [ lumped; rc (); rc ~parameters:chain () ]
+let names = List.map (fun d -> d.name) named
+let of_name name = List.find_opt (fun d -> String.equal d.name name) named

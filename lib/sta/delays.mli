@@ -13,7 +13,10 @@
     - {!rc} — a switch-level-style estimator in the spirit of the paper's
       references [2,3]: the cell's slope acts as a driver resistance into
       a synthetic RC tree for the net, and the arc delay is the intrinsic
-      part plus the worst-sink Elmore delay. *)
+      part plus the worst-sink Elmore delay.
+
+    Three of them have names that the command line, [serve] and session
+    snapshots accept ({!names}). *)
 
 type t = {
   name : string;
@@ -29,10 +32,14 @@ type t = {
 val lumped : t
 
 (** [rc ?parameters ()] builds the Elmore-based provider; [parameters]
-    default to {!Hb_rc.Wire_model.default}. *)
+    default to {!Hb_rc.Wire_model.default}. It is named ["rc"] on the
+    default star trees, ["rc-chain"] on the default parameters with chain
+    trees, and ["rc-custom"] otherwise. *)
 val rc : ?parameters:Hb_rc.Wire_model.parameters -> unit -> t
 
-(** [of_name name] rebuilds a provider from its [name]: [Some] for
-    ["lumped"] and ["rc"] (default wire parameters), the two providers a
-    snapshot can rebuild; [None] for any other name. *)
+(** The names {!of_name} accepts: ["lumped"], ["rc"] and ["rc-chain"]. *)
+val names : string list
+
+(** [of_name name] is the provider named [name] when [name] is one of
+    {!names}, [None] otherwise. *)
 val of_name : string -> t option

@@ -287,9 +287,9 @@ let slow_paths ctx slacks ~limit =
      walking the parent chain.
 
    - Per-domain scratch. The pool arrays, the three heaps and the
-     [remaining] buffer live in a [Domain.DLS] slot backed by an
-     {!Hb_util.Arena}, so repeated calls — including parallel fan-out
-     from {!enumerate_many} — reuse their high-water-mark buffers.
+     [remaining] buffer live in a [Domain.DLS] slot and only grow, so
+     repeated calls — including parallel fan-out from
+     {!enumerate_many} — reuse their high-water-mark buffers.
 
    - Admissible-bound pruning. [arrival + remaining] is an *achievable*
      completion bound (realised by an actual suffix), so a min-heap of
@@ -332,7 +332,7 @@ let[@inline] hoffer h ~limit priority =
   else false
 
 type scratch = {
-  arena : Hb_util.Arena.t;
+  mutable remaining : float array;  (* longest delay to the endpoint *)
   frontier : iheap;                 (* live states, by negated bound *)
   topk : iheap;                     (* best completion bounds seen *)
   kth : iheap;                      (* best completion arrivals found *)
@@ -344,7 +344,7 @@ type scratch = {
 
 let scratch_key : scratch Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      { arena = Hb_util.Arena.create ();
+      { remaining = [||];
         frontier = { hprio = [||]; hpayload = [||]; hsize = 0 };
         topk = { hprio = [||]; hpayload = [||]; hsize = 0 };
         kth = { hprio = [||]; hpayload = [||]; hsize = 0 };
@@ -382,7 +382,9 @@ let enumerate (ctx : Context.t) ~endpoint ~limit =
           let n_prunes = ref 0 and n_evictions = ref 0 in
           let n = Array.length cluster.Cluster.nets in
           (* Longest delay from each net to the endpoint net. *)
-          let remaining = Hb_util.Arena.floats s.arena n in
+          if Array.length s.remaining < n then
+            s.remaining <- Array.make n 0.0;
+          let remaining = s.remaining in
           Array.fill remaining 0 n Hb_util.Time.neg_infinity;
           remaining.(end_net) <- 0.0;
           (* Direct CSR walk: [iter_succ] would allocate a closure per
@@ -412,19 +414,15 @@ let enumerate (ctx : Context.t) ~endpoint ~limit =
             if i = Array.length s.state_net then begin
               let capacity = Stdlib.max 1024 (2 * i) in
               let grow_ints old =
-                let fresh = Hb_util.Arena.ints s.arena capacity in
+                let fresh = Array.make capacity 0 in
                 Array.blit old 0 fresh 0 i;
-                if Array.length old > 0 then
-                  Hb_util.Arena.release_ints s.arena old;
                 fresh
               in
               s.state_net <- grow_ints s.state_net;
               s.state_parent <- grow_ints s.state_parent;
               s.state_tag <- grow_ints s.state_tag;
-              let fresh = Hb_util.Arena.floats s.arena capacity in
+              let fresh = Array.make capacity 0.0 in
               Array.blit s.state_arrival 0 fresh 0 i;
-              if Array.length s.state_arrival > 0 then
-                Hb_util.Arena.release s.arena s.state_arrival;
               s.state_arrival <- fresh
             end;
             s.state_net.(i) <- net;
@@ -529,7 +527,6 @@ let enumerate (ctx : Context.t) ~endpoint ~limit =
               done
             end
           done;
-          Hb_util.Arena.release s.arena remaining;
           if t_on then begin
             Hb_util.Telemetry.add c_states_expanded !n_expanded;
             Hb_util.Telemetry.add c_heap_pushes !n_pushes;

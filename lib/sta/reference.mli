@@ -10,7 +10,7 @@
     {!paths} returns the paths into one endpoint themselves, the
     reference {!Paths.enumerate} is checked against. None of the
     optimised machinery is involved — no cluster CSR/topology arrays, no
-    incremental cache, no timing macros, no domain pools, no arenas;
+    slack cache, no timing macros, no domain pools, no scratch buffers;
     {!paths} reads the cluster table only to label each path with its
     cluster. Only the semantic front-end is shared with the engine under
     test: the element table (so the verdict reflects the {e current}

@@ -655,12 +655,16 @@ let handle_load t c p =
   let delays =
     match Delays.of_name delay_model with
     | Some delays -> delays
-    | None -> bad_request "unknown delay model %S (lumped|rc)" delay_model
+    | None ->
+      bad_request "unknown delay model %S (%s)" delay_model
+        (String.concat "|" Delays.names)
   in
   (* The registry key is what the load reads, not where from: each file
      is read once, here, before the registry lock, so a file rewritten
      under a path loaded before is a miss and a byte-identical copy under
-     other paths is a hit. A hit parses and regenerates nothing. *)
+     other paths is a hit. A hit parses and regenerates nothing. A
+     snapshot is keyed on its frame header, which names the build and
+     the payload's MD5; a miss reads and checks the whole file. *)
   let read path = (path, Hb_util.Text.read_file path) in
   let digest (_, text) = Digest.to_hex (Digest.string text) in
   let source =
@@ -677,7 +681,7 @@ let handle_load t c p =
          Printf.sprintf "f:%s:%s;%s"
            (if Filename.check_suffix path ".blif" then "blif" else "hbn")
            (digest netlist) (digest clocks)
-       | `Snapshot path -> "s:" ^ Digest.to_hex (Digest.file path))
+       | `Snapshot path -> "s:" ^ Snapshot.key ~path)
       (match timing with None -> "" | Some file -> digest file)
       (match explicit_jobs with None -> "" | Some j -> string_of_int j)
       (match telemetry with None -> "" | Some b -> string_of_bool b)

@@ -43,8 +43,9 @@
 
     [load] resolves through a registry keyed by what it read — the
     netlist format and the digests of the netlist, clocks and timing
-    texts, or of the snapshot file — plus jobs, telemetry, macro and
-    delay model. A second client loading the same bytes, under any
+    texts, or a snapshot's frame header ({!Snapshot.key}: the build and
+    the payload's length and MD5, read without the payload) — plus
+    jobs, telemetry, macro and delay model. A second client loading the same bytes, under any
     paths, binds to the {e same} preprocessed session instead of
     building its own — the reply carries ["shared": true] and
     [serve.sessions_shared] counts the hit — and a file rewritten under
@@ -58,7 +59,7 @@
     registry exceeds [max_sessions] or the process RSS exceeds
     [memory_budget_mb] ([serve.session_evictions];
     {!Hb_util.Rss.current_bytes}, best-effort). Loads serialize against
-    each other (files are read and digested before the registry lock,
+    each other (files are read and keyed before the registry lock,
     parsed and preprocessed under it); queries on already-resident
     sessions do not wait for them.
 

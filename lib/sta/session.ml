@@ -524,9 +524,7 @@ let apply t commands =
 
 (* Run Algorithm 1 (or reuse the cached run). Any exception — a timeout
    tearing down a parallel slack evaluation included — drops the slack
-   cache (refresh_cache snapshots element versions before evaluating, so
-   a partial run would otherwise be trusted as clean) and puts the
-   baseline offsets back before propagating. *)
+   cache and puts the baseline offsets back before propagating. *)
 let ensure_analysis t =
   check_open t;
   match t.analysed with
@@ -660,7 +658,7 @@ type snapshot_state = {
   sp_ctx : Context.t;
   sp_overrides : (string * Annotation.entry) list;
   sp_baseline : Hb_util.Time.t array;
-  sp_base : [ `Lumped | `Rc ];
+  sp_base : string;  (* one of [Delays.names] *)
   sp_analysed : analysed option;
   sp_constraints : (Algorithm2.constraint_times * float * float) option;
   sp_hold : Holdcheck.violation list option;
@@ -668,16 +666,12 @@ type snapshot_state = {
 
 let save_snapshot t ~path =
   check_open t;
-  let sp_base =
-    match t.base_delays.Delays.name with
-    | "lumped" -> `Lumped
-    | "rc" -> `Rc
-    | other ->
-      invalid
-        "cannot snapshot a session with delay provider %s (only lumped \
-         and rc can be rebuilt on restore)"
-        other
-  in
+  let sp_base = t.base_delays.Delays.name in
+  if Option.is_none (Delays.of_name sp_base) then
+    invalid
+      "cannot snapshot a session with delay provider %s (only %s can be \
+       rebuilt on restore)"
+      sp_base (String.concat "|" Delays.names);
   let state =
     { sp_ctx = t.ctx;
       sp_overrides =
@@ -709,9 +703,9 @@ let of_snapshot ~path =
     let state : snapshot_state = Marshal.from_string payload 0 in
     start_telemetry state.sp_ctx.Context.config;
     let base_delays =
-      match state.sp_base with
-      | `Lumped -> Delays.lumped
-      | `Rc -> Delays.rc ()
+      match Delays.of_name state.sp_base with
+      | Some delays -> delays
+      | None -> invalid "%s: unknown delay provider %s" path state.sp_base
     in
     let overrides = Hashtbl.create 16 in
     List.iter

@@ -98,30 +98,12 @@ type nets = {
   required : Hb_util.Time.t array;
 }
 
-(* The block result of one (cluster, pass): the cache row after a
-   refresh, or — on the paper's from-scratch path, with no cache — a
-   block evaluated inline as the aggregation reaches it, exactly as the
-   original engine did. *)
-let block_result (ctx : Context.t) ~cache ~mode (cluster : Cluster.t)
-    ~cut_index ~cut =
-  match cache with
-  | Some (cache : Context.cache) ->
-    (match cache.Context.results.(cluster.Cluster.id).(cut_index) with
-     | Some result -> result
-     | None ->
-       invalid_arg "Slacks.compute: cluster result missing after cache refresh")
-  | None ->
-    Hb_util.Timeout.check ();
-    Hb_util.Telemetry.incr c_block_evaluations;
-    Block.evaluate ~passes:ctx.Context.passes ~elements:ctx.Context.elements
-      ~cluster ~cut ~mode ()
-
-let rec aggregate_cuts ctx ~cache ~mode ~nets ~input_slack ~output_slack
-    cluster cut_index = function
+let rec aggregate_cuts ctx ~row ~nets ~input_slack ~output_slack cluster
+    cut_index = function
   | [] -> ()
   | cut :: rest ->
     let passes = ctx.Context.passes in
-    let result = block_result ctx ~cache ~mode cluster ~cut_index ~cut in
+    let result = row.(cut_index) in
     (match nets with
      | None -> ()
      | Some nets ->
@@ -129,21 +111,23 @@ let rec aggregate_cuts ctx ~cache ~mode ~nets ~input_slack ~output_slack
          ~net_ready:nets.ready ~net_required:nets.required);
     merge_elements ~passes ~all:ctx.Context.elements.Elements.all cluster ~cut
       result ~input_slack ~output_slack;
-    aggregate_cuts ctx ~cache ~mode ~nets ~input_slack ~output_slack cluster
+    aggregate_cuts ctx ~row ~nets ~input_slack ~output_slack cluster
       (cut_index + 1) rest
 
-(* Aggregation over every (cluster, pass), in cluster order regardless of
-   how the block results were produced, so incremental/parallel
-   evaluation cannot perturb the outcome. *)
-let aggregate (ctx : Context.t) ~cache ~mode ~nets ~input_slack ~output_slack =
+(* Aggregation over every (cluster, pass) of the refreshed cache, in
+   cluster order regardless of how the block results were produced, so
+   incremental/parallel evaluation cannot perturb the outcome. *)
+let aggregate (ctx : Context.t) (cache : Context.cache) ~nets ~input_slack
+    ~output_slack =
   Array.fill input_slack 0 (Array.length input_slack) Float.infinity;
   Array.fill output_slack 0 (Array.length output_slack) Float.infinity;
   let passes = ctx.Context.passes in
   let clusters = ctx.Context.table.Cluster.clusters in
   for c = 0 to Array.length clusters - 1 do
     let cluster = clusters.(c) in
-    aggregate_cuts ctx ~cache ~mode ~nets ~input_slack ~output_slack cluster 0
-      passes.Passes.plans.(cluster.Cluster.id).Passes.cuts
+    let id = cluster.Cluster.id in
+    aggregate_cuts ctx ~row:cache.Context.results.(id) ~nets ~input_slack
+      ~output_slack cluster 0 passes.Passes.plans.(id).Passes.cuts
   done
 
 (* Minimum finite slack over both terminal arrays, inputs first. *)
@@ -170,16 +154,8 @@ let snapshot ~input_slack ~output_slack =
 let rec evaluate_cuts ~passes ~elements ~mode row cluster cut_index = function
   | [] -> ()
   | cut :: rest ->
-    let out =
-      match row.(cut_index) with
-      | Some out -> out
-      | None ->
-        invalid_arg
-          "Slacks.refresh_cache: result buffer missing for a dirty \
-           cluster (buffers must be materialised before evaluation)"
-    in
     Hb_util.Telemetry.incr c_block_evaluations;
-    Block.evaluate_into ~passes ~elements ~cluster ~cut ~mode out;
+    Block.evaluate_into ~passes ~elements ~cluster ~cut ~mode row.(cut_index);
     evaluate_cuts ~passes ~elements ~mode row cluster (cut_index + 1) rest
 
 let evaluate_cluster ~passes ~elements ~mode (cache : Context.cache)
@@ -192,62 +168,41 @@ let evaluate_cluster ~passes ~elements ~mode (cache : Context.cache)
     cache.Context.results.(cluster.Cluster.id) cluster 0
     passes.Passes.plans.(cluster.Cluster.id).Passes.cuts
 
-(* Re-evaluate the block results of stale clusters into the context's
-   cache, fanning the work across the shared domain pool when
-   [parallel_jobs > 1]. Cluster evaluations are mutually independent
-   (disjoint result buffers, read-only inputs), so both the caching and
-   the parallelism are bit-for-bit neutral. *)
-let refresh_cache ~mode ~force (ctx : Context.t) =
+(* Re-evaluate the dirty clusters into the context's cache, fanning the
+   work across the shared domain pool when [parallel_jobs > 1]. Cluster
+   evaluations are mutually independent (disjoint result buffers,
+   read-only inputs), so both the caching and the parallelism are
+   bit-for-bit neutral. The paper's from-scratch path (incremental off)
+   marks every cluster dirty. *)
+let refresh_cache ~force (ctx : Context.t) =
   let config = ctx.Context.config in
-  let cache = Context.cache ctx ~mode in
+  let mode : Block.mode =
+    if config.Config.rise_fall then `Rise_fall else `Scalar
+  in
+  let cache = Context.cache ctx in
   let clusters = ctx.Context.table.Cluster.clusters in
   let cluster_count = Array.length clusters in
   let dirty = cache.Context.dirty in
   let versions = cache.Context.versions in
-  let results = cache.Context.results in
   let elements = ctx.Context.elements in
   let all = elements.Elements.all in
-  if force || not config.Config.incremental then begin
+  if force || not config.Config.incremental then
     Array.fill dirty 0 cluster_count true;
-    for e = 0 to Array.length all - 1 do
-      versions.(e) <- all.(e).Hb_sync.Element.version
-    done
-  end
-  else begin
-    Array.fill dirty 0 cluster_count false;
-    let clusters_of_element = ctx.Context.clusters_of_element in
-    for e = 0 to Array.length all - 1 do
-      let version = all.(e).Hb_sync.Element.version in
-      if version <> versions.(e) then begin
-        versions.(e) <- version;
-        let incident = clusters_of_element.(e) in
-        for k = 0 to Array.length incident - 1 do
-          dirty.(incident.(k)) <- true
-        done
-      end
-    done;
-    (* Clusters never evaluated under this cache (fresh cache, or no
-       element terminals at all) have no result to reuse. *)
-    for c = 0 to cluster_count - 1 do
-      let row = results.(c) in
-      for k = 0 to Array.length row - 1 do
-        match row.(k) with
-        | None -> dirty.(c) <- true
-        | Some _ -> ()
-      done
-    done
-  end;
-  let passes = ctx.Context.passes in
-  (* Materialise the result buffers up front: the arena and the option
-     slots are not safe to touch from worker domains. *)
-  let count = ref 0 in
-  for c = 0 to cluster_count - 1 do
-    if dirty.(c) then begin
-      incr count;
-      for cut_index = 0 to Array.length results.(c) - 1 do
-        ignore (Context.cache_result cache clusters.(c) ~cut_index : Block.result)
+  let clusters_of_element = ctx.Context.clusters_of_element in
+  for e = 0 to Array.length all - 1 do
+    let version = all.(e).Hb_sync.Element.version in
+    if version <> versions.(e) then begin
+      versions.(e) <- version;
+      let incident = clusters_of_element.(e) in
+      for k = 0 to Array.length incident - 1 do
+        dirty.(incident.(k)) <- true
       done
     end
+  done;
+  let passes = ctx.Context.passes in
+  let count = ref 0 in
+  for c = 0 to cluster_count - 1 do
+    if dirty.(c) then incr count
   done;
   let count = !count in
   let jobs = config.Config.parallel_jobs in
@@ -273,22 +228,11 @@ let refresh_cache ~mode ~force (ctx : Context.t) =
       ~count (fun i ->
           evaluate_cluster ~passes ~elements ~mode cache clusters.(todo.(i)))
   end;
+  Array.fill dirty 0 cluster_count false;
   cache
 
-let config_mode (ctx : Context.t) : Block.mode =
-  if ctx.Context.config.Config.rise_fall then `Rise_fall else `Scalar
-
-(* The cache, refreshed — or [None] on the paper's from-scratch path
-   (no incremental cache, no pool), which evaluates inline. *)
-let refreshed_cache ~mode ~force (ctx : Context.t) =
-  let config = ctx.Context.config in
-  if (not config.Config.incremental) && config.Config.parallel_jobs <= 1 then
-    None
-  else Some (refresh_cache ~mode ~force ctx)
-
-let compute ?mode ?(force = false) (ctx : Context.t) =
-  let mode = match mode with Some m -> m | None -> config_mode ctx in
-  let cache = refreshed_cache ~mode ~force ctx in
+let compute ?(force = false) (ctx : Context.t) =
+  let cache = refresh_cache ~force ctx in
   let element_count = Elements.count ctx.Context.elements in
   let net_count = Hb_netlist.Design.net_count ctx.Context.design in
   let input_slack = Array.make element_count Float.infinity in
@@ -299,7 +243,7 @@ let compute ?mode ?(force = false) (ctx : Context.t) =
       required = Array.make net_count Float.nan;
     }
   in
-  aggregate ctx ~cache ~mode ~nets:(Some nets) ~input_slack ~output_slack;
+  aggregate ctx cache ~nets:(Some nets) ~input_slack ~output_slack;
   { element_input_slack = input_slack;
     element_output_slack = output_slack;
     net_slack = nets.slack;
@@ -315,9 +259,8 @@ let check_buffers (ctx : Context.t) ~input_slack ~output_slack =
 
 let compute_elements (ctx : Context.t) ~input_slack ~output_slack =
   check_buffers ctx ~input_slack ~output_slack;
-  let mode = config_mode ctx in
-  let cache = refreshed_cache ~mode ~force:false ctx in
-  aggregate ctx ~cache ~mode ~nets:None ~input_slack ~output_slack;
+  aggregate ctx (refresh_cache ~force:false ctx) ~nets:None ~input_slack
+    ~output_slack;
   snapshot ~input_slack ~output_slack
 
 let rec evaluate_macro_cuts macro ~passes ~elements ~plan ~input_slack

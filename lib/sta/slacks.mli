@@ -30,24 +30,27 @@ type t = {
   worst : Hb_util.Time.t;  (** minimum finite slack over all terminals *)
 }
 
-(** [compute ?mode ?force ctx] evaluates every cluster pass at the
-    current offsets. [mode] defaults to the context configuration's
-    arrival model ([`Rise_fall] when [Config.rise_fall] is set, [`Scalar]
-    otherwise).
+(** [compute ?force ctx] evaluates every cluster pass at the current
+    offsets, under the configuration's arrival model ([`Rise_fall] when
+    [Config.rise_fall] is set, [`Scalar] otherwise).
 
-    When [Config.incremental] is set (the default), block results are
-    cached in the context and only clusters incident to an element whose
-    offsets moved since the previous call are re-evaluated; with
-    [Config.parallel_jobs > 1] the stale clusters are evaluated
-    concurrently on a domain pool. Both optimisations are bit-for-bit
-    neutral: cluster evaluations read only immutable pass data and the
-    incident elements' offsets, write disjoint buffers, and the final
-    aggregation always runs sequentially in cluster order.
+    Block results live in the context's slack cache ({!Context.cache}).
+    When [Config.incremental] is set (the default), a call re-evaluates
+    only the dirty clusters: those incident to an element whose offsets
+    moved since the previous call, and those invalidated or rebuilt by
+    an edit. With it off, every call re-evaluates every cluster, as the
+    paper's from-scratch evaluation does ([Config.sequential]). With
+    [Config.parallel_jobs > 1] the dirty
+    clusters are evaluated concurrently on a domain pool. Both
+    optimisations are bit-for-bit neutral: cluster evaluations read only
+    immutable pass data and the incident elements' offsets, write
+    disjoint buffers, and the final aggregation always runs sequentially
+    in cluster order.
 
-    [force] (default [false]) discards any cached results and
-    re-evaluates every cluster — the escape hatch used by parity tests to
-    compare the incremental path against a from-scratch recompute. *)
-val compute : ?mode:Block.mode -> ?force:bool -> Context.t -> t
+    [force] (default [false]) re-evaluates every cluster — the escape
+    hatch used by parity tests to compare the incremental path against a
+    from-scratch recompute. *)
+val compute : ?force:bool -> Context.t -> t
 
 (** [compute_elements ctx ~input_slack ~output_slack] is an
     element-only snapshot at the current offsets: the element slacks and
@@ -56,10 +59,8 @@ val compute : ?mode:Block.mode -> ?force:bool -> Context.t -> t
     The returned record's element arrays {e are} those buffers and its
     net-level arrays are empty (length 0). Block results come through
     the same incremental cluster cache as {!compute}, so a following
-    {!compute} at unchanged offsets re-evaluates nothing. With the
-    cache on, a snapshot allocates a constant amount whatever the
-    design size; the paper's from-scratch path ([Config.sequential])
-    evaluates each block into a fresh result, as {!compute} does.
+    {!compute} at unchanged offsets re-evaluates nothing. A snapshot
+    allocates a constant amount whatever the design size.
     @raise Invalid_argument when a buffer's length is not the element
     count. *)
 val compute_elements :

@@ -25,6 +25,21 @@ let fingerprint =
     (try Digest.file Sys.executable_name
      with Sys_error _ -> Digest.string Sys.executable_name)
 
+let header_length = 48
+
+let key ~path =
+  let header =
+    In_channel.with_open_bin path (fun ic ->
+        match In_channel.really_input_string ic header_length with
+        | Some header -> header
+        | None ->
+          In_channel.seek ic 0L;
+          In_channel.input_all ic)
+  in
+  String.concat ""
+    (List.init (String.length header) (fun i ->
+         Printf.sprintf "%02x" (Char.code header.[i])))
+
 let invalid fmt = Format.kasprintf (fun m -> Error (Error.Invalid m)) fmt
 
 let write ~path payload =

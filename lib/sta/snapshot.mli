@@ -24,6 +24,16 @@ val fingerprint_offset : int
     @raise Error.Error with [Error.Io] on filesystem failure. *)
 val write : path:string -> string -> unit
 
+(** [key ~path] names the payload a snapshot file holds without reading
+    the payload: the hex of the 48-byte frame header (magic, format
+    version, engine fingerprint, payload length and payload MD5), or of
+    the whole file when it is shorter than a header. Two files that
+    {!read} accepts have the same key exactly when this build wrote the
+    same payload to both; a file {!read} rejects may share a key with
+    one it accepts only when the two differ in their payload bytes.
+    @raise Sys_error when the file cannot be opened or read. *)
+val key : path:string -> string
+
 (** [read ~path] returns the verified payload, or [Error.Io] when the
     file cannot be read, or [Error.Invalid] when it is not a snapshot,
     is truncated or bit-rotted, has a different format version, or was

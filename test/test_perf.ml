@@ -1,5 +1,5 @@
 (* The incremental + parallel slack engine and its supporting
-   infrastructure (domain pool, buffer arena, element version counters).
+   infrastructure (domain pool, element version counters).
 
    The engine's contract is exact: caching and parallelism must be
    bit-for-bit invisible. The properties here therefore compare with
@@ -312,61 +312,101 @@ let test_algorithm2_across_configs () =
          snapshot_configs)
     seed_designs
 
+(* Refresh the slack cache, then compare every row with a fresh
+   evaluation of its (cluster, pass). *)
+let check_cache_rows label (ctx : Hb_sta.Context.t) =
+  ignore (Hb_sta.Slacks.compute ctx : Hb_sta.Slacks.t);
+  let cache = Hb_sta.Context.cache ctx in
+  let mode : Hb_sta.Block.mode =
+    if ctx.Hb_sta.Context.config.Hb_sta.Config.rise_fall then `Rise_fall
+    else `Scalar
+  in
+  let passes = ctx.Hb_sta.Context.passes in
+  Array.iter
+    (fun (cluster : Hb_sta.Cluster.t) ->
+       let id = cluster.Hb_sta.Cluster.id in
+       List.iteri
+         (fun cut_index cut ->
+            let cached = cache.Hb_sta.Context.results.(id).(cut_index) in
+            let fresh =
+              Hb_sta.Block.evaluate ~passes
+                ~elements:ctx.Hb_sta.Context.elements ~cluster ~cut ~mode ()
+            in
+            let l = Printf.sprintf "%s cluster %d cut %d" label id cut in
+            check_bit_array (l ^ " ready") cached.Hb_sta.Block.ready
+              fresh.Hb_sta.Block.ready;
+            check_bit_array (l ^ " ready_rise") cached.Hb_sta.Block.ready_rise
+              fresh.Hb_sta.Block.ready_rise;
+            check_bit_array (l ^ " ready_fall") cached.Hb_sta.Block.ready_fall
+              fresh.Hb_sta.Block.ready_fall;
+            check_bit_array (l ^ " required") cached.Hb_sta.Block.required
+              fresh.Hb_sta.Block.required)
+         passes.Hb_sta.Passes.plans.(id).Hb_sta.Passes.cuts)
+    ctx.Hb_sta.Context.table.Hb_sta.Cluster.clusters
+
+(* The first combinational gate, in instance order, that touches no
+   control-cone net and that the library can upsize: its name and bigger
+   cell. *)
+let resizable_gate design =
+  let library = Hb_cell.Library.default () in
+  let control = Hb_sta.Edit.control_nets design in
+  let gate i =
+    let inst = Hb_netlist.Design.instance design i in
+    let cell = inst.Hb_netlist.Design.cell in
+    if Hb_cell.Kind.is_comb cell.Hb_cell.Cell.kind
+    && List.for_all (fun (_, net) -> not control.(net))
+         inst.Hb_netlist.Design.connections
+    then
+      Option.map
+        (fun big -> (inst.Hb_netlist.Design.inst_name, big))
+        (Hb_cell.Library.upsize library cell)
+    else None
+  in
+  match
+    List.find_map gate
+      (List.init (Hb_netlist.Design.instance_count design) Fun.id)
+  with
+  | Some found -> found
+  | None -> Alcotest.fail "no resizable gate"
+
+(* Cache rows after random offset moves, after a delay edit (the edited
+   instance's clusters are marked dirty, nothing else moves) and after
+   a structural batch (the touched clusters get fresh rows): a row left
+   clean that should be dirty reads stale or unset times. *)
 let test_one_off_block_matches_cache () =
   List.iter
     (fun (design_name, build) ->
        let design, system = build () in
+       let instance, big = resizable_gate design in
        List.iter
          (fun (mode_name, rise_fall) ->
             let config =
               { Hb_sta.Config.default with
                 Hb_sta.Config.rise_fall; parallel_jobs = 1 }
             in
+            let label = design_name ^ "/" ^ mode_name in
             let ctx = Hb_sta.Context.make ~design ~system ~config () in
-            let mode : Hb_sta.Block.mode =
-              if rise_fall then `Rise_fall else `Scalar
-            in
             let rng = Hb_util.Rng.create 29L in
             let n = Hb_sta.Elements.count ctx.Hb_sta.Context.elements in
             random_shifts rng ctx ~count:(1 + (n / 3));
-            ignore (Hb_sta.Slacks.compute ctx : Hb_sta.Slacks.t);
-            let cache = Hb_sta.Context.cache ctx ~mode in
-            let passes = ctx.Hb_sta.Context.passes in
-            Array.iter
-              (fun (cluster : Hb_sta.Cluster.t) ->
-                 let id = cluster.Hb_sta.Cluster.id in
-                 List.iteri
-                   (fun cut_index cut ->
-                      let cached =
-                        match cache.Hb_sta.Context.results.(id).(cut_index) with
-                        | Some r -> r
-                        | None -> Alcotest.fail "cache row missing"
-                      in
-                      let fresh =
-                        Hb_sta.Block.evaluate ~passes
-                          ~elements:ctx.Hb_sta.Context.elements ~cluster ~cut
-                          ~mode ()
-                      in
-                      let l =
-                        Printf.sprintf "%s/%s cluster %d cut %d" design_name
-                          mode_name id cut
-                      in
-                      check_bit_array (l ^ " ready") cached.Hb_sta.Block.ready
-                        fresh.Hb_sta.Block.ready;
-                      check_bit_array (l ^ " ready_rise")
-                        cached.Hb_sta.Block.ready_rise
-                        fresh.Hb_sta.Block.ready_rise;
-                      check_bit_array (l ^ " ready_fall")
-                        cached.Hb_sta.Block.ready_fall
-                        fresh.Hb_sta.Block.ready_fall;
-                      check_bit_array (l ^ " min_ready")
-                        cached.Hb_sta.Block.min_ready
-                        fresh.Hb_sta.Block.min_ready;
-                      check_bit_array (l ^ " required")
-                        cached.Hb_sta.Block.required
-                        fresh.Hb_sta.Block.required)
-                   passes.Hb_sta.Passes.plans.(id).Hb_sta.Passes.cuts)
-              ctx.Hb_sta.Context.table.Hb_sta.Cluster.clusters)
+            check_cache_rows label ctx;
+            let session = Hb_sta.Session.create ~design ~system ~config () in
+            ignore
+              (Hb_sta.Session.analyse ~generate_constraints:false
+                 ~check_hold:false session
+               : Hb_sta.Session.report);
+            let apply edits =
+              ignore
+                (Hb_sta.Session.apply session edits
+                 : Hb_sta.Session.apply_result)
+            in
+            apply [ Hb_sta.Edit.Scale_delay { instance; factor = 1.5 } ];
+            check_cache_rows (label ^ " after a delay edit")
+              (Hb_sta.Session.context session);
+            apply [ Hb_sta.Edit.Resize_gate { instance; cell = big } ];
+            check_cache_rows (label ^ " after a structural batch")
+              (Hb_sta.Session.context session);
+            Hb_sta.Session.close session)
          [ ("scalar", false); ("rise/fall", true) ])
     seed_designs
 
@@ -800,9 +840,11 @@ let test_parse_allocation () =
   if mb >= 12.0 then Alcotest.failf "parsing scale10k allocated %.1f MB" mb
 
 (* A context on the parsed scale10k design retains about 590k words of
-   design and 321k of cluster table. A copy of the pin name per
-   connection took the design to 654k; an arc record (three heap blocks)
-   per arc beside the flat arrays took the table to 510k. *)
+   design and 321k of cluster table, and after one compute about 54k of
+   slack cache. A copy of the pin name per connection took the design to
+   654k; an arc record (three heap blocks) per arc beside the flat arrays
+   took the table to 510k; an option box per cache row, an earliest-
+   arrival array per row and a buffer pool took the cache to 67k. *)
 let test_retained_words () =
   let text, system = scale10k_text () in
   let design =
@@ -815,7 +857,11 @@ let test_retained_words () =
   if design_words >= 620_000 then
     Alcotest.failf "the design retains %d words" design_words;
   if table_words >= 400_000 then
-    Alcotest.failf "the cluster table retains %d words" table_words
+    Alcotest.failf "the cluster table retains %d words" table_words;
+  ignore (Hb_sta.Slacks.compute ctx : Hb_sta.Slacks.t);
+  let cache_words = words (Hb_sta.Context.cache ctx) in
+  if cache_words >= 58_000 then
+    Alcotest.failf "the slack cache retains %d words" cache_words
 
 (* ------------------------------------------------------------------ *)
 (* Pool                                                               *)
@@ -874,27 +920,6 @@ let test_pool_shared () =
   let resized = Hb_util.Pool.shared ~jobs:3 in
   Alcotest.(check int) "resized" 3 (Hb_util.Pool.jobs resized)
 
-(* ------------------------------------------------------------------ *)
-(* Arena                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_arena_recycles () =
-  let arena = Hb_util.Arena.create () in
-  let first = Hb_util.Arena.floats arena 64 in
-  Alcotest.(check int) "length" 64 (Array.length first);
-  Alcotest.(check int) "one outstanding" 1 (Hb_util.Arena.outstanding arena);
-  Hb_util.Arena.release arena first;
-  Alcotest.(check int) "none outstanding" 0 (Hb_util.Arena.outstanding arena);
-  let second = Hb_util.Arena.floats arena 64 in
-  Alcotest.(check bool) "same buffer returned" true (first == second);
-  let other = Hb_util.Arena.floats arena 32 in
-  Alcotest.(check bool) "different length is a fresh buffer" true
-    (Array.length other = 32 && not (Obj.repr other == Obj.repr second));
-  Hb_util.Arena.release arena second;
-  Hb_util.Arena.clear arena;
-  let third = Hb_util.Arena.floats arena 64 in
-  Alcotest.(check bool) "clear drops the free list" true (not (third == second))
-
 (* Group names stay at most six characters long: Alcotest widens its label
    column to the longest group name and cuts test names that no longer fit
    in 80 columns, which renames them in the report. *)
@@ -952,6 +977,4 @@ let () =
           Alcotest.test_case "jobs=1 is inline" `Quick test_pool_sequential;
           Alcotest.test_case "shared pool" `Quick test_pool_shared;
         ] );
-      ( "arena",
-        [ Alcotest.test_case "recycles buffers" `Quick test_arena_recycles ] );
     ]

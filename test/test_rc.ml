@@ -213,6 +213,28 @@ let test_chain_topology_slower () =
        (with_topology Hb_rc.Wire_model.Chain)
        (with_topology Hb_rc.Wire_model.Star))
 
+(* Every listed name builds the provider of that name, and a provider
+   with other wire parameters has a name no lookup accepts. *)
+let test_provider_names () =
+  Alcotest.(check (list string)) "names" [ "lumped"; "rc"; "rc-chain" ]
+    Hb_sta.Delays.names;
+  List.iter
+    (fun name ->
+       match Hb_sta.Delays.of_name name with
+       | Some delays ->
+         Alcotest.(check string) "round trip" name delays.Hb_sta.Delays.name
+       | None -> Alcotest.failf "of_name %S is None" name)
+    Hb_sta.Delays.names;
+  let custom =
+    Hb_sta.Delays.rc
+      ~parameters:
+        { Hb_rc.Wire_model.default with
+          Hb_rc.Wire_model.segment_resistance = 0.0 }
+      ()
+  in
+  Alcotest.(check bool) "custom parameters" true
+    (Hb_sta.Delays.of_name custom.Hb_sta.Delays.name = None)
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -233,6 +255,7 @@ let () =
       ("provider",
        [ Alcotest.test_case "rc conservative" `Quick test_rc_provider_more_conservative;
          Alcotest.test_case "zero wire = lumped" `Quick test_rc_provider_zero_wire_matches_lumped;
-         Alcotest.test_case "chain slower" `Quick test_chain_topology_slower ]);
+         Alcotest.test_case "chain slower" `Quick test_chain_topology_slower;
+         Alcotest.test_case "names round trip" `Quick test_provider_names ]);
       ("properties", qsuite);
     ]

@@ -987,15 +987,17 @@ let test_eco_update_equals_extract () =
 (* ------------------------------------------------------------------ *)
 
 let snapshot_designs =
-  [ ("des", fun () -> Hb_workload.Chips.des ());
-    ("alu", fun () -> Hb_workload.Chips.alu ());
-    ("pipeline", fun () -> pipeline ~period:3.0 ()) ]
+  [ ("des", (fun () -> Hb_workload.Chips.des ()), "lumped");
+    ("alu", (fun () -> Hb_workload.Chips.alu ()), "lumped");
+    ("pipeline", (fun () -> pipeline ~period:3.0 ()), "lumped");
+    ("pipeline/rc-chain", (fun () -> pipeline ~period:3.0 ()), "rc-chain") ]
 
 let test_snapshot_round_trip () =
   List.iter
-    (fun (name, make) ->
+    (fun (name, make, delay_model) ->
        let design, system = make () in
-       let session = Hb_sta.Session.create ~design ~system () in
+       let delays = Option.get (Hb_sta.Delays.of_name delay_model) in
+       let session = Hb_sta.Session.create ~design ~system ~delays () in
        let reference = Hb_sta.Session.analyse session in
        let path = Filename.temp_file "hb_snap" ".hbs" in
        Fun.protect
@@ -1842,6 +1844,59 @@ let test_serve_load_rereads () =
        Alcotest.(check bool) "identical copy shares" true (load "b");
        Alcotest.(check string) "shared session" "1.255" (worst_slack ()))
 
+(* Snapshot loads are keyed on the frame header: a byte-identical copy
+   under another path shares the resident session, another session's
+   snapshot saved over the first path is a miss, and a flipped payload
+   bit in a file whose header no load has seen is the corruption error
+   it was when loads were keyed on the whole file. *)
+let test_serve_snapshot_sharing () =
+  let dir = Filename.temp_dir "hb_session" "" in
+  let file name = Filename.concat dir name in
+  let save name (design, system) =
+    let session = Hb_sta.Session.create ~design ~system () in
+    Hb_sta.Session.save_snapshot session ~path:(file name);
+    Hb_sta.Session.close session
+  in
+  Fun.protect
+    ~finally:(fun () ->
+        Array.iter (fun name -> Sys.remove (file name)) (Sys.readdir dir);
+        Sys.rmdir dir)
+    (fun () ->
+       let daemon = Hb_sta.Serve.create () in
+       let load name =
+         Hb_sta.Serve.handle_line daemon
+           (Printf.sprintf
+              {|{"id":1,"method":"load","params":{"snapshot":"%s"}}|}
+              (file name))
+       in
+       let shared name =
+         let reply = load name in
+         Alcotest.(check string) ("load " ^ name) "ok" (reply_status reply);
+         shared_of reply
+       in
+       save "a.hbs" (Hb_workload.Figures.figure1 ());
+       Hb_util.Text.write_atomic (file "copy.hbs")
+         (Hb_util.Text.read_file (file "a.hbs"));
+       Alcotest.(check bool) "first load is fresh" false (shared "a.hbs");
+       Alcotest.(check bool) "identical copy shares" true (shared "copy.hbs");
+       save "a.hbs" (pipeline ~period:3.0 ());
+       Alcotest.(check bool) "another session's snapshot is a miss" false
+         (shared "a.hbs");
+       save "b.hbs"
+         (Hb_workload.Pipelines.two_phase ~width:3 ~stages:3
+            ~gates_per_stage:12 ());
+       let bytes = Bytes.of_string (Hb_util.Text.read_file (file "b.hbs")) in
+       let last = Bytes.length bytes - 1 in
+       Bytes.set bytes last
+         (Char.chr (Char.code (Bytes.get bytes last) lxor 0x01));
+       Hb_util.Text.write_atomic (file "b.hbs") (Bytes.to_string bytes);
+       let reply = load "b.hbs" in
+       Alcotest.(check string) "corrupt payload code" "invalid"
+         (reply_error_code reply);
+       Alcotest.(check string) "corrupt payload message"
+         ("invalid: " ^ file "b.hbs" ^ ": snapshot payload is corrupt")
+         (reply_error_message reply))
+
 (* A request line nested a million levels deep is refused at the first
    level past the parser's cap, without reading the rest of it. *)
 let test_serve_deep_nesting () =
@@ -2162,7 +2217,9 @@ let () =
          Alcotest.test_case "load rejects log-level" `Quick
            test_serve_load_log_level;
          Alcotest.test_case "load rereads changed files" `Quick
-           test_serve_load_rereads ]);
+           test_serve_load_rereads;
+         Alcotest.test_case "snapshot loads share by content" `Quick
+           test_serve_snapshot_sharing ]);
       ("concurrent",
        [ Alcotest.test_case "shared session" `Quick test_serve_shared_session;
          Alcotest.test_case "admission control" `Quick test_serve_admission;
